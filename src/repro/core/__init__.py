@@ -35,7 +35,6 @@ from repro.core.context import (
     make_batch_evaluator,
     make_incremental_evaluator,
 )
-from repro.core.kernels import HAVE_NUMBA, Kernel, describe_kernels, get_kernel
 from repro.core.layout import Layout
 from repro.core.toc import TOCModel, TOCReport
 from repro.core.profiles import BaselinePlacement, WorkloadProfileSet
@@ -115,10 +114,6 @@ __all__ = [
     "ParallelEnumerationEngine",
     "SearchProgress",
     "SharedEstimateTables",
-    "HAVE_NUMBA",
-    "Kernel",
-    "describe_kernels",
-    "get_kernel",
     "ObjectAdvisor",
     "all_on",
     "index_data_split",

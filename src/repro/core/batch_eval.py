@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import Kernel, get_kernel
 from repro.core.toc import TOCModel, TOCReport
 from repro.dbms.concurrency import ClosedLoopModel
 from repro.dbms.executor import ExecutionResult, WorkloadRunResult
@@ -573,7 +572,6 @@ class BatchLayoutEvaluator:
         pinned: Sequence[Tuple[DatabaseObject, str]] = (),
         constraint: Optional[PerformanceConstraint] = None,
         cache: Optional[QueryEstimateCache] = None,
-        kernel: Union[str, Kernel] = "numpy",
     ):
         from repro.core.feasibility import constraint_signature
 
@@ -613,18 +611,6 @@ class BatchLayoutEvaluator:
         self.prices = [storage_class.price_cents_per_gb_hour for storage_class in self.classes]
         self.capacities = np.array(
             [storage_class.capacity_gb for storage_class in self.classes]
-        )
-
-        self.kernel = kernel if isinstance(kernel, Kernel) else get_kernel(kernel)
-        # C-contiguous operand arrays the kernels consume (values identical
-        # to the list attributes above, which stay for compatibility).
-        self._sizes_arr = np.array(self.var_sizes, dtype=float)
-        self._prices_arr = np.array(self.prices, dtype=float)
-        self._pinned_class_arr = np.array(
-            [class_index for _, class_index, _ in self.pinned], dtype=np.int64
-        )
-        self._pinned_size_arr = np.array(
-            [size_gb for _, _, size_gb in self.pinned], dtype=float
         )
 
         self.cache = _adopt_cache(cache, estimator, self.concurrency)
@@ -833,17 +819,19 @@ class BatchLayoutEvaluator:
     def _space_used(self, var_assign: np.ndarray) -> np.ndarray:
         """Per-candidate space per class, accumulated in scalar-path order
         (pinned objects first, then variable objects column by column)."""
-        return self.kernel.accumulate_space(
+        return accumulate_space_used(
             var_assign,
             self.num_classes,
-            self._sizes_arr,
-            self._pinned_class_arr,
-            self._pinned_size_arr,
+            self.var_sizes,
+            [(class_index, size_gb) for _, class_index, size_gb in self.pinned],
         )
 
     def _layout_cost(self, used: np.ndarray) -> np.ndarray:
         """``C(L) = sum_j p_j * S_j`` with the scalar per-class add order."""
-        return self.kernel.layout_cost(used, self._prices_arr)
+        cost = np.zeros(used.shape[0])
+        for class_index, price in enumerate(self.prices):
+            cost += price * used[:, class_index]
+        return cost
 
     # ------------------------------------------------------------------
     # Per-query signature slots
@@ -862,7 +850,10 @@ class BatchLayoutEvaluator:
         by code, so the per-chunk ``np.unique`` + dict translation (and any
         estimator traffic) disappears entirely.
         """
-        codes = self.kernel.signature_codes(sub_assign, table.var_columns, table.weights)
+        if table.var_columns.size:
+            codes = sub_assign[:, table.var_columns] @ table.weights
+        else:
+            codes = np.zeros(sub_assign.shape[0], dtype=np.int64)
         if table.dense_response is not None:
             return codes
         unique_codes, first_rows, inverse = np.unique(
@@ -987,14 +978,11 @@ class BatchLayoutEvaluator:
                 for table in self._template_order
             }
             for query in self._instances:
+                response = response_arrays[query.name][slots[query.name]]
+                total_ms += response
                 cap = caps.get(query.name) if caps is not None else None
-                self.kernel.add_responses(
-                    total_ms,
-                    response_arrays[query.name],
-                    slots[query.name],
-                    float("nan") if cap is None else float(cap),
-                    performance_ok,
-                )
+                if cap is not None:
+                    performance_ok &= response <= cap
             toc_cents[rows] = cost * ((total_ms / MS_PER_SECOND) / SECONDS_PER_HOUR)
             feasible[rows] = performance_ok
         else:

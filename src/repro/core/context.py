@@ -60,7 +60,6 @@ def make_batch_evaluator(
     constraint: Optional[PerformanceConstraint] = None,
     cache: Optional[QueryEstimateCache] = None,
     toc_model: Optional[TOCModel] = None,
-    kernel: str = "numpy",
 ) -> Optional[BatchLayoutEvaluator]:
     """A :class:`BatchLayoutEvaluator`, or ``None`` for the scalar fallback.
 
@@ -81,7 +80,6 @@ def make_batch_evaluator(
             pinned=pinned,
             constraint=constraint,
             cache=cache,
-            kernel=kernel,
         )
     except UnsupportedBatchEvaluation:
         return None

@@ -92,8 +92,6 @@ class ExhaustiveSearch:
         batch path returns bitwise-identical results and falls back to the
         scalar loop automatically for configurations it cannot vectorize
         (cost overrides, exotic constraint types).
-    batch_chunk_size:
-        Number of candidate layouts scored per numpy batch.
     estimate_cache:
         Optional shared :class:`~repro.core.batch_eval.QueryEstimateCache`;
         lets the search reuse (and contribute to) the per-(query,
@@ -106,29 +104,16 @@ class ExhaustiveSearch:
         capacity/incumbent pruning).  Results stay bitwise identical to the
         serial batch path; configurations the batch evaluator cannot
         vectorize fall back to the serial paths as usual.
-    prefix_depth, shards_per_worker:
-        Tuning knobs forwarded to the parallel engine (subtree granularity
-        of the pruning bounds and shard oversubscription); the defaults
-        adapt to the space and worker count.
     deadline_s:
         Hard wall-clock budget for one :meth:`search` call.  All three
         execution paths honour it: the parallel engine aborts with a
         checkpointed partial result, the serial batch/scalar loops stop at
         the next chunk/layout boundary.  The returned result carries
         ``timed_out=True`` and is the exact best of what was enumerated.
-    shard_max_retries, retry_backoff_s, shard_timeout_s, fault_plan:
-        Fault-tolerance knobs forwarded to the parallel engine (bounded
-        shard retry, dead-worker watchdog, chaos injection); see
+    retry_backoff_s, shard_timeout_s, fault_plan:
+        Fault-tolerance knobs forwarded to the parallel engine (retry
+        backoff, dead-worker watchdog, chaos injection); see
         :class:`~repro.core.parallel_search.ParallelEnumerationEngine`.
-    kernel:
-        Chunk-scoring kernel for the batch paths: ``"numpy"`` (reference)
-        or ``"compiled"`` (numba-jitted; falls back to numpy tolerance-free
-        when numba is absent).  Both are bitwise identical -- see
-        :mod:`repro.core.kernels`.
-    schedule, steal_units, use_shared_memory:
-        Raw-speed knobs forwarded to the parallel engine: dynamic
-        work-stealing shard units vs the static split, the steal-unit
-        count, and shared-memory estimate-table transport to workers.
     checkpoint_path:
         Persist the parallel engine's :class:`~repro.core.parallel_search.
         SearchProgress` to this file after every completed shard, and resume
@@ -149,20 +134,12 @@ class ExhaustiveSearch:
         pinned_objects: Sequence[DatabaseObject] = (),
         pinned_class: Optional[str] = None,
         batch: bool = True,
-        batch_chunk_size: int = 4096,
         estimate_cache=None,
         workers: int = 1,
-        prefix_depth: Optional[int] = None,
-        shards_per_worker: int = 4,
         deadline_s: Optional[float] = None,
-        shard_max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         fault_plan=None,
-        kernel: str = "numpy",
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
-        use_shared_memory: bool = True,
         checkpoint_path=None,
     ):
         self.objects = list(objects)
@@ -174,20 +151,12 @@ class ExhaustiveSearch:
         self.pinned_objects = list(pinned_objects)
         self.pinned_class = pinned_class or system.cheapest().name
         self.batch = batch
-        self.batch_chunk_size = batch_chunk_size
         self.estimate_cache = estimate_cache
         self.workers = max(1, int(workers))
-        self.prefix_depth = prefix_depth
-        self.shards_per_worker = shards_per_worker
         self.deadline_s = deadline_s
-        self.shard_max_retries = shard_max_retries
         self.retry_backoff_s = retry_backoff_s
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
-        self.kernel = kernel
-        self.schedule = schedule
-        self.steal_units = steal_units
-        self.use_shared_memory = use_shared_memory
         self.checkpoint_path = checkpoint_path
         self.toc_model = TOCModel(estimator, cost_override=cost_override)
         self.checker = FeasibilityChecker(constraint)
@@ -286,17 +255,10 @@ class ExhaustiveSearch:
                 constraint=constraint,
                 cache=self.estimate_cache,
                 toc_model=self.toc_model,
-                kernel=self.kernel,
             )
             if evaluator is None:
                 span.set(vectorizable=False)
                 return None
-            with trace.span("es.kernel") as kernel_span:
-                kernel_span.set(
-                    requested=evaluator.kernel.requested,
-                    backend=evaluator.kernel.name,
-                    fallback=evaluator.kernel.fallback_reason,
-                )
             evaluator.stats.build_s = time.perf_counter() - build_started
             span.set(build_s=evaluator.stats.build_s)
         return evaluator
@@ -321,9 +283,7 @@ class ExhaustiveSearch:
         evaluated = 0
         timed_out = False
         incidents: List[str] = []
-        for _, chunk in iter_assignment_chunks(
-            len(variable_objects), len(self.system), self.batch_chunk_size
-        ):
+        for _, chunk in iter_assignment_chunks(len(variable_objects), len(self.system)):
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
                 incidents.append(
@@ -390,23 +350,15 @@ class ExhaustiveSearch:
             pinned=[(obj, self.pinned_class) for obj in self.pinned_objects],
             constraint=constraint,
             cache=evaluator.cache,
-            chunk_size=self.batch_chunk_size,
-            kernel=self.kernel,
         )
         engine = ParallelEnumerationEngine.from_evaluator(
             evaluator,
             spec,
             workers=self.workers,
-            prefix_depth=self.prefix_depth,
-            shards_per_worker=self.shards_per_worker,
             deadline_s=self.deadline_s,
-            shard_max_retries=self.shard_max_retries,
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
-            schedule=self.schedule,
-            steal_units=self.steal_units,
-            use_shared_memory=self.use_shared_memory,
         )
         # Coordinator warm-up (the engine pre-estimates every signature) is
         # its own stats slice -- per-worker boot deltas (build/warm/attach)

@@ -28,7 +28,7 @@ single-core ceiling:
 * **Fault tolerance** -- shard processing is idempotent and deterministic,
   so the coordinator recovers from worker failures by re-running shards:
   a failed shard is retried with exponential backoff (bounded by
-  ``shard_max_retries``), a worker that dies mid-shard (detected because its
+  :data:`SHARD_MAX_RETRIES`), a worker that dies mid-shard (detected because its
   shard exceeds ``shard_timeout_s``) has the shard re-queued on the
   replenished pool, and duplicate completions are ignored
   (:meth:`SearchProgress.record` is keyed by shard id).  A hard wall-clock
@@ -95,6 +95,14 @@ from repro.resilience.faults import FaultInjector, FaultPlan, fire_shard_fault
 from repro.sla.constraints import PerformanceConstraint
 from repro.storage.storage_class import StorageSystem
 
+#: Shards cut per worker: more shards than workers lets the demand-driven
+#: dispatch balance uneven pruning across processes.
+SHARDS_PER_WORKER = 4
+#: How often a failed shard is re-attempted before the run gives up with
+#: :class:`ShardFailureError`.  Shard processing is idempotent and
+#: deterministic, so a retry is always safe.
+SHARD_MAX_RETRIES = 2
+
 
 # ---------------------------------------------------------------------------
 # Specs and results
@@ -118,9 +126,6 @@ class EnumerationSpec:
     constraint: Optional[PerformanceConstraint]
     cache: Optional[QueryEstimateCache]
     chunk_size: int = 4096
-    #: Chunk-scoring kernel name (see :mod:`repro.core.kernels`); travels in
-    #: the spec so pool workers resolve the same kernel the coordinator did.
-    kernel: str = "numpy"
 
     def build_evaluator(self) -> BatchLayoutEvaluator:
         return BatchLayoutEvaluator(
@@ -131,7 +136,6 @@ class EnumerationSpec:
             pinned=self.pinned,
             constraint=self.constraint,
             cache=self.cache,
-            kernel=self.kernel,
         )
 
 
@@ -658,8 +662,9 @@ def _worker_init(payload: bytes, shared_value, prefix_depth: int, toc_floor_fact
     (pre-populate the estimate tables from the pickled cache when
     ``warm_eagerly``; the coordinator sets it iff its own evaluator was
     fully warmed, so warming is pure cache lookups).  The slices ride back
-    on the worker's first completed shard outcome.  A failed shm attach
-    falls back to the warm path: slower, bitwise-identical.
+    on the worker's first completed shard outcome.  A worker warms only
+    when it did not attach, so a failed shm attach falls back to the warm
+    path: slower, bitwise-identical.
     """
     global _WORKER_STATE
     boot_started = time.perf_counter()
@@ -772,40 +777,11 @@ class ParallelEnumerationEngine:
     prefix_depth:
         Number of leading mixed-radix columns that define a prunable subtree.
         Defaults to a depth that yields at least ``8 * workers *
-        shards_per_worker`` subtrees (clamped to ``[1, N-1]``) so shards stay
+        SHARDS_PER_WORKER`` subtrees (clamped to ``[1, N-1]``) so shards stay
         balanced and the capacity bound gets traction.
-    shards_per_worker:
-        Oversubscription factor: more shards than workers lets the pool
-        balance uneven pruning across processes.
-    schedule:
-        ``"steal"`` (default) cuts the space into fine-grained shard units
-        that idle workers pull dynamically from the coordinator deque --
-        dispatches beyond each worker's initial unit are counted as
-        *steals* -- so a worker whose subtrees prune away instantly moves on
-        to untouched ranges instead of idling behind a static split.
-        ``"static"`` reproduces the coarse ``workers * shards_per_worker``
-        partition.  Results are bitwise identical either way; checkpoints
-        record the unit geometry and refuse cross-schedule resumes.
-    steal_units:
-        Target number of shard units under ``schedule="steal"``; defaults
-        to ``8 * workers * shards_per_worker`` (clamped to the subtree
-        count).
-    use_shared_memory:
-        Publish the coordinator's fully-warmed dense estimate tables
-        through ``multiprocessing.shared_memory`` so workers attach views
-        instead of re-warming from the pickled cache.  Automatically falls
-        back to the pickle path for ineligible evaluators (OLTP, partially
-        warmed) or platforms without shared memory.
     prune:
         Disable to enumerate every candidate (the bounds are then skipped
         entirely); results are identical either way.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
-        defaults to the platform default.
-    shard_max_retries:
-        How often a failed shard is re-attempted before the run gives up
-        with :class:`ShardFailureError`.  Shard processing is idempotent and
-        deterministic, so a retry is always safe.
     retry_backoff_s:
         Base of the exponential backoff between attempts of the same shard
         (``retry_backoff_s * 2**attempt``).
@@ -822,6 +798,15 @@ class ParallelEnumerationEngine:
         Optional :class:`~repro.resilience.FaultPlan` injected into shard
         processing for deterministic chaos tests.
 
+    The space is cut into ``workers * SHARDS_PER_WORKER`` contiguous shards
+    that the pool pulls on demand; dispatches beyond each worker's first
+    shard are counted as ``steals``.  Pool runs publish the coordinator's
+    fully warmed dense estimate tables through shared memory so workers
+    attach views instead of re-warming from the pickled cache; ineligible
+    evaluators (OLTP, partially warmed) and platforms without shared memory
+    fall back to the pickle path.  A failed shard is retried up to
+    :data:`SHARD_MAX_RETRIES` times.
+
     The engine is a context manager: ``with engine: engine.run()``
     guarantees the pool is terminated and joined on success, error and
     ``KeyboardInterrupt`` alike (``run`` itself also tears down in a
@@ -834,36 +819,20 @@ class ParallelEnumerationEngine:
         spec: EnumerationSpec,
         workers: int = 1,
         prefix_depth: Optional[int] = None,
-        shards_per_worker: int = 4,
         prune: bool = True,
-        start_method: Optional[str] = None,
         parent_evaluator: Optional[BatchLayoutEvaluator] = None,
-        shard_max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
-        use_shared_memory: bool = True,
     ):
-        if schedule not in ("steal", "static"):
-            raise ConfigurationError(
-                f"unknown shard schedule {schedule!r} (expected 'steal' or 'static')"
-            )
         self.spec = spec
         self.workers = max(1, int(workers))
-        self.shards_per_worker = max(1, int(shards_per_worker))
         self.prune = prune
-        self.start_method = start_method
-        self.shard_max_retries = max(0, int(shard_max_retries))
         self.retry_backoff_s = max(0.0, float(retry_backoff_s))
         self.shard_timeout_s = shard_timeout_s
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
-        self.schedule = schedule
-        self.steal_units = steal_units
-        self.use_shared_memory = use_shared_memory
         self._pool = None
         self._shm_tables: Optional[SharedEstimateTables] = None
 
@@ -900,30 +869,17 @@ class ParallelEnumerationEngine:
     def _default_prefix_depth(self) -> int:
         if self.num_objects <= 1:
             return 1
-        target = 8 * self.workers * self.shards_per_worker
+        target = 8 * self.workers * SHARDS_PER_WORKER
         depth = 1
         while self.num_classes**depth < target and depth < self.num_objects - 1:
             depth += 1
         return depth
 
     def shard_ranges(self) -> List[Tuple[int, int, int]]:
-        """``(shard_id, subtree_lo, subtree_hi)`` for every shard unit.
-
-        Under ``schedule="static"`` this is the coarse
-        ``workers * shards_per_worker`` split; under ``schedule="steal"``
-        the same contiguous-subtree construction at ~8x finer granularity,
-        giving the dynamic dispatcher units small enough that skew-pruned
-        ranges cannot strand a worker.
-        """
-        if self.schedule == "steal":
-            target = (
-                self.steal_units
-                if self.steal_units is not None
-                else 8 * self.workers * self.shards_per_worker
-            )
-            shard_count = min(self.num_subtrees, max(1, int(target)))
-        else:
-            shard_count = min(self.num_subtrees, self.workers * self.shards_per_worker)
+        """``(shard_id, subtree_lo, subtree_hi)`` for every shard: the
+        subtree range cut into ``workers * SHARDS_PER_WORKER`` contiguous
+        pieces (fewer when there are fewer subtrees)."""
+        shard_count = min(self.num_subtrees, self.workers * SHARDS_PER_WORKER)
         boundaries = np.linspace(0, self.num_subtrees, shard_count + 1).astype(np.int64)
         return [
             (shard_id, int(boundaries[shard_id]), int(boundaries[shard_id + 1]))
@@ -1032,7 +988,7 @@ class ParallelEnumerationEngine:
                               checkpoint: Optional[Path]) -> None:
         """Retry a failed shard with exponential backoff, or give up."""
         shard_id = task[0]
-        if attempt >= self.shard_max_retries:
+        if attempt >= SHARD_MAX_RETRIES:
             progress.incidents.append(
                 f"shard {shard_id} failed permanently after {attempt + 1} attempts: {exc}"
             )
@@ -1121,11 +1077,6 @@ class ParallelEnumerationEngine:
             )
             return self._shm_tables.descriptor()
 
-    #: Per-steal span events are capped; past the cap only the summary
-    #: attributes on the enclosing span grow (big runs steal thousands of
-    #: times and the span tree must stay readable).
-    _STEAL_EVENT_CAP = 32
-
     def _run_pool(self, pending, progress: SearchProgress,
                   checkpoint: Optional[Path] = None,
                   deadline: Optional[float] = None) -> None:
@@ -1134,11 +1085,11 @@ class ParallelEnumerationEngine:
             pickle.dumps(self.fault_plan) if self.fault_plan is not None else None
         )
         tracer = trace.get_tracer()
-        shm_descriptor = self._attach_shared_tables() if self.use_shared_memory else None
-        warm_eagerly = shm_descriptor is None and bool(
-            getattr(self.evaluator, "_fully_warmed", False)
-        )
-        context = multiprocessing.get_context(self.start_method)
+        shm_descriptor = self._attach_shared_tables()
+        # Every worker gets the warm-up flag; one that attaches the shared
+        # tables skips the warm-up, one whose attach fails falls back to it.
+        warm_eagerly = self.evaluator._fully_warmed
+        context = multiprocessing.get_context()
         shared_value = context.Value("d", progress.best_toc)
         pool = context.Pool(
             processes=self.workers,
@@ -1149,7 +1100,6 @@ class ParallelEnumerationEngine:
         )
         self._pool = pool
         dispatched = 0
-        steals = 0
         try:
             queue = deque((task, 0) for task in pending)
             in_flight: Dict[int, Tuple[object, Tuple[int, int, int], int, float]] = {}
@@ -1165,16 +1115,11 @@ class ParallelEnumerationEngine:
                     )
                     in_flight[task[0]] = (handle, task, attempt, time.monotonic())
                     dispatched += 1
-                    if self.schedule == "steal" and dispatched > self.workers:
-                        # Beyond every worker's initial unit this dispatch is
-                        # demand-driven: an idle worker stealing the next
-                        # range off the coordinator deque.
-                        steals += 1
+                    if dispatched > self.workers:
+                        # Beyond every worker's first shard, dispatch is
+                        # demand-driven: the next range goes to whichever
+                        # worker frees up first.
                         progress.stats.steals += 1
-                        if steals <= self._STEAL_EVENT_CAP:
-                            trace.current_span().event(
-                                "es.steal", shard_id=task[0], attempt=attempt,
-                            )
                 if deadline is not None and time.monotonic() >= deadline:
                     self._deadline_abort(progress, checkpoint)
                 advanced = False
@@ -1219,7 +1164,7 @@ class ParallelEnumerationEngine:
                 if not advanced:
                     time.sleep(0.005)
             trace.current_span().set(
-                steals=steals, shard_units=len(pending), schedule=self.schedule,
+                steals=max(dispatched - self.workers, 0), shards=len(pending),
                 shm=shm_descriptor is not None,
             )
         finally:

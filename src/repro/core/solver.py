@@ -280,19 +280,11 @@ class ExhaustiveSolver:
         pinned_class: Optional[str] = None,
         max_layouts: int = 500_000,
         batch: bool = True,
-        batch_chunk_size: int = 4096,
         workers: int = 1,
-        prefix_depth: Optional[int] = None,
-        shards_per_worker: int = 4,
         deadline_s: Optional[float] = None,
-        shard_max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         fault_plan=None,
-        kernel: str = "numpy",
-        schedule: str = "steal",
-        steal_units: Optional[int] = None,
-        use_shared_memory: bool = True,
         checkpoint_path=None,
     ):
         self.objects = list(objects) if objects is not None else None
@@ -301,19 +293,11 @@ class ExhaustiveSolver:
         self.pinned_class = pinned_class
         self.max_layouts = max_layouts
         self.batch = batch
-        self.batch_chunk_size = batch_chunk_size
         self.workers = workers
-        self.prefix_depth = prefix_depth
-        self.shards_per_worker = shards_per_worker
         self.deadline_s = deadline_s
-        self.shard_max_retries = shard_max_retries
         self.retry_backoff_s = retry_backoff_s
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
-        self.kernel = kernel
-        self.schedule = schedule
-        self.steal_units = steal_units
-        self.use_shared_memory = use_shared_memory
         self.checkpoint_path = checkpoint_path
 
     def search(self, context: EvaluationContext, budget: Optional[float] = None) -> ExhaustiveSearch:
@@ -329,20 +313,12 @@ class ExhaustiveSolver:
             pinned_objects=self.pinned_objects,
             pinned_class=self.pinned_class,
             batch=self.batch,
-            batch_chunk_size=self.batch_chunk_size,
             estimate_cache=context.estimate_cache,
             workers=self.workers,
-            prefix_depth=self.prefix_depth,
-            shards_per_worker=self.shards_per_worker,
             deadline_s=budget if budget is not None else self.deadline_s,
-            shard_max_retries=self.shard_max_retries,
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
-            kernel=self.kernel,
-            schedule=self.schedule,
-            steal_units=self.steal_units,
-            use_shared_memory=self.use_shared_memory,
             checkpoint_path=self.checkpoint_path,
         )
 

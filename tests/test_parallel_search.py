@@ -8,12 +8,16 @@ and the branch-and-bound pruning must be sound -- the pruned engine finds
 the same optimum as the unpruned enumeration on randomized spaces.
 """
 
+import multiprocessing
 import pickle
 
 import numpy as np
 import pytest
 
+import repro.core.parallel_search as ps
+from repro import scenarios
 from repro.core.batch_eval import (
+    BatchEvalStats,
     BatchLayoutEvaluator,
     UnsupportedBatchEvaluation,
     _mixed_radix_weights,
@@ -28,12 +32,16 @@ from repro.core.parallel_search import (
     _process_shard,
     _Incumbent,
     _PruningBounds,
+    _ShardOutcome,
 )
+from repro.core.shm_tables import SharedEstimateTables
+from repro.core.solver import ExhaustiveSolver
 from repro.core.toc import TOCModel
 from repro.dbms.datagen import SyntheticTableSpec, build_synthetic_catalog
 from repro.exceptions import ShardFailureError
 from repro.dbms.executor import WorkloadEstimator
 from repro.dbms.query import Query, TableAccess
+from repro.obs import trace
 from repro.sla.constraints import RelativeSLA
 from repro.storage import catalog as storage_catalog
 from repro.workloads.workload import Workload
@@ -133,9 +141,10 @@ class TestRangeEnumeration:
         assert (rows[-1] == 2).all()  # the very last assignment: all on class 2
 
     def test_steal_boundaries_cover_each_index_once(self):
-        # The steal schedule splits one subtree range into many fine units;
-        # stitching their chunk streams back together must visit each index
-        # exactly once, in order, bitwise equal to a single direct pass.
+        # Demand-driven dispatch hands out one subtree range as many
+        # contiguous units; stitching their chunk streams back together must
+        # visit each index exactly once, in order, bitwise equal to a single
+        # direct pass.
         total = 3**19
         window_lo, window_hi = total - 5000, total - 17
         boundaries = np.unique(
@@ -515,13 +524,13 @@ class TestResume:
             workload=small_workload, pinned=[], constraint=None,
             cache=evaluator.cache,
         )
-        # Static schedule: both engines then cut the same shard count, so the
-        # refusal must come from the prefix-depth stamp, not the shard count.
+        # Both engines cut the same shard count, so the refusal must come
+        # from the prefix-depth stamp, not the shard count.
         engine_a = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=2, schedule="static"
+            evaluator, spec, workers=1, prefix_depth=2
         )
         engine_b = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=3, schedule="static"
+            evaluator, spec, workers=1, prefix_depth=3
         )
         assert len(engine_a.shard_ranges()) == len(engine_b.shard_ranges())
         progress = engine_a.run()
@@ -780,3 +789,279 @@ class TestDiskCheckpoint:
         progress.save(path)  # overwrite in place
         assert SearchProgress.load(path).completed == {0}
         assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory estimate tables
+# ---------------------------------------------------------------------------
+
+def make_evaluator(objects, system, catalog, workload):
+    return BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload)
+
+
+class TestSharedTables:
+    """``SharedEstimateTables`` round-trips the coordinator's dense response
+    tables byte for byte, refuses ineligible evaluators, and an evaluator
+    with installed views scores chunks like the one that warmed its own."""
+
+    def warmed_evaluator(self, small_objects, box1_system, small_catalog,
+                         small_workload):
+        evaluator = make_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        assert evaluator.warm_signatures()
+        return evaluator
+
+    def test_roundtrip_is_bitwise(self, small_objects, box1_system, small_catalog,
+                                  small_workload):
+        evaluator = self.warmed_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        dense = evaluator.dense_response_tables()
+        with SharedEstimateTables.build(evaluator) as tables:
+            assert tables.num_tables == len(dense)
+            assert tables.nbytes == sum(arr.nbytes for arr in dense.values())
+            attached = SharedEstimateTables.attach(tables.descriptor())
+            try:
+                views = attached.views()
+                assert set(views) == set(dense)
+                for name, arr in dense.items():
+                    assert (views[name] == arr).all()
+                    assert not views[name].flags.writeable
+            finally:
+                attached.close()
+
+    def test_installed_views_score_identically(self, small_objects, box1_system,
+                                               small_catalog, small_workload):
+        warmed = self.warmed_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        rows = np.concatenate(
+            [chunk for _, chunk in
+             iter_assignment_chunks(len(small_objects), 3, 16)]
+        )
+        reference = warmed.evaluate_chunk(rows)
+        with SharedEstimateTables.build(warmed) as tables:
+            attached = SharedEstimateTables.attach(tables.descriptor())
+            try:
+                cold = make_evaluator(
+                    small_objects, box1_system, small_catalog, small_workload
+                )
+                cold.install_dense_tables(attached.views())
+                candidate = cold.evaluate_chunk(rows)
+                assert (reference.toc_cents == candidate.toc_cents).all()
+                assert (reference.feasible == candidate.feasible).all()
+                # Installed tables answer from shared memory: no estimator
+                # traffic, and the TOC floor bound stays available.
+                assert cold.stats.estimator_calls == 0
+                assert cold.toc_floor_factor() > 0.0
+            finally:
+                attached.close()
+
+    def test_unwarmed_evaluator_is_refused(self, small_objects, box1_system,
+                                           small_catalog, small_workload):
+        evaluator = make_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        with pytest.raises(UnsupportedBatchEvaluation):
+            evaluator.dense_response_tables()
+
+    def test_oltp_evaluator_is_refused(self, small_objects, box1_system,
+                                       small_catalog, oltp_workload):
+        evaluator = make_evaluator(
+            small_objects, box1_system, small_catalog, oltp_workload
+        )
+        evaluator.warm_signatures()
+        with pytest.raises(UnsupportedBatchEvaluation):
+            SharedEstimateTables.build(evaluator)
+
+    def test_install_validates_shapes_and_coverage(self, small_objects, box1_system,
+                                                   small_catalog, small_workload):
+        evaluator = self.warmed_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        views = evaluator.dense_response_tables()
+        target = make_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        name = next(iter(views))
+        with pytest.raises(UnsupportedBatchEvaluation):
+            target.install_dense_tables(
+                {**views, name: views[name][:-1]}  # truncated table
+            )
+        missing = dict(views)
+        del missing[name]
+        with pytest.raises(UnsupportedBatchEvaluation):
+            target.install_dense_tables(missing)
+
+    def test_unlink_destroys_the_segment(self, small_objects, box1_system,
+                                         small_catalog, small_workload):
+        evaluator = self.warmed_evaluator(
+            small_objects, box1_system, small_catalog, small_workload
+        )
+        tables = SharedEstimateTables.build(evaluator)
+        descriptor = tables.descriptor()
+        tables.unlink()
+        tables.unlink()  # idempotent
+        with pytest.raises(FileNotFoundError):
+            SharedEstimateTables.attach(descriptor)
+
+
+# ---------------------------------------------------------------------------
+# Worker boot: shared-memory attach or warm-up
+# ---------------------------------------------------------------------------
+
+def solve_with_worker_warm(context, **kwargs):
+    """Solve traced; returns the result and the per-worker warm-up seconds.
+
+    ``SolveStats.batch.warm_s`` folds the coordinator's warm-up (recorded on
+    the ``es.warm`` span) with every worker's, so the difference is exactly
+    what the pool workers spent re-warming their own tables.
+    """
+    with trace.tracing() as tracer:
+        result = ExhaustiveSolver(**kwargs).solve(context)
+        (root,) = tracer.drain_roots()
+    (warm_span,) = [c for c in root["children"] if c["name"] == "es.warm"]
+    return result, result.stats.batch.warm_s - warm_span["attrs"]["warm_s"]
+
+
+class TestWorkerTransport:
+    def test_failed_shm_attach_falls_back_to_warm_up(
+            self, small_objects, box1_system, small_catalog, small_workload,
+            monkeypatch):
+        """A worker whose shared-memory attach fails warms its own tables
+        from the pickled cache and scores its shard exactly like the serial
+        path."""
+        estimator = fresh_estimator(small_catalog)
+        evaluator = BatchLayoutEvaluator(
+            small_objects, box1_system, estimator, small_workload
+        )
+        spec = EnumerationSpec(
+            variable_objects=small_objects, system=box1_system, estimator=estimator,
+            workload=small_workload, pinned=[], constraint=None,
+            cache=evaluator.cache, chunk_size=64,
+        )
+        engine = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=1)
+        shard_id, lo, hi = engine.shard_ranges()[0]
+        serial = _process_shard(
+            engine.evaluator, _PruningBounds(engine.evaluator, engine.prefix_depth),
+            _Incumbent(), shard_id, lo, hi, spec.chunk_size,
+            engine.toc_floor_factor, True,
+        )
+
+        monkeypatch.setattr(ps, "_WORKER_STATE", None)
+        missing_segment = {"name": "repro-test-missing-segment", "layout": []}
+        ps._worker_init(
+            pickle.dumps(spec), multiprocessing.Value("d", float("inf")),
+            engine.prefix_depth, engine.toc_floor_factor, True,
+            shm_descriptor=missing_segment, warm_eagerly=True,
+        )
+        boot = ps._WORKER_STATE["boot"]
+        assert boot["attach_s"] == 0.0
+        assert boot["warm_s"] > 0.0
+        outcome = ps._worker_run_shard((shard_id, lo, hi, 0))
+        assert outcome.best_toc == serial.best_toc
+        assert outcome.best_index == serial.best_index
+        assert outcome.best_row == serial.best_row
+        assert outcome.evaluated == serial.evaluated
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the attach patch reaches pool workers only through fork",
+    )
+    def test_pool_workers_warm_when_attach_fails(self, monkeypatch):
+        """The coordinator hands every worker the warm-up flag, so a pool
+        whose attaches all fail still warms instead of re-estimating."""
+        def refuse(descriptor):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(SharedEstimateTables, "attach", refuse)
+        bundle = scenarios.build("synthetic_sanity")
+        serial = ExhaustiveSolver().solve(
+            bundle.context(estimator=bundle.fresh_estimator())
+        )
+        parallel, worker_warm_s = solve_with_worker_warm(
+            bundle.context(estimator=bundle.fresh_estimator()), workers=2
+        )
+        assert parallel.stats.batch.attach_s == 0.0
+        assert worker_warm_s > 0.0
+        assert parallel.layout == serial.layout
+        assert parallel.toc_cents == serial.toc_cents
+
+    def test_dss_attaches_and_oltp_warms(self):
+        """DSS pool workers map the shared tables and skip the warm-up;
+        OLTP evaluators are ineligible for shared memory and warm instead.
+        Both stay bitwise equal to the serial search."""
+        dss = scenarios.build("synthetic_sanity")
+        dss_serial = ExhaustiveSolver().solve(
+            dss.context(estimator=dss.fresh_estimator())
+        )
+        dss_parallel, dss_worker_warm_s = solve_with_worker_warm(
+            dss.context(estimator=dss.fresh_estimator()), workers=2
+        )
+        assert dss_parallel.stats.batch.attach_s > 0.0
+        assert dss_worker_warm_s == 0.0
+        assert dss_parallel.layout == dss_serial.layout
+        assert dss_parallel.toc_cents == dss_serial.toc_cents
+
+        tpcc = scenarios.build("fig9_tpcc", warehouses=100)
+        hot_groups = set(tpcc.extras["hot_groups"])
+        hot = [obj for obj in tpcc.objects if (obj.table or obj.name) in hot_groups]
+        cold = [obj for obj in tpcc.objects if obj not in hot]
+
+        def tpcc_context():
+            return tpcc.context(
+                estimator=tpcc.fresh_estimator(), box="Box 2",
+                capacity_limits_gb={"H-SSD": 21.0},
+            )
+
+        search = {"objects": hot, "pinned_objects": cold, "per_group": True,
+                  "pinned_class": "H-SSD"}
+        oltp_serial = ExhaustiveSolver(**search).solve(tpcc_context())
+        oltp_parallel, oltp_worker_warm_s = solve_with_worker_warm(
+            tpcc_context(), workers=2, **search
+        )
+        assert oltp_parallel.stats.batch.attach_s == 0.0
+        assert oltp_worker_warm_s > 0.0
+        assert oltp_parallel.feasible
+        assert oltp_parallel.layout == oltp_serial.layout
+        assert oltp_parallel.toc_cents == oltp_serial.toc_cents
+
+
+# ---------------------------------------------------------------------------
+# Worker cache-delta folding
+# ---------------------------------------------------------------------------
+
+class TestCacheDeltaFolding:
+    """Worker cache hit/miss deltas are measured per ``(shard_id, attempt)``
+    and folded exactly once: a retried shard whose first outcome already
+    landed must not double-count."""
+
+    @staticmethod
+    def outcome(shard_id, hits, misses):
+        stats = BatchEvalStats(cache_hits=hits, cache_misses=misses)
+        return _ShardOutcome(
+            shard_id=shard_id, best_toc=float("inf"), best_index=-1,
+            best_row=None, evaluated=0, stats=stats,
+        )
+
+    def test_duplicate_shard_outcomes_fold_once(self):
+        progress = SearchProgress(total_shards=2)
+        progress.record(self.outcome(0, hits=5, misses=2))
+        progress.record(self.outcome(0, hits=7, misses=9))  # late duplicate attempt
+        progress.record(self.outcome(1, hits=3, misses=1))
+        assert progress.stats.cache_hits == 8
+        assert progress.stats.cache_misses == 3
+
+    def test_stats_merge_folds_boot_and_steal_fields(self):
+        total = BatchEvalStats()
+        total.merge(BatchEvalStats(build_s=0.5, warm_s=0.25, attach_s=0.01, steals=3,
+                                   cache_hits=10, cache_misses=4))
+        total.merge(BatchEvalStats(build_s=0.5, warm_s=0.25, attach_s=0.02, steals=1,
+                                   cache_hits=2, cache_misses=6))
+        assert total.build_s == 1.0
+        assert total.warm_s == 0.5
+        assert total.attach_s == pytest.approx(0.03)
+        assert total.steals == 4
+        assert total.cache_hits == 12
+        assert total.cache_misses == 10

@@ -175,22 +175,21 @@ class TestChaosIdentity:
     def test_worker_kills_under_work_stealing_recover_identically(
             self, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
-        """The steal schedule splits the space into finer shard units and
-        re-queued units dispatch as steals; hard-killing workers on a chunk
-        of those units must still converge to the bitwise fault-free
-        optimum, with the steal counter recording the dynamic dispatches."""
+        """Shards beyond each worker's first, and re-queued shards, dispatch
+        on demand as steals; hard-killing workers on a chunk of those shards
+        must still converge to the bitwise fault-free optimum, with the
+        steal counter recording the demand-driven dispatches."""
         probe = make_engine(
             small_objects, box1_system, small_catalog, small_workload,
-            workers=WORKERS, schedule="steal",
+            workers=WORKERS,
         )
         shard_ids = [task[0] for task in probe.shard_ranges()]
-        assert len(shard_ids) > WORKERS  # there must be units left to steal
+        assert len(shard_ids) > WORKERS  # there must be shards left to steal
         plan = FaultPlan.chaos_search(seed=31, shard_ids=shard_ids, crash_fraction=0.4)
         assert plan.shard_faults
         search = ExhaustiveSearch(
             small_objects, box1_system, fresh_estimator(small_catalog),
             workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan,
-            schedule="steal",
         )
         result = search.search(small_workload)
         assert result.feasible == serial_reference.feasible
