@@ -28,7 +28,7 @@ from conftest import run_once, write_bench_json
 
 from repro import scenarios
 from repro.core.batch_eval import BatchLayoutEvaluator
-from repro.core.parallel_search import EnumerationSpec, ParallelEnumerationEngine
+from repro.core.parallel_search import ParallelEnumerationEngine
 from repro.core.solver import ExhaustiveSolver
 from repro.online.controller import OnlineAdvisor
 from repro.online.monitor import DriftThresholds, OutlierPolicy
@@ -55,12 +55,7 @@ def _shard_ids(bundle, workers):
     evaluator = BatchLayoutEvaluator(
         context.objects, context.system, context.estimator, context.workload
     )
-    spec = EnumerationSpec(
-        variable_objects=context.objects, system=context.system,
-        estimator=context.estimator, workload=context.workload,
-        pinned=[], constraint=None, cache=evaluator.cache,
-    )
-    probe = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=workers)
+    probe = ParallelEnumerationEngine(evaluator, workers=workers)
     return [task[0] for task in probe.shard_ranges()]
 
 

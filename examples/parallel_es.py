@@ -34,11 +34,7 @@ import numpy as np
 
 from repro import scenarios
 from repro.core import ExhaustiveSolver, make_batch_evaluator
-from repro.core.parallel_search import (
-    EnumerationSpec,
-    ParallelEnumerationEngine,
-    SearchProgress,
-)
+from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 from repro.obs import log as obs_log
 
 obs_log.configure()
@@ -53,16 +49,7 @@ def run_checkpointed(bundle, objects, pinned, system, workers: int, path: Path):
         objects, system, estimator, bundle.workload,
         pinned=[(obj, pinned_class) for obj in pinned],
     )
-    spec = EnumerationSpec(
-        variable_objects=evaluator.variable_objects,
-        system=system,
-        estimator=estimator,
-        workload=bundle.workload,
-        pinned=[(obj, pinned_class) for obj in pinned],
-        constraint=None,
-        cache=evaluator.cache,
-    )
-    engine = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=workers)
+    engine = ParallelEnumerationEngine(evaluator, workers=workers)
     progress = None
     if path.exists():
         progress = SearchProgress.load(path)
@@ -137,8 +124,9 @@ def main() -> None:
 
     parallel = solve(build_solver(workers=args.workers))
     stats = parallel.stats.batch
+    boot_s = stats.build_s + stats.warm_s + stats.attach_s
     log.info(f"Parallel ES (x{args.workers}): {parallel.elapsed_s:8.2f} s "
-          f"(+ {stats.build_s:.2f} s build/warm-up), "
+          f"(+ {boot_s:.2f} s build/warm-up/worker boot), "
           f"{parallel.evaluated_layouts:,} layouts evaluated, "
           f"TOC {parallel.toc_cents:.6g} cents")
     log.info(f"Pruning: {stats.pruned_subtrees:,} subtrees "

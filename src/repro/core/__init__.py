@@ -43,12 +43,7 @@ from repro.core.moves import Move, enumerate_moves
 from repro.core.feasibility import FeasibilityChecker, FeasibilityResult
 from repro.core.dot import DOTOptimizer, DOTResult
 from repro.core.exhaustive import ExhaustiveSearch, ExhaustiveSearchResult
-from repro.core.parallel_search import (
-    EnumerationSpec,
-    ParallelEnumerationEngine,
-    SearchProgress,
-)
-from repro.core.shm_tables import SharedEstimateTables
+from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 from repro.core.object_advisor import ObjectAdvisor
 from repro.core.simple_layouts import all_on, index_data_split, simple_layouts
 from repro.core.ilp import MILPPlacement, MILPResult
@@ -110,10 +105,8 @@ __all__ = [
     "DOTResult",
     "ExhaustiveSearch",
     "ExhaustiveSearchResult",
-    "EnumerationSpec",
     "ParallelEnumerationEngine",
     "SearchProgress",
-    "SharedEstimateTables",
     "ObjectAdvisor",
     "all_on",
     "index_data_split",

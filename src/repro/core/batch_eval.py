@@ -398,9 +398,10 @@ class IncrementalWorkloadEvaluator:
 class BatchEvalStats:
     """Work accounting of a batch evaluation run.
 
-    ``build_s`` is the evaluator construction plus estimate-table warm-up
-    time, reported separately from the search's ``elapsed_s`` so that a cold
-    shared cache does not skew ES-vs-DOT search-time comparisons.  The
+    ``build_s`` is the evaluator construction time and ``warm_s`` the
+    estimate-table warm-up, both reported separately from the search's
+    ``elapsed_s`` so that a cold shared cache does not skew ES-vs-DOT
+    search-time comparisons.  The
     ``pruned_*`` counters are written by the parallel engine
     (:mod:`repro.core.parallel_search`): subtrees are skipped by the
     per-prefix capacity bound, chunks by the incumbent-TOC bound; the
@@ -414,14 +415,12 @@ class BatchEvalStats:
     estimator_calls: int = 0
     oltp_aggregations: int = 0
     chunks: int = 0
-    #: Coordinator evaluator construction time; on pool runs the summed
-    #: per-worker unpickle+construct time folds in as well.
+    #: Coordinator evaluator construction time.
     build_s: float = 0.0
-    #: Estimate-table warm-up time (coordinator ``warm_signatures`` plus any
-    #: per-worker warm on the pickle fallback path), split out of ``build_s``.
+    #: Coordinator estimate-table warm-up time (``warm_signatures``).
     warm_s: float = 0.0
-    #: Per-worker shared-memory attach time (the shm replacement for the
-    #: pickle path's per-worker ``build_s + warm_s``).
+    #: Summed per-worker pool initializer time.  Workers adopt the
+    #: coordinator's warmed evaluator, so this is their whole boot.
     attach_s: float = 0.0
     #: Cumulative wall time spent inside ``evaluate_chunk`` (the vectorized
     #: scoring itself, excluding enumeration and coordination overhead).
@@ -516,7 +515,7 @@ class _QueryTable:
         #: objects (used to type OLTP busy time by storage class).
         self.touched_classes: List[Dict[str, str]] = []
         #: Complete response table indexed directly by signature *code*
-        #: (attached from a shared-memory segment); when set, slot == code
+        #: (set by ``warm_signatures`` on DSS tables); when set, slot == code
         #: and the per-chunk ``np.unique``/dict translation is skipped.
         self.dense_response: Optional[np.ndarray] = None
         self._response_array: Optional[np.ndarray] = None
@@ -524,8 +523,8 @@ class _QueryTable:
     def response_array(self) -> np.ndarray:
         """Responses indexed by slot, as one cached contiguous array.
 
-        The lazy slot path re-caches whenever a new slot was appended; the
-        dense (shared-memory) path returns the attached table itself.
+        The lazy slot path re-caches whenever a new slot was appended; a
+        densified table returns its code-indexed array.
         """
         if self.dense_response is not None:
             return self.dense_response
@@ -650,10 +649,17 @@ class BatchLayoutEvaluator:
         objects, so its table has at most ``M^k`` slots (``k`` = signature
         objects that are variable columns).  Warming them all makes the
         (possibly shared) estimate cache a complete, read-only lookup
-        structure: parallel workers reconstructing an evaluator from it never
-        call the optimizer again, and :meth:`toc_floor_factor` can derive a
-        sound workload-time lower bound from the now-exhaustive per-query
-        response tables.
+        structure: the parallel engine's pool workers, which adopt this very
+        evaluator, never call the optimizer, and :meth:`toc_floor_factor`
+        can derive a sound workload-time lower bound from the now-exhaustive
+        per-query response tables.
+
+        A DSS table this call fills from empty is densified in place: the
+        subspace is enumerated in mixed-radix order, so slot ``s`` holds
+        signature code ``s`` by construction, and the responses become one
+        code-indexed array that chunk scoring indexes by code directly.
+        OLTP tables stay on the slot path, since their aggregation reads
+        full executions, not just response times.
 
         Queries whose subspace exceeds ``max_signatures_per_query`` are left
         to lazy on-demand estimation (correct, just not pre-warmed).  Returns
@@ -666,6 +672,9 @@ class BatchLayoutEvaluator:
             if subspace > max_signatures_per_query:
                 fully = False
                 continue
+            if table.dense_response is not None:
+                continue
+            was_empty = not table.response_ms
             rows = np.zeros((subspace, len(self.var_names)), dtype=np.int64)
             if positions:
                 _, combos = next(
@@ -673,79 +682,10 @@ class BatchLayoutEvaluator:
                 )
                 rows[:, table.var_columns] = combos
             self._slots_for(table, rows)
+            if self.kind == "dss" and was_empty:
+                table.dense_response = np.array(table.response_ms, dtype=float)
         self._fully_warmed = fully
         return fully
-
-    def dense_response_tables(self) -> Dict[str, np.ndarray]:
-        """Code-indexed ``float64`` response arrays, one per query table.
-
-        Eligible only for fully warmed DSS evaluators: ``warm_signatures``
-        enumerates each table's signature subspace in mixed-radix order, so
-        slot ``s`` holds exactly signature code ``s`` and the per-query
-        ``response_ms`` list densifies into an array indexed directly by
-        code.  These arrays are the payload
-        :class:`repro.core.shm_tables.SharedEstimateTables` publishes to
-        workers.  Raises :class:`UnsupportedBatchEvaluation` when the
-        evaluator is OLTP (aggregation needs full ``ExecutionResult`` I/O
-        maps, not just response times) or not fully warmed.
-        """
-        if self.kind != "dss":
-            raise UnsupportedBatchEvaluation(
-                "dense response tables require a DSS workload; OLTP aggregation "
-                "consumes full per-execution I/O maps"
-            )
-        if not self._fully_warmed:
-            raise UnsupportedBatchEvaluation(
-                "dense response tables require a fully warmed evaluator"
-            )
-        views: Dict[str, np.ndarray] = {}
-        for table in self._template_order:
-            if table.dense_response is not None:
-                views[table.query.name] = table.dense_response
-                continue
-            subspace = self.num_classes ** len(table.var_columns)
-            if len(table.response_ms) != subspace:
-                raise UnsupportedBatchEvaluation(
-                    f"table for {table.query.name!r} holds {len(table.response_ms)} "
-                    f"slots, expected the full {subspace}-signature subspace"
-                )
-            for code in range(subspace):
-                if table.code_to_slot.get(code) != code:
-                    raise UnsupportedBatchEvaluation(
-                        f"table for {table.query.name!r} is not in dense "
-                        "(code == slot) order"
-                    )
-            views[table.query.name] = np.ascontiguousarray(table.response_ms, dtype=float)
-        return views
-
-    def install_dense_tables(self, views: Mapping[str, np.ndarray]) -> None:
-        """Adopt code-indexed response arrays (typically shared-memory views).
-
-        After installation ``_slots_for`` returns raw signature codes (slot ==
-        code), no estimator or cache traffic happens for these queries, and
-        the evaluator counts as fully warmed.  The arrays are read-only
-        lookups; the values are bitwise the ones ``warm_signatures`` would
-        have produced, so scoring is unchanged bit for bit.
-        """
-        if self.kind != "dss":
-            raise UnsupportedBatchEvaluation(
-                "dense response tables require a DSS workload"
-            )
-        for table in self._template_order:
-            view = views.get(table.query.name)
-            if view is None:
-                raise UnsupportedBatchEvaluation(
-                    f"missing dense table for query {table.query.name!r}"
-                )
-            subspace = self.num_classes ** len(table.var_columns)
-            if view.shape != (subspace,):
-                raise UnsupportedBatchEvaluation(
-                    f"dense table for {table.query.name!r} has shape {view.shape}, "
-                    f"expected ({subspace},)"
-                )
-        for table in self._template_order:
-            table.dense_response = views[table.query.name]
-        self._fully_warmed = True
 
     def toc_floor_factor(self) -> float:
         """A factor ``f`` with ``TOC(row) >= layout_cost(row) * f`` for every
@@ -845,10 +785,9 @@ class BatchLayoutEvaluator:
         placements, in the same order, as in the scalar search, and a warm
         cache serves bitwise-identical executions without re-estimating.
 
-        With a dense (shared-memory) response table installed the slot *is*
-        the signature code -- :meth:`install_dense_tables` views are indexed
-        by code, so the per-chunk ``np.unique`` + dict translation (and any
-        estimator traffic) disappears entirely.
+        For a table :meth:`warm_signatures` densified, the slot *is* the
+        signature code, so the per-chunk ``np.unique`` + dict translation
+        (and any estimator traffic) disappears entirely.
         """
         if table.var_columns.size:
             codes = sub_assign[:, table.var_columns] @ table.weights

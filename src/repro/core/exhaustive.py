@@ -325,16 +325,12 @@ class ExhaustiveSearch:
     ) -> Optional[ExhaustiveSearchResult]:
         """Sharded, pruned multiprocessing enumeration; None when unsupported.
 
-        The parent builds and fully warms one evaluator (timed as build cost),
-        ships its spec -- estimator, workload, read-only estimate cache -- to
-        the worker pool, and reduces the shards' ``(TOC, enumeration index)``
-        bests, which reproduces the serial batch result bit for bit.
+        The parent builds and fully warms one evaluator (timed as build and
+        warm-up cost), hands that evaluator itself to the worker pool, and
+        reduces the shards' ``(TOC, enumeration index)`` bests, which
+        reproduces the serial batch result bit for bit.
         """
-        from repro.core.parallel_search import (
-            EnumerationSpec,
-            ParallelEnumerationEngine,
-            SearchProgress,
-        )
+        from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 
         evaluator = self._build_evaluator(workload, constraint)
         if evaluator is None:
@@ -342,18 +338,8 @@ class ExhaustiveSearch:
         tracer = trace.get_tracer()
         warm_span = tracer.start_span("es.warm", workers=self.workers)
         warm_started = time.perf_counter()
-        spec = EnumerationSpec(
-            variable_objects=evaluator.variable_objects,
-            system=self.system,
-            estimator=self.estimator,
-            workload=workload,
-            pinned=[(obj, self.pinned_class) for obj in self.pinned_objects],
-            constraint=constraint,
-            cache=evaluator.cache,
-        )
-        engine = ParallelEnumerationEngine.from_evaluator(
+        engine = ParallelEnumerationEngine(
             evaluator,
-            spec,
             workers=self.workers,
             deadline_s=self.deadline_s,
             retry_backoff_s=self.retry_backoff_s,
@@ -361,8 +347,8 @@ class ExhaustiveSearch:
             fault_plan=self.fault_plan,
         )
         # Coordinator warm-up (the engine pre-estimates every signature) is
-        # its own stats slice -- per-worker boot deltas (build/warm/attach)
-        # arrive later through the shard outcomes; the stats object is
+        # its own stats slice -- per-worker initializer time (attach_s)
+        # arrives later through the shard outcomes; the stats object is
         # snapshotted before shard deltas replace it.
         stats = evaluator.stats
         stats.warm_s += time.perf_counter() - warm_started

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.core.batch_eval import group_placement_coefficients
 from repro.core.layout import Layout
@@ -77,6 +76,10 @@ class MILPPlacement:
             Upper bound on the sum of group I/O time shares -- typically the
             all-fast layout's total I/O time divided by the relative SLA.
         """
+        # scipy is the largest single cost of ``import repro`` and only this
+        # solve needs it, so it is imported on first use.
+        from scipy import optimize, sparse
+
         if io_time_budget_ms <= 0:
             raise ConfigurationError("the I/O time budget must be positive")
         started = time.perf_counter()

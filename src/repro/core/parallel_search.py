@@ -9,9 +9,10 @@ single-core ceiling:
 
 * **Sharding** -- the mixed-radix assignment index range ``[0, M^N)`` is cut
   into contiguous shards of whole enumeration subtrees and distributed over a
-  ``multiprocessing`` pool.  Each worker reconstructs its evaluator from a
-  pickled :class:`EnumerationSpec` whose :class:`~repro.core.batch_eval.
-  QueryEstimateCache` was pre-warmed (read-only) by the parent, then streams
+  ``multiprocessing`` pool.  Each worker adopts the coordinator's fully
+  warmed :class:`~repro.core.batch_eval.BatchLayoutEvaluator` itself, passed
+  through the pool initializer (inherited copy-on-write under ``fork``,
+  pickled once per worker under ``spawn``/``forkserver``), then streams
   :func:`~repro.core.batch_eval.iter_assignment_chunks` over its own index
   sub-ranges -- workers never call the optimizer.
 * **Branch-and-bound pruning** -- a per-prefix *capacity* bound skips whole
@@ -64,36 +65,28 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.batch_eval import (
     BatchEvalStats,
     BatchLayoutEvaluator,
-    QueryEstimateCache,
-    UnsupportedBatchEvaluation,
     accumulate_space_used,
     iter_assignment_chunks,
 )
-from repro.core.shm_tables import SharedEstimateTables
 from repro.exceptions import (
     CheckpointCorruptionError,
     ConfigurationError,
     ShardFailureError,
     SolverTimeoutError,
 )
-from repro.objects import DatabaseObject
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.resilience.faults import FaultInjector, FaultPlan, fire_shard_fault
-from repro.sla.constraints import PerformanceConstraint
-from repro.storage.storage_class import StorageSystem
 
 #: Shards cut per worker: more shards than workers lets the demand-driven
 #: dispatch balance uneven pruning across processes.
@@ -105,39 +98,8 @@ SHARD_MAX_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
-# Specs and results
+# Progress and results
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EnumerationSpec:
-    """Picklable recipe from which a worker rebuilds its batch evaluator.
-
-    The ``cache`` travels in the same pickle payload as the ``estimator`` it
-    was built from, so the object-graph identity check in ``_adopt_cache``
-    still holds after the round trip; a fully pre-warmed cache turns each
-    worker's evaluator into a pure lookup structure.
-    """
-
-    variable_objects: Sequence[DatabaseObject]
-    system: StorageSystem
-    estimator: object
-    workload: object
-    pinned: Sequence[Tuple[DatabaseObject, str]]
-    constraint: Optional[PerformanceConstraint]
-    cache: Optional[QueryEstimateCache]
-    chunk_size: int = 4096
-
-    def build_evaluator(self) -> BatchLayoutEvaluator:
-        return BatchLayoutEvaluator(
-            self.variable_objects,
-            self.system,
-            self.estimator,
-            self.workload,
-            pinned=self.pinned,
-            constraint=self.constraint,
-            cache=self.cache,
-        )
-
 
 @dataclass
 class SearchProgress:
@@ -642,90 +604,49 @@ def _process_shard(
 _WORKER_STATE: Optional[Dict[str, object]] = None
 
 
-def _worker_init(payload: bytes, shared_value, prefix_depth: int, toc_floor_factor: float,
-                 prune: bool, plan_payload: Optional[bytes] = None,
-                 deadline: Optional[float] = None,
-                 trace_enabled: bool = False,
-                 shm_descriptor: Optional[Dict[str, object]] = None,
-                 warm_eagerly: bool = False) -> None:
-    """Pool initializer: rebuild the evaluator from the pickled spec once.
+def _worker_init(evaluator: BatchLayoutEvaluator, bounds: _PruningBounds, shared_value,
+                 chunk_size: int, toc_floor_factor: float, prune: bool,
+                 fault_plan: Optional[FaultPlan], deadline: Optional[float],
+                 trace_enabled: bool) -> None:
+    """Pool initializer: adopt the coordinator's warmed evaluator.
+
+    The evaluator arrives through the pool's ``initargs``.  Under the
+    ``fork`` start method the worker inherits it copy-on-write, with no
+    pickling at all; under ``spawn``/``forkserver`` multiprocessing pickles
+    it once per worker with its estimate tables already warm.  Either way
+    every worker -- including one the pool starts in place of a dead one --
+    scores from complete tables and never calls the optimizer.
 
     ``deadline`` is an absolute ``time.monotonic`` instant stamped by the
-    coordinator; ``CLOCK_MONOTONIC`` is machine-wide on Linux, so workers can
-    compare against it directly.  ``plan_payload`` is a pickled
-    :class:`~repro.resilience.FaultPlan` for chaos runs (``None`` in
-    production).
-
-    Boot cost is measured in three slices -- ``build_s`` (unpickle +
-    construct), then **either** ``attach_s`` (map the coordinator's
-    shared-memory tables via ``shm_descriptor``) **or** ``warm_s``
-    (pre-populate the estimate tables from the pickled cache when
-    ``warm_eagerly``; the coordinator sets it iff its own evaluator was
-    fully warmed, so warming is pure cache lookups).  The slices ride back
-    on the worker's first completed shard outcome.  A worker warms only
-    when it did not attach, so a failed shm attach falls back to the warm
-    path: slower, bitwise-identical.
+    coordinator; ``CLOCK_MONOTONIC`` is machine-wide, so workers can compare
+    against it directly.  ``fault_plan`` injects chaos-test faults (``None``
+    in production).  The initializer's own time is the worker's boot
+    (``attach_s``) and rides back on its first completed shard outcome.
     """
     global _WORKER_STATE
-    boot_started = time.perf_counter()
-    spec: EnumerationSpec = pickle.loads(payload)
-    evaluator = spec.build_evaluator()
-    build_s = time.perf_counter() - boot_started
-    warm_s = 0.0
-    attach_s = 0.0
-    shm_tables: Optional[SharedEstimateTables] = None
-    if shm_descriptor is not None:
-        attach_started = time.perf_counter()
-        try:
-            shm_tables = SharedEstimateTables.attach(shm_descriptor)
-            evaluator.install_dense_tables(shm_tables.views())
-            attach_s = time.perf_counter() - attach_started
-        except Exception:
-            if shm_tables is not None:
-                shm_tables.close()
-                shm_tables = None
-    warm_hits = 0
-    warm_misses = 0
-    if shm_tables is None and warm_eagerly:
-        warm_started = time.perf_counter()
-        hits_before, misses_before = evaluator.cache.hits, evaluator.cache.misses
-        evaluator.warm_signatures()
-        warm_hits = evaluator.cache.hits - hits_before
-        warm_misses = evaluator.cache.misses - misses_before
-        warm_s = time.perf_counter() - warm_started
+    started = time.perf_counter()
     _WORKER_STATE = {
         "evaluator": evaluator,
-        "bounds": _PruningBounds(evaluator, prefix_depth),
+        "bounds": bounds,
         "incumbent": _SharedIncumbent(shared_value),
-        "chunk_size": spec.chunk_size,
+        "chunk_size": chunk_size,
         "toc_floor_factor": toc_floor_factor,
         "prune": prune,
-        "injector": (
-            FaultInjector(pickle.loads(plan_payload)) if plan_payload is not None else None
-        ),
+        "injector": FaultInjector(fault_plan) if fault_plan is not None else None,
         "deadline": deadline,
         "trace_enabled": trace_enabled,
-        # Keeps the shm mapping alive for the worker's lifetime.
-        "shm_tables": shm_tables,
-        "boot": {
-            "build_s": build_s,
-            "warm_s": warm_s,
-            "attach_s": attach_s,
-            "cache_hits": warm_hits,
-            "cache_misses": warm_misses,
-            "reported": False,
-        },
     }
+    _WORKER_STATE["attach_s"] = time.perf_counter() - started
 
 
 def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
     shard_id, subtree_lo, subtree_hi, attempt = task
     state = _WORKER_STATE
     evaluator: BatchLayoutEvaluator = state["evaluator"]
-    # Worker caches are pickled copies the coordinator's metrics fold never
-    # sees; measure this attempt's delta so the coordinator can fold it once
-    # per (shard_id, attempt) -- SearchProgress.record drops duplicate and
-    # retried completions, so stolen/re-run shards cannot double-count.
+    # Worker caches are copies the coordinator's metrics fold never sees;
+    # measure this attempt's delta so the coordinator can fold it once per
+    # (shard_id, attempt) -- SearchProgress.record drops duplicate and
+    # retried completions, so re-run shards cannot double-count.
     hits_before = evaluator.cache.hits
     misses_before = evaluator.cache.misses
     outcome = _process_shard(
@@ -745,14 +666,7 @@ def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
     )
     outcome.stats.cache_hits = evaluator.cache.hits - hits_before
     outcome.stats.cache_misses = evaluator.cache.misses - misses_before
-    boot = state["boot"]
-    if not boot["reported"]:
-        boot["reported"] = True
-        outcome.stats.build_s += boot["build_s"]
-        outcome.stats.warm_s += boot["warm_s"]
-        outcome.stats.attach_s += boot["attach_s"]
-        outcome.stats.cache_hits += boot["cache_hits"]
-        outcome.stats.cache_misses += boot["cache_misses"]
+    outcome.stats.attach_s = state.pop("attach_s", 0.0)
     return outcome
 
 
@@ -765,15 +679,17 @@ class ParallelEnumerationEngine:
 
     Parameters
     ----------
-    spec:
-        The picklable evaluator recipe.  Its estimate cache should be fully
-        pre-warmed (``evaluator.warm_signatures()``) before the engine runs so
-        workers stay read-only; the engine warms it automatically when given
-        a parent evaluator via :meth:`from_evaluator`.
+    evaluator:
+        The batch evaluator to enumerate with.  The engine warms every
+        estimate signature on construction (``warm_signatures``), so the
+        evaluator becomes a read-only lookup structure that pool workers
+        adopt as is.
     workers:
         Process count.  ``workers <= 1`` runs the identical sharded/pruned
-        algorithm in-process (no pool, no pickling) -- useful for tests and
-        for machines without spare cores.
+        algorithm in-process (no pool) -- useful for tests and for machines
+        without spare cores.
+    chunk_size:
+        Candidate rows scored per ``evaluate_chunk`` call.
     prefix_depth:
         Number of leading mixed-radix columns that define a prunable subtree.
         Defaults to a depth that yields at least ``8 * workers *
@@ -800,11 +716,9 @@ class ParallelEnumerationEngine:
 
     The space is cut into ``workers * SHARDS_PER_WORKER`` contiguous shards
     that the pool pulls on demand; dispatches beyond each worker's first
-    shard are counted as ``steals``.  Pool runs publish the coordinator's
-    fully warmed dense estimate tables through shared memory so workers
-    attach views instead of re-warming from the pickled cache; ineligible
-    evaluators (OLTP, partially warmed) and platforms without shared memory
-    fall back to the pickle path.  A failed shard is retried up to
+    shard are counted as ``steals``.  Pool workers receive the warmed
+    evaluator itself through the pool initializer, so no worker rebuilds or
+    re-warms anything.  A failed shard is retried up to
     :data:`SHARD_MAX_RETRIES` times.
 
     The engine is a context manager: ``with engine: engine.run()``
@@ -816,27 +730,26 @@ class ParallelEnumerationEngine:
 
     def __init__(
         self,
-        spec: EnumerationSpec,
+        evaluator: BatchLayoutEvaluator,
         workers: int = 1,
+        chunk_size: int = 4096,
         prefix_depth: Optional[int] = None,
         prune: bool = True,
-        parent_evaluator: Optional[BatchLayoutEvaluator] = None,
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
-        self.spec = spec
+        self.evaluator = evaluator
         self.workers = max(1, int(workers))
+        self.chunk_size = chunk_size
         self.prune = prune
         self.retry_backoff_s = max(0.0, float(retry_backoff_s))
         self.shard_timeout_s = shard_timeout_s
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
         self._pool = None
-        self._shm_tables: Optional[SharedEstimateTables] = None
 
-        self.evaluator = parent_evaluator if parent_evaluator is not None else spec.build_evaluator()
         self.num_objects = len(self.evaluator.var_names)
         self.num_classes = self.evaluator.num_classes
         self.space = self.num_classes**self.num_objects
@@ -850,22 +763,11 @@ class ParallelEnumerationEngine:
             )
         self.prefix_depth = prefix_depth
         self.num_subtrees = self.num_classes**self.prefix_depth
-        self.toc_floor_factor = 0.0
+        self._bounds = _PruningBounds(self.evaluator, self.prefix_depth)
+        evaluator.warm_signatures()
+        self.toc_floor_factor = evaluator.toc_floor_factor() if prune else 0.0
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_evaluator(
-        cls,
-        evaluator: BatchLayoutEvaluator,
-        spec: EnumerationSpec,
-        **kwargs,
-    ) -> "ParallelEnumerationEngine":
-        """Build an engine around an existing (parent) evaluator and warm it."""
-        engine = cls(spec, parent_evaluator=evaluator, **kwargs)
-        evaluator.warm_signatures()
-        engine.toc_floor_factor = evaluator.toc_floor_factor() if engine.prune else 0.0
-        return engine
-
     def _default_prefix_depth(self) -> int:
         if self.num_objects <= 1:
             return 1
@@ -958,9 +860,6 @@ class ParallelEnumerationEngine:
         if pool is not None:
             pool.terminate()
             pool.join()
-        shm_tables, self._shm_tables = self._shm_tables, None
-        if shm_tables is not None:
-            shm_tables.unlink()
 
     # -- recovery helpers ----------------------------------------------
     def _deadline_abort(self, progress: SearchProgress,
@@ -1017,7 +916,6 @@ class ParallelEnumerationEngine:
     def _run_serial(self, pending, progress: SearchProgress,
                     checkpoint: Optional[Path] = None,
                     deadline: Optional[float] = None) -> None:
-        bounds = _PruningBounds(self.evaluator, self.prefix_depth)
         incumbent = _Incumbent(progress.best_toc)
         injector = FaultInjector(self.fault_plan) if self.fault_plan is not None else None
         tracer = trace.get_tracer()
@@ -1030,12 +928,12 @@ class ParallelEnumerationEngine:
             try:
                 outcome = _process_shard(
                     self.evaluator,
-                    bounds,
+                    self._bounds,
                     incumbent,
                     shard_id,
                     lo,
                     hi,
-                    self.spec.chunk_size,
+                    self.chunk_size,
                     self.toc_floor_factor,
                     self.prune,
                     deadline=deadline,
@@ -1055,48 +953,20 @@ class ParallelEnumerationEngine:
             if checkpoint is not None:
                 progress.save(checkpoint)
 
-    def _attach_shared_tables(self) -> Optional[Dict[str, object]]:
-        """Publish the dense estimate tables to shared memory, if eligible.
-
-        Returns the worker attach descriptor, or ``None`` on fallback (OLTP
-        evaluators, partially warmed tables, platforms without shm).  Either
-        way an ``es.shm_attach`` span records what happened.
-        """
-        with trace.span("es.shm_attach") as shm_span:
-            try:
-                self._shm_tables = SharedEstimateTables.build(self.evaluator)
-            except (UnsupportedBatchEvaluation, OSError, ImportError, ValueError) as exc:
-                shm_span.set(fallback=str(exc) or type(exc).__name__, shm_bytes=0)
-                return None
-            shm_span.set(
-                shm_bytes=self._shm_tables.nbytes,
-                tables=self._shm_tables.num_tables,
-            )
-            obs_metrics.get_metrics().counter("batch.shm_bytes").inc(
-                self._shm_tables.nbytes
-            )
-            return self._shm_tables.descriptor()
-
     def _run_pool(self, pending, progress: SearchProgress,
                   checkpoint: Optional[Path] = None,
                   deadline: Optional[float] = None) -> None:
-        payload = pickle.dumps(self.spec)
-        plan_payload = (
-            pickle.dumps(self.fault_plan) if self.fault_plan is not None else None
-        )
         tracer = trace.get_tracer()
-        shm_descriptor = self._attach_shared_tables()
-        # Every worker gets the warm-up flag; one that attaches the shared
-        # tables skips the warm-up, one whose attach fails falls back to it.
-        warm_eagerly = self.evaluator._fully_warmed
         context = multiprocessing.get_context()
         shared_value = context.Value("d", progress.best_toc)
+        # The warmed evaluator itself is the worker payload, and the pool
+        # hands the same initargs to every worker it ever starts.
         pool = context.Pool(
             processes=self.workers,
             initializer=_worker_init,
-            initargs=(payload, shared_value, self.prefix_depth, self.toc_floor_factor,
-                      self.prune, plan_payload, deadline, tracer.enabled,
-                      shm_descriptor, warm_eagerly),
+            initargs=(self.evaluator, self._bounds, shared_value, self.chunk_size,
+                      self.toc_floor_factor, self.prune, self.fault_plan, deadline,
+                      tracer.enabled),
         )
         self._pool = pool
         dispatched = 0
@@ -1165,7 +1035,6 @@ class ParallelEnumerationEngine:
                     time.sleep(0.005)
             trace.current_span().set(
                 steals=max(dispatched - self.workers, 0), shards=len(pending),
-                shm=shm_descriptor is not None,
             )
         finally:
             self.close()

@@ -104,7 +104,8 @@ def _fold_solve_metrics(registry, name: str, result, wall_s: float,
         # Worker-local estimate-cache deltas, measured once per
         # (shard_id, attempt) and deduplicated by SearchProgress.record --
         # the pool path's counterpart of the outermost context-cache delta
-        # below (worker caches are pickled copies the context never sees).
+        # below (worker caches are process-local copies the context never
+        # sees).
         registry.counter("estimate_cache.hits").inc(getattr(batch, "cache_hits", 0))
         registry.counter("estimate_cache.misses").inc(getattr(batch, "cache_misses", 0))
     if outermost and cache is not None and cache_before is not None:

@@ -8,13 +8,15 @@ and the branch-and-bound pruning must be sound -- the pruned engine finds
 the same optimum as the unpruned enumeration on randomized spaces.
 """
 
-import multiprocessing
+import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.core.parallel_search as ps
 from repro import scenarios
 from repro.core.batch_eval import (
     BatchEvalStats,
@@ -26,7 +28,6 @@ from repro.core.batch_eval import (
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.layout import Layout
 from repro.core.parallel_search import (
-    EnumerationSpec,
     ParallelEnumerationEngine,
     SearchProgress,
     _process_shard,
@@ -34,7 +35,6 @@ from repro.core.parallel_search import (
     _PruningBounds,
     _ShardOutcome,
 )
-from repro.core.shm_tables import SharedEstimateTables
 from repro.core.solver import ExhaustiveSolver
 from repro.core.toc import TOCModel
 from repro.dbms.datagen import SyntheticTableSpec, build_synthetic_catalog
@@ -51,6 +51,10 @@ WORKERS = 2
 
 def fresh_estimator(catalog):
     return WorkloadEstimator(catalog, noise=0.0, buffer_pool=None, seed=7)
+
+
+def make_evaluator(objects, system, catalog, workload):
+    return BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload)
 
 
 @pytest.fixture
@@ -368,15 +372,9 @@ def random_scenario(seed):
 
 def engine_run(objects, system, catalog, workload, prune, workers=1):
     """Run the enumeration engine directly (in-process unless workers > 1)."""
-    estimator = fresh_estimator(catalog)
-    evaluator = BatchLayoutEvaluator(objects, system, estimator, workload)
-    spec = EnumerationSpec(
-        variable_objects=objects, system=system, estimator=estimator,
-        workload=workload, pinned=[], constraint=None, cache=evaluator.cache,
-        chunk_size=64,
-    )
-    engine = ParallelEnumerationEngine.from_evaluator(
-        evaluator, spec, workers=workers, prune=prune
+    evaluator = make_evaluator(objects, system, catalog, workload)
+    engine = ParallelEnumerationEngine(
+        evaluator, workers=workers, chunk_size=64, prune=prune
     )
     progress = engine.run()
     layout = None
@@ -470,16 +468,8 @@ class TestPruningBounds:
 class TestResume:
     def test_partial_progress_resumes_to_identical_result(
             self, small_objects, box1_system, small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
-        )
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache, chunk_size=64,
-        )
-        engine = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=1)
+        evaluator = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
+        engine = ParallelEnumerationEngine(evaluator, workers=1, chunk_size=64)
         shards = engine.shard_ranges()
         assert len(shards) >= 2
 
@@ -490,7 +480,7 @@ class TestResume:
         for shard_id, lo, hi in shards[: len(shards) // 2]:
             partial.record(_process_shard(
                 engine.evaluator, bounds, incumbent, shard_id, lo, hi,
-                spec.chunk_size, engine.toc_floor_factor, True,
+                engine.chunk_size, engine.toc_floor_factor, True,
             ))
         assert not partial.finished
 
@@ -515,23 +505,11 @@ class TestResume:
         the shard counts coincide."""
         from repro.exceptions import ConfigurationError
 
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
-        )
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache,
-        )
+        evaluator = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
         # Both engines cut the same shard count, so the refusal must come
         # from the prefix-depth stamp, not the shard count.
-        engine_a = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=2
-        )
-        engine_b = ParallelEnumerationEngine.from_evaluator(
-            evaluator, spec, workers=1, prefix_depth=3
-        )
+        engine_a = ParallelEnumerationEngine(evaluator, workers=1, prefix_depth=2)
+        engine_b = ParallelEnumerationEngine(evaluator, workers=1, prefix_depth=3)
         assert len(engine_a.shard_ranges()) == len(engine_b.shard_ranges())
         progress = engine_a.run()
         with pytest.raises(ConfigurationError):
@@ -539,16 +517,10 @@ class TestResume:
 
     def test_finished_progress_is_not_rerun(self, small_objects, box1_system,
                                             small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
+        engine = ParallelEnumerationEngine(
+            make_evaluator(small_objects, box1_system, small_catalog, small_workload),
+            workers=1,
         )
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache,
-        )
-        engine = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=1)
         progress = engine.run()
         evaluated = progress.evaluated
         again = engine.run(progress)
@@ -557,29 +529,27 @@ class TestResume:
 
 
 class TestWorkerReconstruction:
-    def test_pickled_spec_rebuilds_a_read_only_evaluator(
-            self, small_objects, box1_system, small_catalog, small_workload):
-        """After the parent warms every signature, a worker reconstructed
-        from the pickled spec never calls the optimizer again."""
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
-        )
-        assert evaluator.warm_signatures()
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache,
-        )
-        clone_spec = pickle.loads(pickle.dumps(spec))
-        clone = clone_spec.build_evaluator()
-        misses_before = clone.cache.misses
-        for _, chunk in iter_assignment_chunks(
-            len(small_objects), len(box1_system), 128
-        ):
-            clone.evaluate_chunk(chunk)
-        assert clone.cache.misses == misses_before
-        assert clone.stats.estimator_calls == 0
+    def test_pickled_evaluator_never_estimates(
+            self, small_objects, box1_system, small_catalog, small_workload,
+            oltp_workload):
+        """What a spawn/forkserver worker receives -- the parent's warmed
+        evaluator, pickled -- scores every candidate without calling the
+        optimizer, exactly like the parent, for DSS and OLTP alike."""
+        for workload in (small_workload, oltp_workload):
+            evaluator = make_evaluator(small_objects, box1_system, small_catalog, workload)
+            assert evaluator.warm_signatures()
+            clone = pickle.loads(pickle.dumps(evaluator))
+            misses_before = clone.cache.misses
+            calls_before = clone.stats.estimator_calls
+            for _, chunk in iter_assignment_chunks(
+                len(small_objects), len(box1_system), 128
+            ):
+                expected = evaluator.evaluate_chunk(chunk)
+                scored = clone.evaluate_chunk(chunk)
+                assert (scored.toc_cents == expected.toc_cents).all()
+                assert (scored.feasible == expected.feasible).all()
+            assert clone.cache.misses == misses_before
+            assert clone.stats.estimator_calls == calls_before
 
     def test_warmed_floor_factor_is_positive_for_dss(
             self, small_objects, box1_system, small_catalog, small_workload):
@@ -643,16 +613,8 @@ class TestDiskCheckpoint:
     """`SearchProgress.save`/`load`: the multi-hour-run resume story."""
 
     def _engine(self, small_objects, box1_system, small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
-        )
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache, chunk_size=64,
-        )
-        return ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=1)
+        evaluator = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
+        return ParallelEnumerationEngine(evaluator, workers=1, chunk_size=64)
 
     def test_json_round_trip_preserves_every_field(self, small_objects, box1_system,
                                                    small_catalog, small_workload,
@@ -695,7 +657,7 @@ class TestDiskCheckpoint:
         for shard_id, lo, hi in shards[: len(shards) // 2]:
             partial.record(_process_shard(
                 engine.evaluator, bounds, incumbent, shard_id, lo, hi,
-                engine.spec.chunk_size, engine.toc_floor_factor, True,
+                engine.chunk_size, engine.toc_floor_factor, True,
             ))
         assert not partial.finished
         evaluated_before = partial.evaluated
@@ -792,131 +754,67 @@ class TestDiskCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory estimate tables
+# Densified estimate tables
 # ---------------------------------------------------------------------------
 
-def make_evaluator(objects, system, catalog, workload):
-    return BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload)
+def all_rows(objects, system):
+    return np.concatenate(
+        [chunk for _, chunk in iter_assignment_chunks(len(objects), len(system), 16)]
+    )
 
 
-class TestSharedTables:
-    """``SharedEstimateTables`` round-trips the coordinator's dense response
-    tables byte for byte, refuses ineligible evaluators, and an evaluator
-    with installed views scores chunks like the one that warmed its own."""
+class TestDenseTables:
+    """``warm_signatures`` densifies every DSS table it fills from empty
+    (slot == code) and leaves OLTP tables on the slot path; either way the
+    warmed evaluator scores exactly like the lazy one."""
 
-    def warmed_evaluator(self, small_objects, box1_system, small_catalog,
-                         small_workload):
-        evaluator = make_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        assert evaluator.warm_signatures()
-        return evaluator
+    def test_densified_dss_tables_score_like_the_slot_path(
+            self, small_objects, box1_system, small_catalog, small_workload):
+        rows = all_rows(small_objects, box1_system)
+        lazy = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
+        reference = lazy.evaluate_chunk(rows)
 
-    def test_roundtrip_is_bitwise(self, small_objects, box1_system, small_catalog,
-                                  small_workload):
-        evaluator = self.warmed_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        dense = evaluator.dense_response_tables()
-        with SharedEstimateTables.build(evaluator) as tables:
-            assert tables.num_tables == len(dense)
-            assert tables.nbytes == sum(arr.nbytes for arr in dense.values())
-            attached = SharedEstimateTables.attach(tables.descriptor())
-            try:
-                views = attached.views()
-                assert set(views) == set(dense)
-                for name, arr in dense.items():
-                    assert (views[name] == arr).all()
-                    assert not views[name].flags.writeable
-            finally:
-                attached.close()
+        warmed = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
+        assert warmed.warm_signatures()
+        for table in warmed._template_order:
+            assert table.dense_response is not None
+            assert all(slot == code for code, slot in table.code_to_slot.items())
+        candidate = warmed.evaluate_chunk(rows)
+        assert (candidate.toc_cents == reference.toc_cents).all()
+        assert (candidate.feasible == reference.feasible).all()
+        assert warmed.toc_floor_factor() > 0.0
 
-    def test_installed_views_score_identically(self, small_objects, box1_system,
-                                               small_catalog, small_workload):
-        warmed = self.warmed_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        rows = np.concatenate(
-            [chunk for _, chunk in
-             iter_assignment_chunks(len(small_objects), 3, 16)]
-        )
-        reference = warmed.evaluate_chunk(rows)
-        with SharedEstimateTables.build(warmed) as tables:
-            attached = SharedEstimateTables.attach(tables.descriptor())
-            try:
-                cold = make_evaluator(
-                    small_objects, box1_system, small_catalog, small_workload
-                )
-                cold.install_dense_tables(attached.views())
-                candidate = cold.evaluate_chunk(rows)
-                assert (reference.toc_cents == candidate.toc_cents).all()
-                assert (reference.feasible == candidate.feasible).all()
-                # Installed tables answer from shared memory: no estimator
-                # traffic, and the TOC floor bound stays available.
-                assert cold.stats.estimator_calls == 0
-                assert cold.toc_floor_factor() > 0.0
-            finally:
-                attached.close()
+        # Tables that already hold slots in first-occurrence order are not
+        # in code order, so warming them keeps the slot path.
+        assert lazy.warm_signatures()
+        assert all(table.dense_response is None for table in lazy._template_order)
+        again = lazy.evaluate_chunk(rows)
+        assert (again.toc_cents == reference.toc_cents).all()
 
-    def test_unwarmed_evaluator_is_refused(self, small_objects, box1_system,
-                                           small_catalog, small_workload):
-        evaluator = make_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        with pytest.raises(UnsupportedBatchEvaluation):
-            evaluator.dense_response_tables()
-
-    def test_oltp_evaluator_is_refused(self, small_objects, box1_system,
-                                       small_catalog, oltp_workload):
-        evaluator = make_evaluator(
+    def test_oltp_tables_stay_on_the_slot_path(
+            self, small_objects, box1_system, small_catalog, oltp_workload):
+        rows = all_rows(small_objects, box1_system)
+        reference = make_evaluator(
             small_objects, box1_system, small_catalog, oltp_workload
-        )
-        evaluator.warm_signatures()
-        with pytest.raises(UnsupportedBatchEvaluation):
-            SharedEstimateTables.build(evaluator)
-
-    def test_install_validates_shapes_and_coverage(self, small_objects, box1_system,
-                                                   small_catalog, small_workload):
-        evaluator = self.warmed_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        views = evaluator.dense_response_tables()
-        target = make_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        name = next(iter(views))
-        with pytest.raises(UnsupportedBatchEvaluation):
-            target.install_dense_tables(
-                {**views, name: views[name][:-1]}  # truncated table
-            )
-        missing = dict(views)
-        del missing[name]
-        with pytest.raises(UnsupportedBatchEvaluation):
-            target.install_dense_tables(missing)
-
-    def test_unlink_destroys_the_segment(self, small_objects, box1_system,
-                                         small_catalog, small_workload):
-        evaluator = self.warmed_evaluator(
-            small_objects, box1_system, small_catalog, small_workload
-        )
-        tables = SharedEstimateTables.build(evaluator)
-        descriptor = tables.descriptor()
-        tables.unlink()
-        tables.unlink()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            SharedEstimateTables.attach(descriptor)
+        ).evaluate_chunk(rows)
+        warmed = make_evaluator(small_objects, box1_system, small_catalog, oltp_workload)
+        assert warmed.warm_signatures()
+        assert all(table.dense_response is None for table in warmed._template_order)
+        candidate = warmed.evaluate_chunk(rows)
+        assert (candidate.toc_cents == reference.toc_cents).all()
+        assert (candidate.feasible == reference.feasible).all()
 
 
 # ---------------------------------------------------------------------------
-# Worker boot: shared-memory attach or warm-up
+# Worker boot: the coordinator's warmed evaluator, inherited or unpickled
 # ---------------------------------------------------------------------------
 
 def solve_with_worker_warm(context, **kwargs):
     """Solve traced; returns the result and the per-worker warm-up seconds.
 
     ``SolveStats.batch.warm_s`` folds the coordinator's warm-up (recorded on
-    the ``es.warm`` span) with every worker's, so the difference is exactly
-    what the pool workers spent re-warming their own tables.
+    the ``es.warm`` span) with any worker's, so the difference is exactly
+    what the pool workers spent warming tables of their own.
     """
     with trace.tracing() as tracer:
         result = ExhaustiveSolver(**kwargs).solve(context)
@@ -925,107 +823,80 @@ def solve_with_worker_warm(context, **kwargs):
     return result, result.stats.batch.warm_s - warm_span["attrs"]["warm_s"]
 
 
-class TestWorkerTransport:
-    def test_failed_shm_attach_falls_back_to_warm_up(
-            self, small_objects, box1_system, small_catalog, small_workload,
-            monkeypatch):
-        """A worker whose shared-memory attach fails warms its own tables
-        from the pickled cache and scores its shard exactly like the serial
-        path."""
-        estimator = fresh_estimator(small_catalog)
-        evaluator = BatchLayoutEvaluator(
-            small_objects, box1_system, estimator, small_workload
-        )
-        spec = EnumerationSpec(
-            variable_objects=small_objects, system=box1_system, estimator=estimator,
-            workload=small_workload, pinned=[], constraint=None,
-            cache=evaluator.cache, chunk_size=64,
-        )
-        engine = ParallelEnumerationEngine.from_evaluator(evaluator, spec, workers=1)
-        shard_id, lo, hi = engine.shard_ranges()[0]
-        serial = _process_shard(
-            engine.evaluator, _PruningBounds(engine.evaluator, engine.prefix_depth),
-            _Incumbent(), shard_id, lo, hi, spec.chunk_size,
-            engine.toc_floor_factor, True,
-        )
+def boot_cases():
+    """``(context factory, solver kwargs)`` of the two solves every worker
+    boot must get right: DSS ``synthetic_sanity`` and the Figure 9 TPC-C
+    w100 hot set (OLTP, cold objects pinned)."""
+    dss = scenarios.build("synthetic_sanity")
+    tpcc = scenarios.build("fig9_tpcc", warehouses=100)
+    hot_groups = set(tpcc.extras["hot_groups"])
+    hot = [obj for obj in tpcc.objects if (obj.table or obj.name) in hot_groups]
+    cold = [obj for obj in tpcc.objects if obj not in hot]
+    return [
+        (lambda: dss.context(estimator=dss.fresh_estimator()), {}),
+        (lambda: tpcc.context(estimator=tpcc.fresh_estimator(), box="Box 2",
+                              capacity_limits_gb={"H-SSD": 21.0}),
+         {"objects": hot, "pinned_objects": cold, "per_group": True,
+          "pinned_class": "H-SSD"}),
+    ]
 
-        monkeypatch.setattr(ps, "_WORKER_STATE", None)
-        missing_segment = {"name": "repro-test-missing-segment", "layout": []}
-        ps._worker_init(
-            pickle.dumps(spec), multiprocessing.Value("d", float("inf")),
-            engine.prefix_depth, engine.toc_floor_factor, True,
-            shm_descriptor=missing_segment, warm_eagerly=True,
-        )
-        boot = ps._WORKER_STATE["boot"]
-        assert boot["attach_s"] == 0.0
-        assert boot["warm_s"] > 0.0
-        outcome = ps._worker_run_shard((shard_id, lo, hi, 0))
-        assert outcome.best_toc == serial.best_toc
-        assert outcome.best_index == serial.best_index
-        assert outcome.best_row == serial.best_row
-        assert outcome.evaluated == serial.evaluated
 
-    @pytest.mark.skipif(
-        multiprocessing.get_context().get_start_method() != "fork",
-        reason="the attach patch reaches pool workers only through fork",
-    )
-    def test_pool_workers_warm_when_attach_fails(self, monkeypatch):
-        """The coordinator hands every worker the warm-up flag, so a pool
-        whose attaches all fail still warms instead of re-estimating."""
-        def refuse(descriptor):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr(SharedEstimateTables, "attach", refuse)
-        bundle = scenarios.build("synthetic_sanity")
-        serial = ExhaustiveSolver().solve(
-            bundle.context(estimator=bundle.fresh_estimator())
-        )
+def worker_boot_summaries():
+    """Solve each boot case serially and on a pool of ``WORKERS`` under the
+    current start method; one JSON-ready summary per case."""
+    summaries = []
+    for make_context, search in boot_cases():
+        serial = ExhaustiveSolver(**search).solve(make_context())
         parallel, worker_warm_s = solve_with_worker_warm(
-            bundle.context(estimator=bundle.fresh_estimator()), workers=2
+            make_context(), workers=WORKERS, **search
         )
-        assert parallel.stats.batch.attach_s == 0.0
-        assert worker_warm_s > 0.0
-        assert parallel.layout == serial.layout
-        assert parallel.toc_cents == serial.toc_cents
+        batch = parallel.stats.batch
+        summaries.append({
+            "identical": bool(parallel.feasible and parallel.layout == serial.layout
+                              and parallel.toc_cents == serial.toc_cents),
+            "worker_warm_s": worker_warm_s,
+            "worker_estimate_lookups": batch.cache_hits + batch.cache_misses,
+            "attach_s": batch.attach_s,
+        })
+    return summaries
 
-    def test_dss_attaches_and_oltp_warms(self):
-        """DSS pool workers map the shared tables and skip the warm-up;
-        OLTP evaluators are ineligible for shared memory and warm instead.
-        Both stay bitwise equal to the serial search."""
-        dss = scenarios.build("synthetic_sanity")
-        dss_serial = ExhaustiveSolver().solve(
-            dss.context(estimator=dss.fresh_estimator())
+
+def assert_workers_adopted_the_evaluator(summaries):
+    assert len(summaries) == 2
+    for summary in summaries:
+        assert summary["identical"]
+        assert summary["worker_warm_s"] == 0.0
+        assert summary["worker_estimate_lookups"] == 0
+        assert summary["attach_s"] > 0.0
+
+
+class TestWorkerBoot:
+    """Pool workers adopt the coordinator's warmed evaluator: no worker
+    rebuilds, re-warms or estimates anything, on DSS and OLTP alike, and the
+    results stay bitwise equal to the serial search."""
+
+    def test_default_pool_adopts_the_warmed_evaluator(self):
+        # The default start method on Linux is fork: workers inherit the
+        # evaluator copy-on-write.
+        assert_workers_adopted_the_evaluator(worker_boot_summaries())
+
+    @pytest.mark.timeout(300)
+    def test_spawn_pool_unpickles_the_warmed_evaluator(self):
+        script = (
+            "import json, multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn', force=True)\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "from test_parallel_search import worker_boot_summaries\n"
+            "print(json.dumps(worker_boot_summaries()))\n"
         )
-        dss_parallel, dss_worker_warm_s = solve_with_worker_warm(
-            dss.context(estimator=dss.fresh_estimator()), workers=2
+        here = Path(__file__).resolve().parent
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(here.parent / "src"), str(here)],
+            capture_output=True, text=True, check=True, timeout=300,
         )
-        assert dss_parallel.stats.batch.attach_s > 0.0
-        assert dss_worker_warm_s == 0.0
-        assert dss_parallel.layout == dss_serial.layout
-        assert dss_parallel.toc_cents == dss_serial.toc_cents
-
-        tpcc = scenarios.build("fig9_tpcc", warehouses=100)
-        hot_groups = set(tpcc.extras["hot_groups"])
-        hot = [obj for obj in tpcc.objects if (obj.table or obj.name) in hot_groups]
-        cold = [obj for obj in tpcc.objects if obj not in hot]
-
-        def tpcc_context():
-            return tpcc.context(
-                estimator=tpcc.fresh_estimator(), box="Box 2",
-                capacity_limits_gb={"H-SSD": 21.0},
-            )
-
-        search = {"objects": hot, "pinned_objects": cold, "per_group": True,
-                  "pinned_class": "H-SSD"}
-        oltp_serial = ExhaustiveSolver(**search).solve(tpcc_context())
-        oltp_parallel, oltp_worker_warm_s = solve_with_worker_warm(
-            tpcc_context(), workers=2, **search
+        assert_workers_adopted_the_evaluator(
+            json.loads(completed.stdout.strip().splitlines()[-1])
         )
-        assert oltp_parallel.stats.batch.attach_s == 0.0
-        assert oltp_worker_warm_s > 0.0
-        assert oltp_parallel.feasible
-        assert oltp_parallel.layout == oltp_serial.layout
-        assert oltp_parallel.toc_cents == oltp_serial.toc_cents
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 from repro import scenarios
 from repro.core.batch_eval import BatchLayoutEvaluator
 from repro.core.exhaustive import ExhaustiveSearch
-from repro.core.parallel_search import (
-    EnumerationSpec,
-    ParallelEnumerationEngine,
-    SearchProgress,
-)
+from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 from repro.core.solver import DOTSolver, ExhaustiveSolver, FallbackSolver, get_solver
 from repro.dbms.executor import WorkloadEstimator
 from repro.exceptions import (
@@ -41,6 +37,7 @@ from repro.exceptions import (
 from repro.online.controller import OnlineAdvisor
 from repro.online.drift import DriftingWorkloadGenerator, PhaseSchedule, WorkloadPhase
 from repro.online.monitor import DriftThresholds, OutlierPolicy, TelemetryMonitor
+from repro.obs import trace
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -57,16 +54,10 @@ def fresh_estimator(catalog):
 
 
 def make_engine(small_objects, box1_system, small_catalog, small_workload, **kwargs):
-    estimator = fresh_estimator(small_catalog)
     evaluator = BatchLayoutEvaluator(
-        small_objects, box1_system, estimator, small_workload
+        small_objects, box1_system, fresh_estimator(small_catalog), small_workload
     )
-    spec = EnumerationSpec(
-        variable_objects=small_objects, system=box1_system, estimator=estimator,
-        workload=small_workload, pinned=[], constraint=None,
-        cache=evaluator.cache, chunk_size=64,
-    )
-    return ParallelEnumerationEngine.from_evaluator(evaluator, spec, **kwargs)
+    return ParallelEnumerationEngine(evaluator, chunk_size=64, **kwargs)
 
 
 @pytest.fixture
@@ -135,21 +126,32 @@ class TestChaosIdentity:
             serial_reference):
         """Hard-killing workers on half the shards must not change one bit
         of the answer: the watchdog re-queues the lost shards and the retry
-        (fault keyed to attempt 0) completes them."""
+        (fault keyed to attempt 0) completes them.  The workers the pool
+        starts in place of the killed ones get the same initializer
+        arguments -- the coordinator's warmed evaluator -- so none of them
+        warms or estimates anything."""
         probe = make_engine(
             small_objects, box1_system, small_catalog, small_workload, workers=WORKERS
         )
         shard_ids = [task[0] for task in probe.shard_ranges()]
         plan = FaultPlan.chaos_search(seed=23, shard_ids=shard_ids, crash_fraction=0.5)
         assert plan.shard_faults  # the chaos run must actually inject something
-        result = ExhaustiveSearch(
+        search = ExhaustiveSearch(
             small_objects, box1_system, fresh_estimator(small_catalog),
             workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan,
-        ).search(small_workload)
+        )
+        with trace.tracing() as tracer:
+            result = search.search(small_workload)
+            roots = tracer.drain_roots()
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
         assert not result.timed_out
+        assert any("presumed dead" in incident for incident in result.incidents)
+        (warm_span,) = [root for root in roots if root["name"] == "es.warm"]
+        stats = search.last_batch_stats
+        assert stats.warm_s == warm_span["attrs"]["warm_s"]  # no worker warm-up
+        assert stats.cache_hits == stats.cache_misses == 0  # no worker estimates
 
     @pytest.mark.timeout(120)
     def test_exceptions_and_stragglers_recover_identically(
@@ -172,7 +174,7 @@ class TestChaosIdentity:
         assert result.incidents  # every recovery left a trace
 
     @pytest.mark.timeout(120)
-    def test_worker_kills_under_work_stealing_recover_identically(
+    def test_kills_during_demand_dispatch_recover_identically(
             self, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
         """Shards beyond each worker's first, and re-queued shards, dispatch

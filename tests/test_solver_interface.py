@@ -15,6 +15,10 @@ Two families of tests:
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import scenarios
@@ -256,6 +260,25 @@ class TestProtocol:
         context = make_context(small_bundle, sla=None)
         with pytest.raises(ConfigurationError):
             MILPSolver().solve(context)
+
+    def test_scipy_is_imported_only_by_a_milp_solve(self):
+        """``import repro`` stays free of scipy's import cost; the MILP solve
+        that needs it imports it on first use and still solves."""
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import repro, repro.core, repro.scenarios\n"
+            "print('scipy' in sys.modules)\n"
+            "from repro.core import MILPSolver\n"
+            "bundle = repro.scenarios.build('synthetic_small')\n"
+            "result = MILPSolver().solve(bundle.context(estimator=bundle.fresh_estimator()))\n"
+            "print(result.feasible, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", script, src],
+            capture_output=True, text=True, check=True,
+        )
+        assert completed.stdout.split() == ["False", "True", "True"]
 
     def test_require_layout_raises_when_infeasible(self):
         result = SolveResult(
