@@ -687,6 +687,29 @@ class TestDiskCheckpoint:
         with pytest.raises(ConfigurationError):
             engine.run(loaded)
 
+    def test_checkpoint_from_the_shared_memory_era_still_loads(self, tmp_path):
+        """A checkpoint written before workers adopted the warmed evaluator
+        (same format, same stats fields, ``attach_s`` then meaning the shm
+        attach) must keep loading: the boot fields were redefined, not
+        removed."""
+        written = (
+            '{"best_index": 4, "best_row": [0, 1, 2], "best_toc": 1.5, "checksum": '
+            '"3b5ee79610b8bc06ee2fa3e61d49a0b3bdcb46c802d0cbdd59681c4dbb374c42", '
+            '"completed": [0], "evaluated": 27, "format": 2, "incidents": [], '
+            '"prefix_depth": 2, "space": 81, "stats": {"attach_s": 0.125, "build_s": 0.25, '
+            '"cache_hits": 0, "cache_misses": 0, "candidates": 27, "capacity_feasible": 0, '
+            '"chunks": 0, "estimator_calls": 0, "eval_s": 0.0, "feasible": 0, '
+            '"oltp_aggregations": 0, "pruned_chunk_layouts": 0, "pruned_chunks": 0, '
+            '"pruned_subtree_layouts": 0, "pruned_subtrees": 0, "shards": 1, "steals": 0, '
+            '"warm_s": 0.5, "workers": 2}, "total_shards": 2}'
+        )
+        path = tmp_path / "old.json"
+        path.write_text(written)
+        loaded = SearchProgress.load(path)
+        assert loaded.completed == {0} and loaded.best_row == (0, 1, 2)
+        assert (loaded.stats.build_s, loaded.stats.warm_s, loaded.stats.attach_s) == \
+            (0.25, 0.5, 0.125)
+
     def test_unsupported_format_version_is_refused(self, tmp_path):
         from repro.exceptions import ConfigurationError
 
