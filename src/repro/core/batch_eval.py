@@ -401,12 +401,11 @@ class BatchEvalStats:
     ``build_s`` is the evaluator construction time and ``warm_s`` the
     estimate-table warm-up, both reported separately from the search's
     ``elapsed_s`` so that a cold shared cache does not skew ES-vs-DOT
-    search-time comparisons.  The
-    ``pruned_*`` counters are written by the parallel engine
-    (:mod:`repro.core.parallel_search`): subtrees are skipped by the
-    per-prefix capacity bound, chunks by the incumbent-TOC bound; the
-    ``*_layouts`` twins count the candidate layouts those skips avoided
-    evaluating.
+    search-time comparisons.  The ``pruned_*`` counters are written by the
+    parallel engine (:mod:`repro.core.parallel_search`): subtrees are
+    skipped by the per-prefix capacity bound, chunks by the incumbent-TOC
+    bound; the ``*_layouts`` twins count the candidate layouts those skips
+    avoided evaluating.
     """
 
     candidates: int = 0
@@ -442,10 +441,10 @@ class BatchEvalStats:
     def merge(self, other: "BatchEvalStats") -> None:
         """Fold another stats delta (e.g. one worker's shard) into this one.
 
-        Counting fields add up; ``workers`` and the coordinator-side slices of
-        ``build_s``/``warm_s`` describe the run as a whole and are stamped by
-        the coordinating caller (worker boot deltas arrive through shard
-        outcomes, which this method does fold).
+        Counting fields add up; ``workers``, ``build_s`` and ``warm_s``
+        describe the coordinator and are stamped by the coordinating caller
+        (a worker's boot, ``attach_s``, arrives on its first shard outcome,
+        which this method does fold).
         """
         self.candidates += other.candidates
         self.capacity_feasible += other.capacity_feasible
@@ -500,7 +499,7 @@ class _QueryTable:
     __slots__ = (
         "query", "var_columns", "weights", "code_to_slot",
         "response_ms", "executions", "touched_classes",
-        "dense_response", "_response_array",
+        "dense", "_response_array",
     )
 
     def __init__(self, query, var_columns: List[int], num_classes: int):
@@ -514,20 +513,15 @@ class _QueryTable:
         #: Per slot: {object_name: class_name} for the signature's placeable
         #: objects (used to type OLTP busy time by storage class).
         self.touched_classes: List[Dict[str, str]] = []
-        #: Complete response table indexed directly by signature *code*
-        #: (set by ``warm_signatures`` on DSS tables); when set, slot == code
-        #: and the per-chunk ``np.unique``/dict translation is skipped.
-        self.dense_response: Optional[np.ndarray] = None
+        #: Set by ``warm_signatures`` on a DSS table it filled from empty:
+        #: every signature has a slot and slot == code, so the per-chunk
+        #: ``np.unique``/dict translation is skipped.
+        self.dense = False
         self._response_array: Optional[np.ndarray] = None
 
     def response_array(self) -> np.ndarray:
-        """Responses indexed by slot, as one cached contiguous array.
-
-        The lazy slot path re-caches whenever a new slot was appended; a
-        densified table returns its code-indexed array.
-        """
-        if self.dense_response is not None:
-            return self.dense_response
+        """Responses indexed by slot, as one cached contiguous array
+        (re-cached whenever a new slot was appended)."""
         cached = self._response_array
         if cached is None or cached.shape[0] != len(self.response_ms):
             cached = np.array(self.response_ms)
@@ -654,12 +648,11 @@ class BatchLayoutEvaluator:
         can derive a sound workload-time lower bound from the now-exhaustive
         per-query response tables.
 
-        A DSS table this call fills from empty is densified in place: the
-        subspace is enumerated in mixed-radix order, so slot ``s`` holds
-        signature code ``s`` by construction, and the responses become one
-        code-indexed array that chunk scoring indexes by code directly.
-        OLTP tables stay on the slot path, since their aggregation reads
-        full executions, not just response times.
+        A DSS table this call fills from empty becomes dense: the subspace
+        is enumerated in mixed-radix order, so slot ``s`` holds signature
+        code ``s`` by construction, and chunk scoring indexes the response
+        array by code directly.  OLTP tables stay on the slot path, since
+        their aggregation reads full executions, not just response times.
 
         Queries whose subspace exceeds ``max_signatures_per_query`` are left
         to lazy on-demand estimation (correct, just not pre-warmed).  Returns
@@ -672,7 +665,7 @@ class BatchLayoutEvaluator:
             if subspace > max_signatures_per_query:
                 fully = False
                 continue
-            if table.dense_response is not None:
+            if table.dense:
                 continue
             was_empty = not table.response_ms
             rows = np.zeros((subspace, len(self.var_names)), dtype=np.int64)
@@ -682,8 +675,7 @@ class BatchLayoutEvaluator:
                 )
                 rows[:, table.var_columns] = combos
             self._slots_for(table, rows)
-            if self.kind == "dss" and was_empty:
-                table.dense_response = np.array(table.response_ms, dtype=float)
+            table.dense = self.kind == "dss" and was_empty
         self._fully_warmed = fully
         return fully
 
@@ -707,14 +699,9 @@ class BatchLayoutEvaluator:
             total_ms = 0.0
             for query in self._instances:
                 table = self._tables[query.name]
-                if table.dense_response is not None:
-                    if table.dense_response.size == 0:
-                        return 0.0
-                    total_ms += float(table.dense_response.min())
-                elif table.response_ms:
-                    total_ms += min(table.response_ms)
-                else:
+                if not table.response_ms:
                     return 0.0
+                total_ms += min(table.response_ms)
             return ((total_ms / MS_PER_SECOND) / SECONDS_PER_HOUR) * margin
         response_lb_ms = 0.0
         for query, weight in self._oltp.mix:
@@ -793,7 +780,7 @@ class BatchLayoutEvaluator:
             codes = sub_assign[:, table.var_columns] @ table.weights
         else:
             codes = np.zeros(sub_assign.shape[0], dtype=np.int64)
-        if table.dense_response is not None:
+        if table.dense:
             return codes
         unique_codes, first_rows, inverse = np.unique(
             codes, return_index=True, return_inverse=True

@@ -800,7 +800,7 @@ class TestDenseTables:
         warmed = make_evaluator(small_objects, box1_system, small_catalog, small_workload)
         assert warmed.warm_signatures()
         for table in warmed._template_order:
-            assert table.dense_response is not None
+            assert table.dense
             assert all(slot == code for code, slot in table.code_to_slot.items())
         candidate = warmed.evaluate_chunk(rows)
         assert (candidate.toc_cents == reference.toc_cents).all()
@@ -810,7 +810,7 @@ class TestDenseTables:
         # Tables that already hold slots in first-occurrence order are not
         # in code order, so warming them keeps the slot path.
         assert lazy.warm_signatures()
-        assert all(table.dense_response is None for table in lazy._template_order)
+        assert not any(table.dense for table in lazy._template_order)
         again = lazy.evaluate_chunk(rows)
         assert (again.toc_cents == reference.toc_cents).all()
 
@@ -822,7 +822,7 @@ class TestDenseTables:
         ).evaluate_chunk(rows)
         warmed = make_evaluator(small_objects, box1_system, small_catalog, oltp_workload)
         assert warmed.warm_signatures()
-        assert all(table.dense_response is None for table in warmed._template_order)
+        assert not any(table.dense for table in warmed._template_order)
         candidate = warmed.evaluate_chunk(rows)
         assert (candidate.toc_cents == reference.toc_cents).all()
         assert (candidate.feasible == reference.feasible).all()
