@@ -675,7 +675,8 @@ class BatchLayoutEvaluator:
                 )
                 rows[:, table.var_columns] = combos
             self._slots_for(table, rows)
-            table.dense = self.kind == "dss" and was_empty
+            if self.kind == "dss" and was_empty:
+                table.dense = True
         self._fully_warmed = fully
         return fully
 
