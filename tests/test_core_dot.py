@@ -314,3 +314,29 @@ class TestProvisioningAdvisor:
         )
         assert recommendation.layout is not None
         assert recommendation.relaxations_used >= 1
+
+    def test_refinement_then_relaxation_recommendation_is_pinned(
+        self, small_objects, box1_system, small_estimator, small_workload
+    ):
+        """The 0.9x-of-best caps with one refinement allowed take the
+        refinement branch and then the relaxation branch; the exact answer
+        is pinned so the estimate/run call order cannot drift."""
+        toc = TOCModel(small_estimator)
+        reference = toc.evaluate(
+            Layout.uniform(small_objects, box1_system, "H-SSD"), small_workload, mode="estimate"
+        )
+        tight = ResponseTimeConstraint(
+            {name: time_ms * 0.9 for name, time_ms in reference.run_result.per_query_times_ms}
+        )
+        advisor = ProvisioningAdvisor(small_objects, box1_system, small_estimator)
+        recommendation = advisor.recommend(
+            small_workload, sla=tight, max_refinements=1, max_relaxations=3,
+            relaxation_factor=1.5,
+        )
+        assert dict(recommendation.layout.assignment()) == {
+            "fact": "H-SSD", "dim": "H-SSD", "fact_pkey": "H-SSD", "dim_pkey": "H-SSD",
+        }
+        assert recommendation.refinements_used == 1
+        assert recommendation.relaxations_used == 1
+        assert recommendation.validated
+        assert recommendation.toc_cents == 4.946101078944261e-05

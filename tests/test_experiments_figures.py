@@ -4,9 +4,10 @@ The load-bearing property: a figure assembled from a freshly populated
 results store is **bitwise-equal** (on its deterministic ``data``/``text``
 zones -- :func:`strip_timing` drops the honest wall-clock measurements) to
 the same figure computed by running the solvers directly, and both stay
-stable across a crash/re-run of the sweep.  Figure 9 and Table 1 at the
-small scenario scale keep this fast enough for every test run; their
-golden JSONs live in ``tests/golden/``.
+stable across a crash/re-run of the sweep.  Every figure but the pure
+catalog listing (Table 2) has a golden at the small scenario scale, which
+keeps the sweep fast enough for every test run; the golden JSONs live in
+``tests/golden/``.
 
 To refresh the goldens after an intentional numeric change::
 
@@ -26,7 +27,9 @@ from repro.experiments import orchestrator, specs
 from repro.experiments.store import ResultsStore
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-GOLDEN_FIGURES = ("fig9", "table1")
+GOLDEN_FIGURES = (
+    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table3",
+)
 SCALE = "small"
 
 
@@ -124,7 +127,7 @@ class TestFiguresCli:
         ])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "2 figures match their goldens" in out
+        assert f"{len(GOLDEN_FIGURES)} figures match their goldens" in out
 
     def test_check_flags_drift(self, small_store, tmp_path, capsys):
         drifted_dir = tmp_path / "golden"
