@@ -13,12 +13,14 @@ This package implements everything in Sections 2, 3 and 5 of the paper:
   :mod:`repro.core.exhaustive`, with the sharded/pruned parallel enumeration
   engine in :mod:`repro.core.parallel_search`),
 * the extensions of Section 5: the generalized provisioning problem and the
-  discrete-sized storage cost model, plus a MILP reference formulation,
+  discrete-sized storage cost model, plus a MILP reference formulation
+  (:mod:`repro.core.ilp`),
 * the uniform solver layer: :class:`~repro.core.context.EvaluationContext`
   (shared problem state: system, workload, TOC model, constraint, estimate
-  cache) and the ``Solver.solve(context) -> SolveResult`` protocol that all
-  four solvers -- DOT, ES, MILP, Object Advisor -- implement
-  (:mod:`repro.core.context`, :mod:`repro.core.solver`).
+  cache) and the ``Solver.solve(context) -> SolveResult`` protocol; each of
+  the four algorithms -- DOT, ES, MILP, Object Advisor -- is one solver
+  class in its own module, gathered with the fallback chain in
+  :mod:`repro.core.solver`.
 """
 
 from repro.objects import DatabaseObject, ObjectGroup, ObjectKind, group_objects
@@ -41,14 +43,10 @@ from repro.core.profiles import BaselinePlacement, WorkloadProfileSet
 from repro.core.profiler import WorkloadProfiler
 from repro.core.moves import Move, enumerate_moves
 from repro.core.feasibility import FeasibilityChecker, FeasibilityResult
-from repro.core.dot import DOTOptimizer, DOTResult
-from repro.core.exhaustive import ExhaustiveSearch, ExhaustiveSearchResult
 from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
-from repro.core.object_advisor import ObjectAdvisor
 from repro.core.simple_layouts import all_on, index_data_split, simple_layouts
-from repro.core.ilp import MILPPlacement, MILPResult
+from repro.core.dot import MoveTrace
 from repro.core.solver import (
-    SOLVERS,
     DOTSolver,
     ExhaustiveSolver,
     FallbackSolver,
@@ -57,9 +55,6 @@ from repro.core.solver import (
     SolveResult,
     SolveStats,
     Solver,
-    get_solver,
-    register_solver,
-    solver_names,
 )
 from repro.core.discrete_cost import DiscreteCostModel
 from repro.core.provisioning import GeneralizedProvisioner, ProvisioningOption
@@ -82,15 +77,11 @@ __all__ = [
     "Solver",
     "SolveResult",
     "SolveStats",
-    "SOLVERS",
     "DOTSolver",
     "ExhaustiveSolver",
     "FallbackSolver",
     "MILPSolver",
     "ObjectAdvisorSolver",
-    "get_solver",
-    "register_solver",
-    "solver_names",
     "Layout",
     "TOCModel",
     "TOCReport",
@@ -98,21 +89,15 @@ __all__ = [
     "WorkloadProfileSet",
     "WorkloadProfiler",
     "Move",
+    "MoveTrace",
     "enumerate_moves",
     "FeasibilityChecker",
     "FeasibilityResult",
-    "DOTOptimizer",
-    "DOTResult",
-    "ExhaustiveSearch",
-    "ExhaustiveSearchResult",
     "ParallelEnumerationEngine",
     "SearchProgress",
-    "ObjectAdvisor",
     "all_on",
     "index_data_split",
     "simple_layouts",
-    "MILPPlacement",
-    "MILPResult",
     "DiscreteCostModel",
     "GeneralizedProvisioner",
     "ProvisioningOption",

@@ -15,18 +15,17 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
-from repro.core.dot import DOTOptimizer, DOTResult
+from repro.core.context import EvaluationContext, SolveResult
+from repro.core.dot import DOTSolver
 from repro.core.layout import Layout
-from repro.core.profiler import WorkloadProfiler
-from repro.core.profiles import BaselinePlacement, WorkloadProfileSet
-from repro.core.toc import TOCModel, TOCReport
+from repro.core.profiles import BaselinePlacement
+from repro.core.toc import TOCReport
 from repro.exceptions import InfeasibleLayoutError
 from repro.objects import DatabaseObject
 from repro.sla.constraints import PerformanceConstraint, RelativeSLA
-from repro.sla.psr import performance_satisfaction_ratio
 from repro.storage.storage_class import StorageSystem
 
 
@@ -42,7 +41,7 @@ class Recommendation:
     validated: bool
     refinements_used: int
     relaxations_used: int
-    dot_result: DOTResult
+    dot_result: SolveResult
     baseline_report: Optional[TOCReport] = None
     elapsed_s: float = 0.0
 
@@ -66,7 +65,13 @@ class Recommendation:
 
 
 class ProvisioningAdvisor:
-    """High level facade implementing the full DOT pipeline."""
+    """High level facade implementing the full DOT pipeline.
+
+    Each :meth:`recommend` call builds one
+    :class:`~repro.core.context.EvaluationContext` for the workload and runs
+    :class:`~repro.core.dot.DOTSolver` on it, swapping in refined profiles
+    and relaxed constraints between rounds.
+    """
 
     def __init__(
         self,
@@ -74,42 +79,11 @@ class ProvisioningAdvisor:
         system: StorageSystem,
         estimator,
         cost_override=None,
-        capacity_relaxed_walk: bool = True,
     ):
         self.objects = list(objects)
         self.system = system
         self.estimator = estimator
         self.cost_override = cost_override
-        self.capacity_relaxed_walk = capacity_relaxed_walk
-        self.profiler = WorkloadProfiler(self.objects, system, estimator)
-        self.toc_model = TOCModel(estimator, cost_override=cost_override)
-
-    # ------------------------------------------------------------------
-    def reference_layout(self) -> Layout:
-        """The best-performance reference layout (all objects on the priciest class)."""
-        return Layout.uniform(self.objects, self.system, self.system.most_expensive().name)
-
-    def resolve_constraint(
-        self,
-        workload,
-        sla: Optional[Union[RelativeSLA, PerformanceConstraint]],
-        reference_report: Optional[TOCReport] = None,
-    ) -> Optional[PerformanceConstraint]:
-        """Resolve a relative SLA into an absolute constraint.
-
-        The reference is the *estimated* performance of the all-most-expensive
-        layout so that the caps live in the same units as the optimizer's own
-        estimates (the feasibility test of Procedure 1 compares estimate to
-        estimate); the validation phase then checks the recommendation with a
-        measured run against the same caps.
-        """
-        if sla is None or isinstance(sla, PerformanceConstraint):
-            return sla
-        if reference_report is None:
-            reference_report = self.toc_model.evaluate(
-                self.reference_layout(), workload, mode="estimate"
-            )
-        return sla.resolve(reference_report.run_result)
 
     # ------------------------------------------------------------------
     def recommend(
@@ -122,93 +96,75 @@ class ProvisioningAdvisor:
         max_relaxations: int = 3,
         relaxation_factor: float = 1.25,
     ) -> Recommendation:
-        """Run the full profile / optimize / validate / refine pipeline."""
+        """Run the full profile / optimize / validate / refine pipeline.
+
+        A relative SLA is resolved against the *estimated* performance of the
+        all-most-expensive layout, so that the caps live in the same units as
+        the optimizer's own estimates (the feasibility test of Procedure 1
+        compares estimate to estimate); the validation phase then checks the
+        recommendation with a measured run against the same caps.
+        """
         started = time.perf_counter()
-
-        reference_report = self.toc_model.evaluate(
-            self.reference_layout(), workload, mode="estimate"
+        context = EvaluationContext(
+            self.objects, self.system, self.estimator, workload,
+            cost_override=self.cost_override,
         )
-        constraint = self.resolve_constraint(workload, sla, reference_report)
-
-        profiles = self.profiler.profile(workload, mode=profile_mode, patterns=baseline_patterns)
+        reference_report = context.evaluate(context.reference_layout())
+        if isinstance(sla, RelativeSLA):
+            context.constraint = sla.resolve(reference_report.run_result)
+        else:
+            context.constraint = sla
+        context.profiles = context.profiler().profile(
+            workload, mode=profile_mode, patterns=baseline_patterns
+        )
 
         refinements_used = 0
         relaxations_used = 0
-        current_constraint = constraint
-        current_profiles = profiles
-        last_result: Optional[DOTResult] = None
 
-        while True:
-            optimizer = DOTOptimizer(
-                self.objects,
-                self.system,
-                self.estimator,
-                constraint=current_constraint,
-                capacity_relaxed_walk=self.capacity_relaxed_walk,
-                cost_override=self.cost_override,
+        def recommendation(result: SolveResult, measured_report: TOCReport,
+                           validated: bool) -> Recommendation:
+            return Recommendation(
+                layout=result.layout,
+                constraint=context.constraint,
+                estimated_report=result.toc_report,
+                measured_report=measured_report,
+                psr=context.psr(measured_report),
+                validated=validated,
+                refinements_used=refinements_used,
+                relaxations_used=relaxations_used,
+                dot_result=result,
+                baseline_report=reference_report,
+                elapsed_s=time.perf_counter() - started,
             )
-            result = optimizer.optimize(workload, current_profiles)
-            last_result = result
 
+        solver = DOTSolver()
+        while True:
+            result = solver.solve(context)
             if result.feasible:
-                layout = result.require_layout()
-                check, measured_report = optimizer.validate(layout, workload, current_constraint)
-                if check.feasible:
-                    psr = (
-                        performance_satisfaction_ratio(current_constraint, measured_report.run_result)
-                        if current_constraint is not None
-                        else 1.0
-                    )
-                    return Recommendation(
-                        layout=layout,
-                        constraint=current_constraint,
-                        estimated_report=result.toc_report,
-                        measured_report=measured_report,
-                        psr=psr,
-                        validated=True,
-                        refinements_used=refinements_used,
-                        relaxations_used=relaxations_used,
-                        dot_result=result,
-                        baseline_report=reference_report,
-                        elapsed_s=time.perf_counter() - started,
-                    )
+                # The validation phase: a simulated test run of the layout.
+                measured_report = context.evaluate(result.layout, mode="run")
+                if context.checker().check(result.layout, measured_report.run_result).feasible:
+                    return recommendation(result, measured_report, validated=True)
 
             # Validation failed or no feasible layout was found: refine with
             # actual statistics first, then relax the SLA.
             if refinements_used < max_refinements:
                 refinements_used += 1
-                current_profiles = self.profiler.profile(
+                context.profiles = context.profiler().profile(
                     workload, mode="testrun", patterns=baseline_patterns
                 )
                 continue
-            if current_constraint is not None and relaxations_used < max_relaxations:
+            if context.constraint is not None and relaxations_used < max_relaxations:
                 relaxations_used += 1
-                current_constraint = current_constraint.relaxed(relaxation_factor)
+                context.constraint = context.constraint.relaxed(relaxation_factor)
                 continue
             break
 
         # Out of refinement/relaxation budget: return the best layout found
         # (even if it only met the estimates) or raise when there is none.
-        if last_result is not None and last_result.feasible:
-            layout = last_result.require_layout()
-            measured_report = self.toc_model.evaluate(layout, workload, mode="run")
-            psr = (
-                performance_satisfaction_ratio(current_constraint, measured_report.run_result)
-                if current_constraint is not None
-                else 1.0
-            )
-            return Recommendation(
-                layout=layout,
-                constraint=current_constraint,
-                estimated_report=last_result.toc_report,
-                measured_report=measured_report,
-                psr=psr,
-                validated=False,
-                refinements_used=refinements_used,
-                relaxations_used=relaxations_used,
-                dot_result=last_result,
-                baseline_report=reference_report,
-                elapsed_s=time.perf_counter() - started,
+        if result.feasible:
+            return recommendation(
+                result, context.evaluate(result.layout, mode="run"), validated=False
             )
         raise InfeasibleLayoutError(
             "no feasible layout found even after refinement and SLA relaxation"

@@ -23,14 +23,20 @@ The scalar-vs-batch fallback decision lives in two module-level helpers --
 the solvers share instead of re-implementing: both return ``None`` when the
 configuration cannot take the vectorized path, and callers fall back to the
 scalar reference implementation.
+
+The solver protocol itself (:class:`Solver`) and its one result type
+(:class:`SolveResult` / :class:`SolveStats`) live here too, beside the
+context they consume, so each solver module can import them without a
+cycle; :mod:`repro.core.solver` re-exports them with the four solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 from repro.core.batch_eval import (
+    BatchEvalStats,
     BatchLayoutEvaluator,
     IncrementalWorkloadEvaluator,
     QueryEstimateCache,
@@ -41,8 +47,10 @@ from repro.core.layout import Layout
 from repro.core.profiler import WorkloadProfiler
 from repro.core.profiles import WorkloadProfileSet
 from repro.core.toc import TOCModel, TOCReport
+from repro.exceptions import InfeasibleLayoutError
 from repro.objects import DatabaseObject
 from repro.sla.constraints import PerformanceConstraint, RelativeSLA
+from repro.sla.psr import performance_satisfaction_ratio
 from repro.storage.storage_class import StorageSystem
 
 
@@ -231,6 +239,12 @@ class EvaluationContext:
         """TOC report of one layout for the context's workload."""
         return self.toc_model.evaluate(layout, self.workload, mode=mode)
 
+    def psr(self, report: Optional[TOCReport]) -> float:
+        """PSR of a report against the constraint (1.0 without either)."""
+        if report is None or self.constraint is None:
+            return 1.0
+        return performance_satisfaction_ratio(self.constraint, report.run_result)
+
     # ------------------------------------------------------------------
     def profiler(self) -> WorkloadProfiler:
         """A profiler over the context's objects sharing its estimate cache."""
@@ -283,3 +297,99 @@ class EvaluationContext:
             constraint=self.constraint,
             require_checkable_constraint=require_checkable_constraint,
         )
+
+
+# ---------------------------------------------------------------------------
+# The solver protocol and its result type
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SolveStats:
+    """Work accounting of one solver run, uniform across solvers.
+
+    ``elapsed_s`` is the solver's own search/walk time; ``build_s`` separates
+    evaluator construction and estimate-table warm-up (the batch engine's
+    convention, zero for solvers without a build phase).  Counters a solver
+    does not produce stay at their zero defaults; the full batch-engine
+    accounting (when a vectorized path ran) hangs off ``batch``.
+    """
+
+    elapsed_s: float = 0.0
+    build_s: float = 0.0
+    evaluated_layouts: int = 0
+    #: DOT: candidate moves whose application advanced the walk.
+    moves_accepted: int = 0
+    #: DOT: one :class:`~repro.core.dot.MoveTrace` per evaluated move.
+    moves: list = field(default_factory=list, repr=False)
+    #: Parallel ES: layouts never evaluated thanks to branch-and-bound.
+    pruned_layouts: int = 0
+    workers: int = 0
+    #: MILP: number of binary placement variables.
+    variables: int = 0
+    #: ES: the batch engine's accounting; ``None`` when the scalar path ran.
+    batch: Optional[BatchEvalStats] = field(default=None, repr=False)
+    #: True when the solve was cut short (deadline) or rerouted (fallback
+    #: chain): the result is honest but not the solver's full-effort answer.
+    degraded: bool = False
+    #: Human-readable record of what degraded the solve (deadline aborts,
+    #: shard retries, fallback hops); empty for a clean full-effort run.
+    incidents: List[str] = field(default_factory=list)
+    #: The wall-clock budget the solve ran under (``None`` = unbounded).
+    deadline_s: Optional[float] = None
+
+
+@dataclass
+class SolveResult:
+    """Outcome of one ``Solver.solve`` call, uniform across solvers."""
+
+    solver: str
+    layout: Optional[Layout]
+    toc_report: Optional[TOCReport]
+    feasible: bool
+    stats: SolveStats
+    #: PSR of the solution against the context constraint (estimate-mode run
+    #: result); 1.0 when the context has no constraint or no layout exists.
+    psr: float = 1.0
+
+    @property
+    def toc_cents(self) -> float:
+        """TOC of the solution (``inf`` when no feasible layout exists)."""
+        if self.toc_report is None:
+            return float("inf")
+        return self.toc_report.toc_cents
+
+    @property
+    def elapsed_s(self) -> float:
+        """The solver's search time in seconds."""
+        return self.stats.elapsed_s
+
+    @property
+    def evaluated_layouts(self) -> int:
+        """Candidate layouts the solver evaluated."""
+        return self.stats.evaluated_layouts
+
+    def require_layout(self) -> Layout:
+        """The solution layout, or raise when the solve was infeasible."""
+        if self.layout is None:
+            raise InfeasibleLayoutError(
+                f"solver {self.solver!r} found no feasible layout; relax the "
+                "performance constraint and retry"
+            )
+        return self.layout
+
+
+@runtime_checkable
+class Solver(Protocol):
+    """What every placement solver looks like to the experiment layer."""
+
+    name: str
+
+    def solve(
+        self,
+        context: EvaluationContext,
+        *,
+        initial_layout: Optional[Layout] = None,
+        budget: Optional[float] = None,
+    ) -> SolveResult:
+        """Solve the placement problem described by ``context``."""
+        ...

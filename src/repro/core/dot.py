@@ -1,4 +1,4 @@
-"""The DOT heuristic optimizer (paper Section 3.1, Procedure 1) plus validation.
+"""The DOT heuristic optimizer (paper Section 3.1, Procedure 1).
 
 DOT starts from the layout that places every object on the most expensive
 storage class, then applies candidate group moves in priority order.  Each
@@ -12,19 +12,15 @@ relaxes the SLA and retries, as in the paper's Figure 2 loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.core.context import make_incremental_evaluator
-from repro.core.feasibility import FeasibilityChecker, FeasibilityResult
+from repro.core.context import EvaluationContext, SolveResult, SolveStats
 from repro.core.layout import Layout
 from repro.core.moves import Move, enumerate_moves
-from repro.core.profiles import WorkloadProfileSet
-from repro.core.toc import TOCModel, TOCReport
-from repro.exceptions import InfeasibleLayoutError
-from repro.objects import DatabaseObject, ObjectGroup, group_objects
-from repro.sla.constraints import PerformanceConstraint
-from repro.storage.storage_class import StorageSystem
+from repro.core.toc import TOCReport
+from repro.objects import ObjectGroup, group_objects
+from repro.obs.instrument import instrument_solver
 
 
 @dataclass
@@ -38,142 +34,63 @@ class MoveTrace:
     feasibility: str
 
 
-@dataclass
-class DOTResult:
-    """Outcome of one DOT optimization run.
+@instrument_solver
+class DOTSolver:
+    """DOT's greedy optimization walk (Procedure 1) as a solver.
 
-    ``timed_out`` marks a walk cut short by a ``deadline_s``: the result is
-    then the best feasible layout of the moves scored before the deadline --
-    feasible by construction whenever any candidate was -- rather than of
-    the full move list.
-    """
+    Objects, system, estimator, constraint, cost override, TOC model and
+    estimate cache all come from the context at solve time; the walk starts
+    from the paper's ``L_0`` (:meth:`EvaluationContext.reference_layout`,
+    everything on the most expensive class) unless ``initial_layout``
+    warm-starts it.  The solve-time ``budget`` stops the walk at the first
+    move boundary past the deadline, returning the best feasible layout of
+    the moves scored so far, marked degraded.
 
-    layout: Optional[Layout]
-    toc_report: Optional[TOCReport]
-    feasible: bool
-    evaluated_layouts: int
-    elapsed_s: float
-    history: List[MoveTrace] = field(default_factory=list)
-    initial_report: Optional[TOCReport] = None
-    timed_out: bool = False
-
-    @property
-    def toc_cents(self) -> float:
-        """TOC of the recommended layout (``inf`` when infeasible)."""
-        if self.toc_report is None:
-            return float("inf")
-        return self.toc_report.toc_cents
-
-    def require_layout(self) -> Layout:
-        """The recommended layout, or raise if the search was infeasible."""
-        if self.layout is None:
-            raise InfeasibleLayoutError(
-                "DOT found no feasible layout; relax the performance constraint and retry"
-            )
-        return self.layout
-
-
-class DOTOptimizer:
-    """Implements Procedure 1 (the optimization phase) and the validation phase.
+    The walk only advances when a candidate's estimated TOC beats the best
+    feasible TOC seen so far, which reproduces the paper's empirical
+    DOT-vs-exhaustive-search gap (within ~16 %).  The paper's Procedure 1
+    only ever advances through fully feasible layouts, which wedges the walk
+    when ``L_0`` itself violates an imposed capacity limit (the Section
+    4.4.3 / 4.5.3 experiments), so moves that strictly reduce the total
+    capacity excess while keeping the SLA satisfied also advance it -- they
+    are never reported as the recommendation unless fully feasible.
 
     Parameters
     ----------
-    objects:
-        The placeable database objects ``O``.
-    system:
-        The storage system ``D`` with prices and capacities.
-    estimator:
-        Workload estimator (``estimate_workload`` / ``run_workload``).
-    constraint:
-        Absolute SLA constraint ``T``; ``None`` disables the performance check.
-    initial_class:
-        Class of the initial layout ``L_0`` (defaults to the most expensive).
-    capacity_relaxed_walk:
-        The paper's Procedure 1 only ever advances through fully feasible
-        layouts, which can wedge the walk when ``L_0`` itself violates an
-        imposed capacity limit (the Section 4.4.3 / 4.5.3 experiments).  With
-        this flag (default), moves that strictly reduce the total capacity
-        excess while keeping the SLA satisfied also advance the walk -- they
-        are never reported as the recommendation unless fully feasible.
-    walk_mode:
-        How the walk advances from one layout to the next.  ``"improvement"``
-        (default) only advances when the candidate's estimated TOC beats the
-        best feasible TOC seen so far, which reproduces the paper's empirical
-        DOT-vs-exhaustive-search gap (within ~16 %).  ``"paper"`` follows
-        Procedure 1 literally and advances on *every* feasible move; because
-        later (worse-scored) moves of the same group then overwrite earlier
-        ones, the literal walk ends measurably further from the optimum --
-        the grouping ablation benchmark quantifies the difference.
-    cost_override:
-        Optional alternative layout-cost function (discrete-sized cost model).
-    independent_objects:
-        Treat every object as its own group (the per-object enumeration of
-        Canim et al. [10]).  Used by the grouping ablation benchmark; the
-        paper argues -- and the ablation confirms -- that this misses the
-        table/index plan interactions DOT's object groups capture.
     incremental:
         Evaluate candidate layouts through the
         :class:`~repro.core.batch_eval.IncrementalWorkloadEvaluator`
         (default): per-query estimates are cached by touched-placement
         signature, so a move re-scores only the queries touching the moved
-        group.  Results are bitwise identical to full evaluation; the walk
-        falls back to it automatically for configurations the fast path
-        cannot represent.
-    estimate_cache:
-        Optional shared :class:`~repro.core.batch_eval.QueryEstimateCache`.
-        Passing one cache to several optimizers (DOT and ES of the same
-        study, or the online advisor's successive epochs) reuses every
-        per-(query, signature) estimate across them; results are unchanged.
-        Ignored by the scalar fallback path.
+        group.  Results are bitwise identical to full evaluation (the
+        ``incremental=False`` scalar oracle); the walk falls back to full
+        evaluation automatically for configurations the fast path cannot
+        represent.
+    independent_objects:
+        Treat every object as its own group (the per-object enumeration of
+        Canim et al. [10]).  Used by the grouping ablation benchmark; the
+        paper argues -- and the ablation confirms -- that this misses the
+        table/index plan interactions DOT's object groups capture.
     """
 
-    def __init__(
-        self,
-        objects: Sequence[DatabaseObject],
-        system: StorageSystem,
-        estimator,
-        constraint: Optional[PerformanceConstraint] = None,
-        initial_class: Optional[str] = None,
-        capacity_relaxed_walk: bool = True,
-        cost_override=None,
-        independent_objects: bool = False,
-        walk_mode: str = "improvement",
-        incremental: bool = True,
-        estimate_cache=None,
-    ):
-        if walk_mode not in ("improvement", "paper"):
-            raise ValueError(f"unknown walk_mode {walk_mode!r}")
-        self.objects = list(objects)
-        self.system = system
-        self.estimator = estimator
-        self.constraint = constraint
-        self.initial_class = initial_class or system.most_expensive().name
-        self.capacity_relaxed_walk = capacity_relaxed_walk
-        self.walk_mode = walk_mode
+    name = "dot"
+
+    def __init__(self, incremental: bool = True, independent_objects: bool = False):
         self.incremental = incremental
-        self.estimate_cache = estimate_cache
-        if independent_objects:
-            self.groups = [
-                ObjectGroup(key=obj.name, members=(obj,)) for obj in self.objects
-            ]
-        else:
-            self.groups = group_objects(self.objects)
-        self.toc_model = TOCModel(estimator, cost_override=cost_override)
-        self.checker = FeasibilityChecker(constraint)
+        self.independent_objects = independent_objects
 
-    # ------------------------------------------------------------------
-    def initial_layout(self) -> Layout:
-        """The paper's ``L_0``: every object on the most expensive class."""
-        return Layout.uniform(self.objects, self.system, self.initial_class,
-                              name=f"All {self.initial_class}")
+    def groups(self, context: EvaluationContext) -> List[ObjectGroup]:
+        """The object groups the walk moves as units."""
+        if self.independent_objects:
+            return [ObjectGroup(key=obj.name, members=(obj,)) for obj in context.objects]
+        return group_objects(context.objects)
 
-    def enumerate_moves(self, profiles: WorkloadProfileSet) -> List[Move]:
-        """Candidate moves sorted by priority score (Procedure 2)."""
-        return enumerate_moves(self.groups, self.system, profiles,
-                               initial_class=self.initial_class)
+    def moves(self, context: EvaluationContext) -> List[Move]:
+        """Candidate moves away from ``L_0``, sorted by priority (Procedure 2)."""
+        return enumerate_moves(self.groups(context), context.system, context.get_profiles())
 
-    def _candidate_evaluator(self, workload, constraint):
-        """The per-candidate TOC evaluator for one optimization run.
+    def _candidate_evaluator(self, context: EvaluationContext):
+        """The per-candidate TOC evaluator for one walk.
 
         Prefers the signature-cached incremental evaluator (bitwise-identical
         results, far less Python per move); falls back to the full
@@ -181,65 +98,48 @@ class DOTOptimizer:
         path cannot represent.
         """
         if self.incremental:
-            fast = make_incremental_evaluator(
-                self.estimator,
-                workload,
-                self.toc_model,
-                cache=self.estimate_cache,
-                constraint=constraint,
-                require_checkable_constraint=True,
-            )
+            fast = context.incremental_evaluator(require_checkable_constraint=True)
             if fast is not None:
                 return fast.evaluate
-        return lambda candidate: self.toc_model.evaluate(candidate, workload, mode="estimate")
+        return context.evaluate
 
-    # ------------------------------------------------------------------
-    def optimize(
+    def solve(
         self,
-        workload,
-        profiles: WorkloadProfileSet,
-        constraint: Optional[PerformanceConstraint] = None,
+        context: EvaluationContext,
+        *,
         initial_layout: Optional[Layout] = None,
-        deadline_s: Optional[float] = None,
-    ) -> DOTResult:
+        budget: Optional[float] = None,
+    ) -> SolveResult:
         """Run the optimization phase (Procedure 1) and return the best layout.
 
-        ``deadline_s`` bounds the walk's wall-clock time: the move loop
-        stops at the first move boundary past the deadline and returns the
-        best feasible layout found so far with ``timed_out=True``.
-
         ``initial_layout`` warm-starts the walk from an existing layout
-        instead of the paper's all-most-expensive ``L_0`` -- the online
-        advisor passes the currently deployed layout so that a small
-        workload drift only has to explore moves *away* from it.  Move
-        priorities are still scored relative to ``L_0`` (Procedure 2's
-        scores are layout-independent rankings), and each candidate move
-        re-places a whole group, so applying them to a warm layout is
-        exactly as sound as applying them to ``L_0``.  Note the warm walk
-        can never return a group to the all-``initial_class`` placement
-        (such moves save nothing relative to ``L_0`` and are never
+        instead of ``L_0`` -- the online advisor passes the currently
+        deployed layout so that a small workload drift only has to explore
+        moves *away* from it.  Move priorities are still scored relative to
+        ``L_0`` (Procedure 2's scores are layout-independent rankings), and
+        each candidate move re-places a whole group, so applying them to a
+        warm layout is exactly as sound as applying them to ``L_0``.  Note
+        the warm walk can never return a group to the all-most-expensive
+        placement (such moves save nothing relative to ``L_0`` and are never
         enumerated); callers needing that escape hatch re-run cold.
         """
-        active_constraint = constraint if constraint is not None else self.constraint
-        checker = self.checker if constraint is None else FeasibilityChecker(constraint)
+        context.get_profiles()  # profiling is not walk time
+        checker = context.checker()
         started = time.perf_counter()
-        evaluate_candidate = self._candidate_evaluator(workload, active_constraint)
+        evaluate_candidate = self._candidate_evaluator(context)
 
-        current = initial_layout if initial_layout is not None else self.initial_layout()
-        initial_report = self.toc_model.evaluate(current, workload, mode="estimate")
-        initial_check = checker.check(current, initial_report.run_result)
-
+        current = initial_layout if initial_layout is not None else context.reference_layout()
+        initial_report = context.evaluate(current)
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None
-        if initial_check.feasible:
+        if checker.check(current, initial_report.run_result).feasible:
             best_layout, best_report = current, initial_report
 
-        deadline = time.monotonic() + deadline_s if deadline_s is not None else None
+        deadline = time.monotonic() + budget if budget is not None else None
         history: List[MoveTrace] = []
         evaluated = 1
         timed_out = False
-        moves = self.enumerate_moves(profiles)
-        for move in moves:
+        for move in self.moves(context):
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
                 break
@@ -250,15 +150,12 @@ class DOTOptimizer:
 
             accepted = False
             if check.feasible:
-                improves = best_report is None or report.toc_cents < best_report.toc_cents
-                if self.walk_mode == "paper" or improves:
-                    current = candidate
+                if best_report is None or report.toc_cents < best_report.toc_cents:
+                    current = best_layout = candidate
+                    best_report = report
                     accepted = True
-                if improves:
-                    best_layout, best_report = candidate, report
             elif (
-                self.capacity_relaxed_walk
-                and check.performance_ok
+                check.performance_ok
                 and not check.capacity_ok
                 and candidate.excess_gb() < current.excess_gb()
             ):
@@ -283,27 +180,25 @@ class DOTOptimizer:
             # The incremental evaluator omits dispensable I/O bookkeeping from
             # candidate run results, so the recommendation is re-evaluated in
             # full; the numbers are identical, only the I/O fields are richer.
-            best_report = self.toc_model.evaluate(best_layout, workload, mode="estimate")
-        return DOTResult(
+            best_report = context.evaluate(best_layout)
+        stats = SolveStats(
+            elapsed_s=elapsed,
+            evaluated_layouts=evaluated,
+            moves_accepted=sum(1 for trace in history if trace.accepted),
+            moves=history,
+            degraded=timed_out,
+            incidents=(
+                [f"dot walk stopped at the {budget}s deadline after "
+                 f"{evaluated} candidates"]
+                if timed_out else []
+            ),
+            deadline_s=budget,
+        )
+        return SolveResult(
+            solver=self.name,
             layout=best_layout,
             toc_report=best_report,
             feasible=best_layout is not None,
-            evaluated_layouts=evaluated,
-            elapsed_s=elapsed,
-            history=history,
-            initial_report=initial_report,
-            timed_out=timed_out,
+            stats=stats,
+            psr=context.psr(best_report),
         )
-
-    # ------------------------------------------------------------------
-    def validate(
-        self,
-        layout: Layout,
-        workload,
-        constraint: Optional[PerformanceConstraint] = None,
-    ) -> Tuple[FeasibilityResult, TOCReport]:
-        """The validation phase: a simulated test run of the recommended layout."""
-        checker = self.checker if constraint is None else FeasibilityChecker(constraint)
-        report = self.toc_model.evaluate(layout, workload, mode="run")
-        check = checker.check(layout, report.run_result)
-        return check, report

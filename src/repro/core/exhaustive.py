@@ -12,66 +12,51 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.batch_eval import iter_assignment_chunks
-from repro.core.context import make_batch_evaluator
-from repro.core.feasibility import FeasibilityChecker
+from repro.core.context import EvaluationContext, SolveResult, SolveStats
 from repro.core.layout import Layout
-from repro.core.toc import TOCModel, TOCReport
+from repro.core.toc import TOCReport
 from repro.exceptions import ConfigurationError, SolverTimeoutError
 from repro.objects import DatabaseObject, group_objects
 from repro.obs import trace
-from repro.sla.constraints import PerformanceConstraint
-from repro.storage.storage_class import StorageSystem
+from repro.obs.instrument import instrument_solver
 
 
-@dataclass
-class ExhaustiveSearchResult:
-    """Outcome of an exhaustive search.
-
-    ``timed_out`` marks a search cut short by ``deadline_s``: the result is
-    then the exact best of the portion enumerated before the deadline
-    (feasible whenever any candidate was), not the global optimum.
-    ``incidents`` records the recovery actions the run took (retries,
-    re-queues, the deadline abort itself).
-    """
-
-    layout: Optional[Layout]
-    toc_report: Optional[TOCReport]
-    feasible: bool
-    evaluated_layouts: int
-    elapsed_s: float
-    timed_out: bool = False
-    incidents: List[str] = field(default_factory=list)
-
-    @property
-    def toc_cents(self) -> float:
-        """TOC of the best layout (``inf`` when no feasible layout exists)."""
-        if self.toc_report is None:
-            return float("inf")
-        return self.toc_report.toc_cents
-
-
-class ExhaustiveSearch:
+@instrument_solver
+class ExhaustiveSolver:
     """Enumerates and evaluates every possible layout.
+
+    Three execution paths return bitwise-identical results: the vectorized
+    serial batch path (default), the sharded parallel engine
+    (``workers > 1``) and the per-layout scalar loop (``batch=False``, the
+    test oracle, also the automatic fallback for configurations the batch
+    evaluator cannot vectorize: cost overrides, exotic constraint types).
+    ``stats.batch`` is ``None`` exactly when the scalar path ran.
+
+    The solve-time ``budget`` is a hard wall-clock deadline in seconds that
+    all three paths honour: the parallel engine aborts with a checkpointed
+    partial result, the serial loops stop at the next chunk/layout boundary.
+    The result is then the exact best of what was enumerated, marked
+    degraded.
 
     Parameters
     ----------
     objects:
-        The placeable objects; the search space is ``M^N`` over them (or
-        ``product(M^K_g)`` over groups with ``per_group=True``, which prunes
-        nothing when every object is its own group but matches DOT's
-        independence assumption otherwise).
-    system:
-        The storage system.
-    estimator:
-        Workload estimator shared with DOT.
-    constraint:
-        SLA constraint applied to each candidate.
+        The enumerated objects (default: every context object); the search
+        space is ``M^N`` over them.
+    per_group:
+        Enumerate placements group by group rather than object by object.
+        The space is the same ``M^N``; only the enumeration order (and with
+        it the floating-point accumulation order) differs.
+    pinned_objects, pinned_class:
+        Objects included in every candidate layout at a fixed class (default:
+        the cheapest); used when the enumeration is restricted to the "hot"
+        objects of a database whose remaining objects still need a placement
+        for the workload to be estimable (the Figure 9 study).
     max_layouts:
         Guard on the number of enumerated layouts.  The serial paths treat it
         as a hard limit (exceeding it raises :class:`ConfigurationError`
@@ -79,125 +64,65 @@ class ExhaustiveSearch:
         a soft guard the parallel engine may exceed, because sharding plus
         pruning make full-paper spaces (e.g. the TPC-C study's ``3^19``)
         practical.
-    per_group:
-        Enumerate placements per object group rather than per object.
-    pinned_objects:
-        Objects included in every candidate layout at a fixed class (given by
-        ``pinned_class``); used when the enumeration is restricted to the
-        "hot" objects of a database whose remaining objects still need a
-        placement for the workload to be estimable.
     batch:
         Evaluate candidates through the vectorized
-        :class:`~repro.core.batch_eval.BatchLayoutEvaluator` (default).  The
-        batch path returns bitwise-identical results and falls back to the
-        scalar loop automatically for configurations it cannot vectorize
-        (cost overrides, exotic constraint types).
-    estimate_cache:
-        Optional shared :class:`~repro.core.batch_eval.QueryEstimateCache`;
-        lets the search reuse (and contribute to) the per-(query,
-        signature) estimate table of a DOT run over the same estimator and
-        workload.  Results are unchanged; the scalar path ignores it.
+        :class:`~repro.core.batch_eval.BatchLayoutEvaluator` (default).
     workers:
-        With ``workers > 1`` the search delegates to the sharded, pruned
+        With ``workers > 1`` the search runs on the sharded, pruned
         :class:`~repro.core.parallel_search.ParallelEnumerationEngine`
         (multiprocessing over the mixed-radix index range, branch-and-bound
-        capacity/incumbent pruning).  Results stay bitwise identical to the
-        serial batch path; configurations the batch evaluator cannot
-        vectorize fall back to the serial paths as usual.
-    deadline_s:
-        Hard wall-clock budget for one :meth:`search` call.  All three
-        execution paths honour it: the parallel engine aborts with a
-        checkpointed partial result, the serial batch/scalar loops stop at
-        the next chunk/layout boundary.  The returned result carries
-        ``timed_out=True`` and is the exact best of what was enumerated.
+        capacity/incumbent pruning).
     retry_backoff_s, shard_timeout_s, fault_plan:
         Fault-tolerance knobs forwarded to the parallel engine (retry
-        backoff, dead-worker watchdog, chaos injection); see
-        :class:`~repro.core.parallel_search.ParallelEnumerationEngine`.
+        backoff, dead-worker watchdog, chaos injection).
     checkpoint_path:
         Persist the parallel engine's :class:`~repro.core.parallel_search.
         SearchProgress` to this file after every completed shard, and resume
         from it when the file already holds a valid checkpoint (a corrupt
         file is quarantined aside and the search starts over).  Only the
-        ``workers > 1`` path checkpoints; the serial paths ignore it.
+        ``workers > 1`` path checkpoints.
     """
+
+    name = "es"
 
     def __init__(
         self,
-        objects: Sequence[DatabaseObject],
-        system: StorageSystem,
-        estimator,
-        constraint: Optional[PerformanceConstraint] = None,
-        max_layouts: int = 500_000,
+        objects: Optional[Sequence[DatabaseObject]] = None,
         per_group: bool = False,
-        cost_override=None,
         pinned_objects: Sequence[DatabaseObject] = (),
         pinned_class: Optional[str] = None,
+        max_layouts: int = 500_000,
         batch: bool = True,
-        estimate_cache=None,
         workers: int = 1,
-        deadline_s: Optional[float] = None,
         retry_backoff_s: float = 0.05,
         shard_timeout_s: Optional[float] = None,
         fault_plan=None,
         checkpoint_path=None,
     ):
-        self.objects = list(objects)
-        self.system = system
-        self.estimator = estimator
-        self.constraint = constraint
-        self.max_layouts = max_layouts
+        self.objects = list(objects) if objects is not None else None
         self.per_group = per_group
         self.pinned_objects = list(pinned_objects)
-        self.pinned_class = pinned_class or system.cheapest().name
+        self.pinned_class = pinned_class
+        self.max_layouts = max_layouts
         self.batch = batch
-        self.estimate_cache = estimate_cache
         self.workers = max(1, int(workers))
-        self.deadline_s = deadline_s
         self.retry_backoff_s = retry_backoff_s
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
         self.checkpoint_path = checkpoint_path
-        self.toc_model = TOCModel(estimator, cost_override=cost_override)
-        self.checker = FeasibilityChecker(constraint)
-        #: Batch-evaluation statistics of the last batch-path search (None
-        #: when the scalar path ran).
-        self.last_batch_stats = None
 
     # ------------------------------------------------------------------
-    def search_space_size(self) -> int:
+    def _objects(self, context: EvaluationContext) -> List[DatabaseObject]:
+        return self.objects if self.objects is not None else context.objects
+
+    def _pinned_class(self, context: EvaluationContext) -> str:
+        return self.pinned_class or context.system.cheapest().name
+
+    def search_space_size(self, context: EvaluationContext) -> int:
         """Number of layouts the search would enumerate."""
-        class_count = len(self.system)
-        if self.per_group:
-            size = 1
-            for group in group_objects(self.objects):
-                size *= class_count ** len(group)
-            return size
-        return class_count ** len(self.objects)
+        return len(context.system) ** len(self._objects(context))
 
-    def _layouts(self):
-        class_names = self.system.class_names
-        all_objects = self.objects + self.pinned_objects
-        pinned_assignment = {obj.name: self.pinned_class for obj in self.pinned_objects}
-        if self.per_group:
-            groups = group_objects(self.objects)
-            per_group_choices = [
-                list(itertools.product(class_names, repeat=len(group))) for group in groups
-            ]
-            for combo in itertools.product(*per_group_choices):
-                assignment = dict(pinned_assignment)
-                for group, placement in zip(groups, combo):
-                    for member, class_name in zip(group.members, placement):
-                        assignment[member.name] = class_name
-                yield Layout(all_objects, self.system, assignment, name="ES candidate")
-        else:
-            names = [obj.name for obj in self.objects]
-            for combo in itertools.product(class_names, repeat=len(names)):
-                assignment = dict(pinned_assignment)
-                assignment.update(zip(names, combo))
-                yield Layout(all_objects, self.system, assignment, name="ES candidate")
-
-    def _variable_objects(self) -> List[DatabaseObject]:
+    def _variable_objects(self, context: EvaluationContext) -> List[DatabaseObject]:
         """The enumerated objects in candidate-column order.
 
         Per-group enumeration is the product of per-group placement products,
@@ -206,21 +131,29 @@ class ExhaustiveSearch:
         the column order differs (and with it the floating-point accumulation
         order the batch path must preserve).
         """
+        objects = self._objects(context)
         if self.per_group:
-            return [member for group in group_objects(self.objects) for member in group.members]
-        return list(self.objects)
+            return [member for group in group_objects(objects) for member in group.members]
+        return list(objects)
+
+    def _layout(self, context: EvaluationContext, assignment, name: str) -> Layout:
+        return Layout(self._objects(context) + self.pinned_objects, context.system,
+                      assignment, name=name)
 
     # ------------------------------------------------------------------
-    def search(self, workload, constraint: Optional[PerformanceConstraint] = None) -> ExhaustiveSearchResult:
+    def solve(
+        self,
+        context: EvaluationContext,
+        *,
+        initial_layout: Optional[Layout] = None,
+        budget: Optional[float] = None,
+    ) -> SolveResult:
         """Enumerate all layouts and return the cheapest feasible one."""
-        space = self.search_space_size()
-        active_constraint = constraint if constraint is not None else self.constraint
-        checker = self.checker if constraint is None else FeasibilityChecker(constraint)
-        self.last_batch_stats = None
+        space = self.search_space_size(context)
         if self.batch and self.workers > 1:
             # The parallel engine treats max_layouts as a soft guard: sharding
             # plus pruning lift the enumeration ceiling to full-paper spaces.
-            result = self._search_parallel(workload, active_constraint)
+            result = self._solve_parallel(context, budget)
             if result is not None:
                 return result
         if space > self.max_layouts:
@@ -230,13 +163,40 @@ class ExhaustiveSearch:
                 f"use workers > 1"
             )
         if self.batch:
-            result = self._search_batch(workload, active_constraint)
+            result = self._solve_batch(context, budget)
             if result is not None:
                 return result
-        return self._search_scalar(workload, checker)
+        return self._solve_scalar(context, budget)
+
+    def _result(self, context, layout, report, evaluated, elapsed, budget,
+                timed_out=False, incidents=(), batch=None) -> SolveResult:
+        stats = SolveStats(
+            elapsed_s=elapsed,
+            build_s=batch.build_s if batch is not None else 0.0,
+            evaluated_layouts=evaluated,
+            pruned_layouts=batch.pruned_layouts if batch is not None else 0,
+            workers=batch.workers if batch is not None else 0,
+            batch=batch,
+            degraded=timed_out,
+            incidents=list(incidents),
+            deadline_s=budget,
+        )
+        return SolveResult(
+            solver=self.name,
+            layout=layout,
+            toc_report=report,
+            feasible=layout is not None,
+            stats=stats,
+            psr=context.psr(report),
+        )
+
+    @staticmethod
+    def _deadline_incident(budget: float, evaluated: int) -> str:
+        return (f"deadline of {budget}s expired after {evaluated} layouts; "
+                "returning best-so-far")
 
     # ------------------------------------------------------------------
-    def _build_evaluator(self, workload, constraint: Optional[PerformanceConstraint]):
+    def _build_evaluator(self, context: EvaluationContext):
         """Timed construction of the batch evaluator (None when unsupported).
 
         Construction (and any estimate-table warm-up the parallel path adds on
@@ -245,16 +205,11 @@ class ExhaustiveSearch:
         skew ES-vs-DOT search-time comparisons.
         """
         build_started = time.perf_counter()
+        pinned_class = self._pinned_class(context)
         with trace.span("es.build") as span:
-            evaluator = make_batch_evaluator(
-                self._variable_objects(),
-                self.system,
-                self.estimator,
-                workload,
-                pinned=[(obj, self.pinned_class) for obj in self.pinned_objects],
-                constraint=constraint,
-                cache=self.estimate_cache,
-                toc_model=self.toc_model,
+            evaluator = context.batch_evaluator(
+                self._variable_objects(context),
+                pinned=[(obj, pinned_class) for obj in self.pinned_objects],
             )
             if evaluator is None:
                 span.set(vectorizable=False)
@@ -263,33 +218,27 @@ class ExhaustiveSearch:
             span.set(build_s=evaluator.stats.build_s)
         return evaluator
 
-    def _search_batch(
-        self, workload, constraint: Optional[PerformanceConstraint]
-    ) -> Optional[ExhaustiveSearchResult]:
+    def _solve_batch(self, context: EvaluationContext,
+                     budget: Optional[float]) -> Optional[SolveResult]:
         """Vectorized enumeration; returns None when unsupported."""
-        evaluator = self._build_evaluator(workload, constraint)
+        evaluator = self._build_evaluator(context)
         if evaluator is None:
             return None
         tracer = trace.get_tracer()
         span = tracer.start_span("es.enumerate", path="batch")
         started = time.perf_counter()
-        deadline = (
-            time.monotonic() + self.deadline_s if self.deadline_s is not None else None
-        )
-        variable_objects = evaluator.variable_objects
+        deadline = time.monotonic() + budget if budget is not None else None
 
         best_toc = float("inf")
         best_row = None
         evaluated = 0
         timed_out = False
         incidents: List[str] = []
-        for _, chunk in iter_assignment_chunks(len(variable_objects), len(self.system)):
+        for _, chunk in iter_assignment_chunks(len(evaluator.variable_objects),
+                                               len(context.system)):
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
-                incidents.append(
-                    f"deadline of {self.deadline_s}s expired after "
-                    f"{evaluated} layouts; returning best-so-far"
-                )
+                incidents.append(self._deadline_incident(budget, evaluated))
                 break
             evaluation = evaluator.evaluate_chunk(chunk)
             evaluated += chunk.shape[0]
@@ -297,32 +246,20 @@ class ExhaustiveSearch:
             if index is not None and evaluation.toc_cents[index] < best_toc:
                 best_toc = float(evaluation.toc_cents[index])
                 best_row = chunk[index].copy()
-        self.last_batch_stats = evaluator.stats
 
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None
         if best_row is not None:
-            all_objects = self.objects + self.pinned_objects
-            best_layout = Layout(
-                all_objects, self.system, evaluator.assignment_for_row(best_row), name="ES"
-            )
-            best_report = self.toc_model.evaluate(best_layout, workload, mode="estimate")
+            best_layout = self._layout(context, evaluator.assignment_for_row(best_row), "ES")
+            best_report = context.evaluate(best_layout)
         elapsed = time.perf_counter() - started
         tracer.end_span(span, evaluated=evaluated, timed_out=timed_out)
-        return ExhaustiveSearchResult(
-            layout=best_layout,
-            toc_report=best_report,
-            feasible=best_layout is not None,
-            evaluated_layouts=evaluated,
-            elapsed_s=elapsed,
-            timed_out=timed_out,
-            incidents=incidents,
-        )
+        return self._result(context, best_layout, best_report, evaluated, elapsed, budget,
+                            timed_out, incidents, evaluator.stats)
 
     # ------------------------------------------------------------------
-    def _search_parallel(
-        self, workload, constraint: Optional[PerformanceConstraint]
-    ) -> Optional[ExhaustiveSearchResult]:
+    def _solve_parallel(self, context: EvaluationContext,
+                        budget: Optional[float]) -> Optional[SolveResult]:
         """Sharded, pruned multiprocessing enumeration; None when unsupported.
 
         The parent builds and fully warms one evaluator (timed as build and
@@ -332,7 +269,7 @@ class ExhaustiveSearch:
         """
         from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 
-        evaluator = self._build_evaluator(workload, constraint)
+        evaluator = self._build_evaluator(context)
         if evaluator is None:
             return None
         tracer = trace.get_tracer()
@@ -341,7 +278,7 @@ class ExhaustiveSearch:
         engine = ParallelEnumerationEngine(
             evaluator,
             workers=self.workers,
-            deadline_s=self.deadline_s,
+            deadline_s=budget,
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
@@ -378,59 +315,55 @@ class ExhaustiveSearch:
                 progress = exc.progress
                 timed_out = True
         stats.merge(progress.stats)
-        self.last_batch_stats = stats
 
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None
         if progress.best_row is not None:
-            all_objects = self.objects + self.pinned_objects
             row = np.array(progress.best_row, dtype=np.int64)
-            best_layout = Layout(
-                all_objects, self.system, evaluator.assignment_for_row(row), name="ES"
-            )
-            best_report = self.toc_model.evaluate(best_layout, workload, mode="estimate")
+            best_layout = self._layout(context, evaluator.assignment_for_row(row), "ES")
+            best_report = context.evaluate(best_layout)
         elapsed = time.perf_counter() - started
         tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out)
-        return ExhaustiveSearchResult(
-            layout=best_layout,
-            toc_report=best_report,
-            feasible=best_layout is not None,
-            evaluated_layouts=progress.evaluated,
-            elapsed_s=elapsed,
-            timed_out=timed_out,
-            incidents=list(progress.incidents),
-        )
+        return self._result(context, best_layout, best_report, progress.evaluated, elapsed,
+                            budget, timed_out, progress.incidents, stats)
 
     # ------------------------------------------------------------------
-    def _search_scalar(self, workload, checker: FeasibilityChecker) -> ExhaustiveSearchResult:
+    def _layouts(self, context: EvaluationContext):
+        """Every candidate layout, in the batch paths' enumeration order."""
+        variable = self._variable_objects(context)
+        pinned_class = self._pinned_class(context)
+        pinned_assignment = {obj.name: pinned_class for obj in self.pinned_objects}
+        names = [obj.name for obj in variable]
+        for combo in itertools.product(context.system.class_names, repeat=len(names)):
+            assignment = dict(pinned_assignment)
+            assignment.update(zip(names, combo))
+            yield self._layout(context, assignment, "ES candidate")
+
+    def _solve_scalar(self, context: EvaluationContext,
+                      budget: Optional[float]) -> SolveResult:
         """The original per-layout evaluation loop (reference path)."""
+        checker = context.checker()
         tracer = trace.get_tracer()
         span = tracer.start_span("es.enumerate", path="scalar")
         started = time.perf_counter()
-        deadline = (
-            time.monotonic() + self.deadline_s if self.deadline_s is not None else None
-        )
+        deadline = time.monotonic() + budget if budget is not None else None
 
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None
         evaluated = 0
         timed_out = False
         incidents: List[str] = []
-        for layout in self._layouts():
+        for layout in self._layouts(context):
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
-                incidents.append(
-                    f"deadline of {self.deadline_s}s expired after "
-                    f"{evaluated} layouts; returning best-so-far"
-                )
+                incidents.append(self._deadline_incident(budget, evaluated))
                 break
             evaluated += 1
             # Cheap capacity pre-filter before spending an estimate.
             if not layout.satisfies_capacity():
                 continue
-            report = self.toc_model.evaluate(layout, workload, mode="estimate")
-            check = checker.check(layout, report.run_result)
-            if not check.feasible:
+            report = context.evaluate(layout)
+            if not checker.check(layout, report.run_result).feasible:
                 continue
             if best_report is None or report.toc_cents < best_report.toc_cents:
                 best_layout, best_report = layout, report
@@ -439,15 +372,8 @@ class ExhaustiveSearch:
         tracer.end_span(span, evaluated=evaluated, timed_out=timed_out)
         if best_layout is not None:
             best_layout = best_layout.renamed("ES")
-            best_report = self.toc_model.report_from_result(
-                best_layout, workload, best_report.run_result
+            best_report = context.toc_model.report_from_result(
+                best_layout, context.workload, best_report.run_result
             )
-        return ExhaustiveSearchResult(
-            layout=best_layout,
-            toc_report=best_report,
-            feasible=best_layout is not None,
-            evaluated_layouts=evaluated,
-            elapsed_s=elapsed,
-            timed_out=timed_out,
-            incidents=incidents,
-        )
+        return self._result(context, best_layout, best_report, evaluated, elapsed, budget,
+                            timed_out, incidents)

@@ -6,7 +6,7 @@ product of cost and time.  Under DOT's own independence assumption between
 object groups, however, a natural relaxation exists: choose one placement per
 group so as to minimise the *layout cost* subject to an aggregate *I/O time
 budget* (derived from the SLA) and the per-class capacity constraints.  That
-relaxation is a small MILP which :class:`MILPPlacement` solves exactly with
+relaxation is a small MILP which :class:`MILPSolver` solves exactly with
 ``scipy.optimize.milp``; the ablation benchmark compares its layouts with
 DOT's to quantify how much the greedy walk loses.
 """
@@ -14,80 +14,80 @@ DOT's to quantify how much the greedy walk loses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.batch_eval import group_placement_coefficients
+from repro.core.context import EvaluationContext, SolveResult, SolveStats
 from repro.core.layout import Layout
-from repro.core.profiles import WorkloadProfileSet
 from repro.exceptions import ConfigurationError
-from repro.objects import DatabaseObject, ObjectGroup, group_objects
-from repro.storage.storage_class import StorageSystem
+from repro.objects import group_objects
+from repro.obs.instrument import instrument_solver
+
+#: scipy's wall-clock limit for a solve that runs without a ``budget``.
+MILP_TIME_LIMIT_S = 60.0
 
 
-@dataclass
-class MILPResult:
-    """Outcome of the MILP placement."""
+@instrument_solver
+class MILPSolver:
+    """Cost-minimising placement under an I/O-time budget, solved exactly.
 
-    layout: Optional[Layout]
-    objective_cents_per_hour: float
-    io_time_budget_ms: float
-    io_time_ms: float
-    status: str
-    elapsed_s: float
-    variables: int
-    #: True when scipy stopped on its iteration/time limit (``status == 1``)
-    #: rather than proving optimality or infeasibility.  A layout may still
-    #: be present (the incumbent at the limit) -- it is feasible but possibly
-    #: sub-optimal, and callers should mark the solve degraded.
-    timed_out: bool = False
+    The MILP picks one placement per object group, minimising layout cost
+    subject to the per-class capacities and an aggregate I/O-time budget
+    (the sum of the groups' profiled I/O time shares, Eq. 1 of the paper).
+    When ``io_time_budget_ms`` is not given it is derived the way the
+    ablation study does: the all-most-expensive layout's profiled I/O time
+    divided by the context's relative SLA ratio.  The solve-time ``budget``
+    replaces the default :data:`MILP_TIME_LIMIT_S` as scipy's ``time_limit``;
+    a solve stopped there returns HiGHS's incumbent, marked degraded.
+    """
 
-    @property
-    def feasible(self) -> bool:
-        """True when the solver found an optimal feasible assignment."""
-        return self.layout is not None
+    name = "milp"
 
+    def __init__(self, io_time_budget_ms: Optional[float] = None):
+        self.io_time_budget_ms = io_time_budget_ms
 
-class MILPPlacement:
-    """Cost-minimising placement under an I/O-time budget, solved exactly."""
+    def resolve_budget_ms(self, context: EvaluationContext) -> float:
+        """The I/O-time budget: explicit, or profiled best time / SLA ratio."""
+        if self.io_time_budget_ms is not None:
+            return self.io_time_budget_ms
+        if context.sla is None:
+            raise ConfigurationError(
+                "MILPSolver needs an explicit io_time_budget_ms when the context "
+                "was not built from a relative SLA"
+            )
+        profiles = context.get_profiles()
+        best_class = context.system.most_expensive().name
+        best_time = sum(
+            profiles.io_time_share_ms(group, tuple([best_class] * len(group)))
+            for group in group_objects(context.objects)
+        )
+        return best_time / context.sla.ratio
 
-    def __init__(self, objects: Sequence[DatabaseObject], system: StorageSystem):
-        self.objects = list(objects)
-        self.system = system
-        self.groups: List[ObjectGroup] = group_objects(self.objects)
-
-    # ------------------------------------------------------------------
     def solve(
         self,
-        profiles: WorkloadProfileSet,
-        io_time_budget_ms: float,
-        time_limit_s: Optional[float] = 60.0,
-    ) -> MILPResult:
-        """Solve the placement MILP.
-
-        Parameters
-        ----------
-        profiles:
-            Workload profiles providing each group's I/O time share per
-            placement (Eq. 1 of the paper).
-        io_time_budget_ms:
-            Upper bound on the sum of group I/O time shares -- typically the
-            all-fast layout's total I/O time divided by the relative SLA.
-        """
+        context: EvaluationContext,
+        *,
+        initial_layout: Optional[Layout] = None,
+        budget: Optional[float] = None,
+    ) -> SolveResult:
         # scipy is the largest single cost of ``import repro`` and only this
         # solve needs it, so it is imported on first use.
         from scipy import optimize, sparse
 
+        io_time_budget_ms = self.resolve_budget_ms(context)
         if io_time_budget_ms <= 0:
             raise ConfigurationError("the I/O time budget must be positive")
+        limit = budget if budget is not None else MILP_TIME_LIMIT_S
         started = time.perf_counter()
+        groups = group_objects(context.objects)
+        system = context.system
         # Coefficient precomputation shares the batch evaluator's vectorized
         # tables: identical values to the per-candidate helpers, one service
         # -time lookup per (class, I/O type) instead of one per candidate.
         candidates, costs, times = group_placement_coefficients(
-            self.groups, self.system, profiles
+            groups, system, context.get_profiles()
         )
         num_vars = len(candidates)
 
@@ -102,7 +102,7 @@ class MILPPlacement:
         group_positions: Dict[str, List[int]] = {}
         for position, (group, _) in enumerate(candidates):
             group_positions.setdefault(group.key, []).append(position)
-        for group in self.groups:
+        for group in groups:
             for position in group_positions[group.key]:
                 rows.append(constraint_index)
                 cols.append(position)
@@ -112,9 +112,8 @@ class MILPPlacement:
             constraint_index += 1
 
         # Capacity per storage class.
-        class_names = list(self.system.class_names)
-        for class_name in class_names:
-            capacity = self.system[class_name].capacity_gb
+        for class_name in system.class_names:
+            capacity = system[class_name].capacity_gb
             for position, (group, placement) in enumerate(candidates):
                 used = sum(
                     member.size_gb
@@ -142,50 +141,49 @@ class MILPPlacement:
         matrix = sparse.csc_matrix(
             (values, (rows, cols)), shape=(constraint_index, num_vars)
         )
-        constraints = optimize.LinearConstraint(matrix, lower, upper)
-        integrality = np.ones(num_vars)
-        bounds = optimize.Bounds(0, 1)
-        options = {"time_limit": time_limit_s} if time_limit_s else None
         solution = optimize.milp(
             c=costs,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=bounds,
-            options=options,
+            constraints=optimize.LinearConstraint(matrix, lower, upper),
+            integrality=np.ones(num_vars),
+            bounds=optimize.Bounds(0, 1),
+            options={"time_limit": limit} if limit else None,
         )
         elapsed = time.perf_counter() - started
         # scipy stamps status 1 when the iteration/time limit stopped the
-        # branch-and-cut before optimality.
+        # branch-and-cut before optimality; ``success`` is only status 0, but
+        # the incumbent it found by then is in ``x`` and worth returning.
         hit_limit = getattr(solution, "status", None) == 1
 
-        if not solution.success or solution.x is None:
-            return MILPResult(
-                layout=None,
-                objective_cents_per_hour=float("inf"),
-                io_time_budget_ms=io_time_budget_ms,
-                io_time_ms=float("inf"),
-                status=solution.message,
-                elapsed_s=elapsed,
-                variables=num_vars,
-                timed_out=hit_limit,
-            )
+        layout = None
+        if solution.x is not None and (solution.success or hit_limit):
+            chosen = [int(position) for position in np.where(solution.x > 0.5)[0]]
+            if sorted(candidates[position][0].key for position in chosen) == sorted(
+                group.key for group in groups
+            ):
+                assignment: Dict[str, str] = {}
+                for position in chosen:
+                    group, placement = candidates[position]
+                    for member, class_name in zip(group.members, placement):
+                        assignment[member.name] = class_name
+                layout = Layout(context.objects, system, assignment, name="MILP")
 
-        chosen = np.where(solution.x > 0.5)[0]
-        assignment: Dict[str, str] = {}
-        total_time = 0.0
-        for position in chosen:
-            group, placement = candidates[int(position)]
-            total_time += times[int(position)]
-            for member, class_name in zip(group.members, placement):
-                assignment[member.name] = class_name
-        layout = Layout(self.objects, self.system, assignment, name="MILP")
-        return MILPResult(
-            layout=layout,
-            objective_cents_per_hour=float(solution.fun),
-            io_time_budget_ms=io_time_budget_ms,
-            io_time_ms=total_time,
-            status="time_limit" if hit_limit else "optimal",
+        toc_report = context.evaluate(layout) if layout is not None else None
+        incidents = []
+        if hit_limit:
+            found = "returning its incumbent" if layout is not None else "no incumbent yet"
+            incidents.append(f"milp stopped at its {limit}s time limit ({found})")
+        stats = SolveStats(
             elapsed_s=elapsed,
             variables=num_vars,
-            timed_out=hit_limit,
+            degraded=hit_limit,
+            incidents=incidents,
+            deadline_s=limit,
+        )
+        return SolveResult(
+            solver=self.name,
+            layout=layout,
+            toc_report=toc_report,
+            feasible=layout is not None,
+            stats=stats,
+            psr=context.psr(toc_report),
         )

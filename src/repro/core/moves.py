@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.layout import Layout
 from repro.core.profiles import WorkloadProfileSet
@@ -77,10 +77,12 @@ def enumerate_moves(
     groups: Sequence[ObjectGroup],
     system: StorageSystem,
     profiles: WorkloadProfileSet,
-    initial_class: Optional[str] = None,
     include_non_saving: bool = False,
 ) -> List[Move]:
     """Enumerate and sort all candidate moves (Procedure 2).
+
+    Moves are scored relative to the initial layout ``L_0``, which places
+    every object on the most expensive class, as in the paper.
 
     Parameters
     ----------
@@ -90,14 +92,11 @@ def enumerate_moves(
         The storage system ``D`` with prices ``P``.
     profiles:
         Workload profiles ``X`` used to compute the performance penalty.
-    initial_class:
-        The storage class of the initial layout ``L_0`` (defaults to the most
-        expensive class, as in the paper).
     include_non_saving:
         Keep moves whose cost saving is zero or negative (they sort last);
         by default they are dropped because applying them can only hurt.
     """
-    initial = initial_class or system.most_expensive().name
+    initial = system.most_expensive().name
     moves: List[Move] = []
     for group in groups:
         initial_placement = tuple([initial] * len(group))

@@ -62,11 +62,9 @@ class ProvisioningDecision:
 class GeneralizedProvisioner:
     """Chooses a storage configuration and layout by running DOT per option."""
 
-    def __init__(self, objects: Sequence[DatabaseObject], estimator,
-                 capacity_relaxed_walk: bool = True):
+    def __init__(self, objects: Sequence[DatabaseObject], estimator):
         self.objects = list(objects)
         self.estimator = estimator
-        self.capacity_relaxed_walk = capacity_relaxed_walk
 
     def decide(
         self,
@@ -90,12 +88,7 @@ class GeneralizedProvisioner:
         best_recommendation: Optional[Recommendation] = None
 
         for option in options:
-            advisor = ProvisioningAdvisor(
-                self.objects,
-                option.system,
-                self.estimator,
-                capacity_relaxed_walk=self.capacity_relaxed_walk,
-            )
+            advisor = ProvisioningAdvisor(self.objects, option.system, self.estimator)
             try:
                 recommendation = advisor.recommend(workload, sla=sla, profile_mode=profile_mode)
             except InfeasibleLayoutError:

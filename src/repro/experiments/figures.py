@@ -1,19 +1,21 @@
-"""Per-figure / per-table experiment drivers.
+"""Per-arm experiment drivers for the paper's figures and tables.
 
-Every entry of the paper's evaluation section has one function here that
-regenerates it: the storage profile table (Table 1), the TPC-H
-cost/performance comparisons (Figures 3, 5, 7) and their recommended layouts
-(Figures 4, 6), the heuristics-versus-exhaustive-search studies (Sections
-4.4.3 and 4.5.3 / Figure 9), the TPC-C results (Figure 8, Table 3), and the
-Section 5 extensions.  Each function accepts scale parameters so the same
-code drives both the full paper-scale reproduction and the quick versions
-used by tests and CI-sized benchmark runs.
+Each function here runs one independently reproducible arm of the paper's
+evaluation: the storage profile and device tables (Tables 1 and 2), one
+TPC-H cost/performance comparison (the unit of Figures 3, 5 and 7, whose
+DOT layouts are Figures 4 and 6), one TPC-C box of Figure 8 (whose Box 2
+layouts are Table 3), one capacity-limit arm of Figure 9, the Section 4.4.3
+ES-vs-DOT study, and the Section 5 extensions.  Whole figures are declared
+as spec lists in :mod:`repro.experiments.specs` and assembled from these
+arms' payloads by :func:`~repro.experiments.specs.assemble_figure`.  Each
+function accepts scale parameters so the same code drives both the full
+paper-scale reproduction and the quick versions used by tests and CI-sized
+benchmark runs.
 
-A figure is "scenario x solver list": workloads, catalogs and estimators are
+An arm is "scenario x solver list": workloads, catalogs and estimators are
 constructed exclusively through the scenario registry
 (:mod:`repro.scenarios`), and the optimizers run through the uniform
-``Solver.solve(EvaluationContext)`` protocol (:mod:`repro.core.solver`) --
-the results are bitwise identical to the historical hand-wired setups.
+``Solver.solve(EvaluationContext)`` protocol (:mod:`repro.core.solver`).
 
 Functions return a dictionary with structured results plus a ``"text"`` entry
 containing a rendered table, so benchmarks can both assert on the numbers and
@@ -22,7 +24,7 @@ print something a human can compare against the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro import scenarios
 from repro.core.advisor import ProvisioningAdvisor
@@ -32,11 +34,7 @@ from repro.core.profiler import WorkloadProfiler
 from repro.core.provisioning import GeneralizedProvisioner, ProvisioningOption
 from repro.core.simple_layouts import simple_layouts
 from repro.core.solver import DOTSolver, ExhaustiveSolver, MILPSolver, ObjectAdvisorSolver
-from repro.experiments.reporting import (
-    format_evaluations,
-    format_layout_assignment,
-    format_table,
-)
+from repro.experiments.reporting import format_evaluations, format_table
 from repro.experiments.runner import ExperimentRunner, run_solver_matrix
 from repro.sla.constraints import RelativeSLA
 from repro.storage import catalog as storage_catalog
@@ -44,7 +42,7 @@ from repro.storage.microbench import MicroBenchmark, format_table1
 
 
 # ---------------------------------------------------------------------------
-# Shared plumbing (deprecated shims; construction lives in repro.scenarios)
+# Shared plumbing (construction lives in repro.scenarios)
 # ---------------------------------------------------------------------------
 
 _TPCH_SCENARIOS = {
@@ -65,26 +63,6 @@ def _tpch_bundle(workload_kind: str, scale_factor: float,
     if repetitions is not None:
         overrides["repetitions"] = repetitions
     return scenarios.build(name, **overrides)
-
-
-def _tpch_setup(scale_factor: float, workload_kind: str, repetitions: Optional[int]):
-    """Deprecated: use ``repro.scenarios.build("tpch_*")``.
-
-    Retained so pre-registry callers keep working; returns the bundle's
-    ``(catalog, workload, estimator)`` triple unchanged.
-    """
-    bundle = _tpch_bundle(workload_kind, scale_factor, repetitions)
-    return bundle.catalog, bundle.workload, bundle.estimator
-
-
-def _tpcc_setup(warehouses: int, concurrency: int = 300):
-    """Deprecated: use ``repro.scenarios.build("tpcc_fig8")``.
-
-    Retained so pre-registry callers keep working; returns the bundle's
-    ``(catalog, workload, estimator)`` triple unchanged.
-    """
-    bundle = scenarios.build("tpcc_fig8", warehouses=warehouses, concurrency=concurrency)
-    return bundle.catalog, bundle.workload, bundle.estimator
 
 
 # ---------------------------------------------------------------------------
@@ -174,54 +152,6 @@ def tpch_comparison(
     }
 
 
-def figure3(scale_factor: float = 20.0, repetitions: Optional[int] = None) -> Dict[str, object]:
-    """Figure 3: original TPC-H workload at relative SLA 0.5 on both boxes."""
-    return {
-        box_name: tpch_comparison(box_name, 0.5, "original", scale_factor, repetitions)
-        for box_name in ("Box 1", "Box 2")
-    }
-
-
-def figure4(scale_factor: float = 20.0, repetitions: Optional[int] = None) -> Dict[str, object]:
-    """Figure 4: the DOT layouts recommended for the original workload (SLA 0.5)."""
-    results = figure3(scale_factor, repetitions)
-    return {
-        box_name: {
-            "layout": result["dot_layout"],
-            "text": format_layout_assignment(result["dot_layout"]),
-        }
-        for box_name, result in results.items()
-    }
-
-
-def figure5(scale_factor: float = 20.0, repetitions: Optional[int] = None) -> Dict[str, object]:
-    """Figure 5: modified TPC-H workload at relative SLA 0.5 on both boxes."""
-    return {
-        box_name: tpch_comparison(box_name, 0.5, "modified", scale_factor, repetitions)
-        for box_name in ("Box 1", "Box 2")
-    }
-
-
-def figure6(scale_factor: float = 20.0, repetitions: Optional[int] = None) -> Dict[str, object]:
-    """Figure 6: the DOT layouts recommended for the modified workload (SLA 0.5)."""
-    results = figure5(scale_factor, repetitions)
-    return {
-        box_name: {
-            "layout": result["dot_layout"],
-            "text": format_layout_assignment(result["dot_layout"]),
-        }
-        for box_name, result in results.items()
-    }
-
-
-def figure7(scale_factor: float = 20.0, repetitions: Optional[int] = None) -> Dict[str, object]:
-    """Figure 7: modified TPC-H workload at relative SLA 0.25 on both boxes."""
-    return {
-        box_name: tpch_comparison(box_name, 0.25, "modified", scale_factor, repetitions)
-        for box_name in ("Box 1", "Box 2")
-    }
-
-
 # ---------------------------------------------------------------------------
 # Heuristics vs exhaustive search on TPC-H (Section 4.4.3)
 # ---------------------------------------------------------------------------
@@ -305,13 +235,6 @@ def es_vs_dot_tpch(
     return results
 
 
-def tpch_es_objects() -> Tuple[str, ...]:
-    """The eight objects of the Section 4.4.3 study."""
-    from repro.workloads.tpch.queries import ES_SUBSET_OBJECTS
-
-    return ES_SUBSET_OBJECTS
-
-
 # ---------------------------------------------------------------------------
 # TPC-C experiments (Figure 8, Table 3, Figure 9)
 # ---------------------------------------------------------------------------
@@ -361,85 +284,6 @@ def figure8_box(
     }
 
 
-def figure8(
-    warehouses: int = 300,
-    sla_ratios: Sequence[float] = (0.5, 0.25, 0.125),
-    concurrency: int = 300,
-) -> Dict[str, object]:
-    """Figure 8: TPC-C tpmC versus TOC for DOT (per SLA) and the simple layouts."""
-    return {
-        box_name: figure8_box(box_name, warehouses, sla_ratios, concurrency)
-        for box_name in ("Box 1", "Box 2")
-    }
-
-
-def table3(
-    warehouses: int = 300,
-    sla_ratios: Sequence[float] = (0.5, 0.25, 0.125),
-    concurrency: int = 300,
-) -> Dict[str, object]:
-    """Table 3: the DOT layouts on Box 2 for TPC-C under each relative SLA."""
-    bundle = scenarios.build("tpcc_fig8", warehouses=warehouses, concurrency=concurrency)
-    workload, estimator, objects = bundle.workload, bundle.estimator, bundle.objects
-    system = scenarios.box_system("Box 2")
-    runner = ExperimentRunner(objects, system, estimator)
-    profiler = WorkloadProfiler(objects, system, estimator)
-    profiles = profiler.profile(
-        workload, mode="testrun", patterns=[profiler.single_baseline_pattern()]
-    )
-    layouts: Dict[float, Layout] = {}
-    for ratio in sla_ratios:
-        constraint = runner.resolve_constraint(
-            workload, RelativeSLA(ratio, metric="throughput"), mode="estimate"
-        )
-        context = bundle.context(system=system, sla=constraint, profiles=profiles)
-        outcome = DOTSolver().solve(context)
-        if outcome.feasible:
-            layouts[ratio] = outcome.layout
-    text_parts = []
-    for ratio, layout in layouts.items():
-        text_parts.append(f"--- relative SLA {ratio:g} ---")
-        text_parts.append(format_layout_assignment(layout))
-    return {"layouts": layouts, "text": "\n".join(text_parts)}
-
-
-def figure9(
-    warehouses: int = 300,
-    sla_ratio: float = 0.25,
-    hssd_capacity_limits_gb: Sequence[Optional[float]] = (None, 21.0),
-    concurrency: int = 300,
-    hot_groups: Optional[Sequence[str]] = ("stock", "order_line", "customer"),
-    es_workers: int = 1,
-    es_max_layouts: int = 500_000,
-) -> Dict[str, object]:
-    """Figure 9 / Section 4.5.3: ES vs DOT for TPC-C under H-SSD capacity limits.
-
-    The paper's exhaustive search over all TPC-C objects is intractable to
-    enumerate on one core (3^19 layouts); by default the enumeration is
-    restricted to the objects that dominate the I/O -- the ``hot_groups``
-    tables and their indexes -- with the remaining (small or rarely touched)
-    objects pinned to the cheapest class.  DOT runs over the same restricted
-    object set so that the DOT-vs-ES comparison stays apples to apples.
-
-    ``hot_groups=None`` enumerates *every* TPC-C object (the paper's full
-    ``3^19`` space); combine it with ``es_workers > 1`` so the sharded,
-    pruned parallel engine carries the enumeration (the layout-count guard
-    then becomes soft).
-    """
-    return {
-        figure9_limit_label(limit): figure9_arm(
-            limit,
-            warehouses=warehouses,
-            sla_ratio=sla_ratio,
-            concurrency=concurrency,
-            hot_groups=hot_groups,
-            es_workers=es_workers,
-            es_max_layouts=es_max_layouts,
-        )
-        for limit in hssd_capacity_limits_gb
-    }
-
-
 def figure9_limit_label(limit: Optional[float]) -> str:
     """The display label of one Figure 9 capacity-limit arm."""
     return f"H-SSD limit {limit:g} GB" if limit is not None else "No limit"
@@ -455,7 +299,17 @@ def figure9_arm(
     es_max_layouts: int = 500_000,
     es_checkpoint_path=None,
 ) -> Dict[str, object]:
-    """One Figure 9 arm: ES vs DOT under a single H-SSD capacity limit.
+    """One Figure 9 arm (Section 4.5.3): ES vs DOT under one H-SSD capacity limit.
+
+    The paper's exhaustive search over all TPC-C objects is intractable to
+    enumerate on one core (3^19 layouts); by default the enumeration is
+    restricted to the objects that dominate the I/O -- the ``hot_groups``
+    tables and their indexes -- with the remaining (small or rarely touched)
+    objects pinned to the most expensive class, while DOT walks the full
+    object set as the paper does.  ``hot_groups=None`` enumerates *every*
+    TPC-C object (the paper's full ``3^19`` space); combine it with
+    ``es_workers > 1`` so the sharded, pruned parallel engine carries the
+    enumeration (the layout-count guard then becomes soft).
 
     Builds its scenario bundle freshly so one arm is independently
     reproducible (the unit the experiment orchestrator records), and

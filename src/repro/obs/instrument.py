@@ -1,7 +1,7 @@
 """Glue between the solver/online layers and the observability primitives.
 
-:func:`instrument_solver` is a class decorator applied to every registered
-solver: it wraps ``solve()`` in a span, folds the run's ``SolveStats`` into
+:func:`instrument_solver` is a class decorator applied to every solver
+class: it wraps ``solve()`` in a span, folds the run's ``SolveStats`` into
 the metrics registry at the solve boundary (never per layout -- the bitwise
 contracts and the disabled-path overhead bound depend on that), replays
 resilience incidents as span events, and persists a run record when

@@ -113,8 +113,8 @@ class EpochRecord:
     epoch_cost_cents: float
     cumulative_cost_cents: float
     #: Uniform solver outcome of the epoch's re-optimization (``None`` when
-    #: no drift triggered one); the legacy per-solver result object is
-    #: reachable through ``dot_result.raw``.
+    #: no drift triggered one); a DOT solve keeps its move history in
+    #: ``dot_result.stats.moves``.
     dot_result: Optional[SolveResult] = field(default=None, repr=False)
     report: Optional[TOCReport] = field(default=None, repr=False)
     #: True when the epoch's re-optimization was triggered by the trend
@@ -365,10 +365,9 @@ class OnlineAdvisor:
         frozen baseline start from the same initial provisioning.
     solver:
         The :class:`~repro.core.solver.Solver` the loop re-tiers through
-        (default: a :class:`~repro.core.solver.DOTSolver` honouring
-        ``capacity_relaxed_walk``).  Every epoch's re-optimization builds an
-        :class:`~repro.core.context.EvaluationContext` around the epoch
-        workload and calls ``solver.solve(context,
+        (default: a :class:`~repro.core.solver.DOTSolver`).  Every epoch's
+        re-optimization builds an :class:`~repro.core.context.EvaluationContext`
+        around the epoch workload and calls ``solver.solve(context,
         initial_layout=deployed)``, so any protocol-conforming solver can
         drive the loop.
     profile_source:
@@ -431,7 +430,6 @@ class OnlineAdvisor:
         migration_model: Optional[MigrationCostModel] = None,
         evaluation_mode: str = "estimate",
         initial_layout: Optional[Layout] = None,
-        capacity_relaxed_walk: bool = True,
         solver: Optional[Solver] = None,
         profile_source: str = "telemetry",
         predictor: Optional[TrendPredictor] = None,
@@ -457,8 +455,7 @@ class OnlineAdvisor:
         self.migration_model = migration_model or MigrationCostModel(system)
         self.evaluation_mode = evaluation_mode
         self.initial_layout = initial_layout
-        self.capacity_relaxed_walk = capacity_relaxed_walk
-        self.solver = solver or DOTSolver(capacity_relaxed_walk=capacity_relaxed_walk)
+        self.solver = solver or DOTSolver()
         self.profile_source = profile_source
         self.predictor = predictor
         self.migration_execution = migration_execution

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.core.solver import FallbackSolver, Solver, register_solver
+from repro.core.solver import FallbackSolver, Solver
 from repro.exceptions import ConfigurationError
 
 #: Breaker states, exactly as exported under ``service.breaker.<solver>``.
@@ -154,7 +154,6 @@ class BreakerBoard:
             self.breaker(name).restore(raw)
 
 
-@register_solver
 class GuardedFallbackSolver(FallbackSolver):
     """The fallback ladder with per-solver-class circuit breakers.
 

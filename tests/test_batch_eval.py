@@ -18,8 +18,9 @@ from repro.core.batch_eval import (
     group_placement_coefficients,
     iter_assignment_chunks,
 )
-from repro.core.dot import DOTOptimizer
-from repro.core.exhaustive import ExhaustiveSearch
+from repro.core.context import EvaluationContext
+from repro.core.dot import DOTSolver
+from repro.core.exhaustive import ExhaustiveSolver
 from repro.core.feasibility import constraint_signature
 from repro.core.layout import Layout
 from repro.core.moves import group_cost_cents_per_hour
@@ -95,13 +96,19 @@ class TestAssignmentChunks:
 # Exhaustive search identity (DSS)
 # ---------------------------------------------------------------------------
 
+def solve_es(objects, system, estimator, workload, constraint=None, cost_override=None,
+             **knobs):
+    """Exhaustive search over ``objects`` (enumerated) with solver ``knobs``."""
+    context = EvaluationContext(objects, system, estimator, workload,
+                                constraint=constraint, cost_override=cost_override)
+    return ExhaustiveSolver(**knobs).solve(context)
+
+
 def run_both_paths(objects, system, catalog, workload, **kwargs):
-    scalar = ExhaustiveSearch(
-        objects, system, fresh_estimator(catalog), batch=False, **kwargs
-    ).search(workload)
-    batch = ExhaustiveSearch(
-        objects, system, fresh_estimator(catalog), batch=True, **kwargs
-    ).search(workload)
+    scalar = solve_es(objects, system, fresh_estimator(catalog), workload, batch=False,
+                      **kwargs)
+    batch = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
+                     **kwargs)
     return scalar, batch
 
 
@@ -174,24 +181,19 @@ class TestBatchExhaustiveIdentity:
 
     def test_batch_path_records_stats(self, small_objects, box1_system, small_catalog,
                                       small_workload):
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog), batch=True
-        )
-        search.search(small_workload)
-        stats = search.last_batch_stats
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, batch=True)
+        stats = result.stats.batch
         assert stats is not None
-        assert stats.candidates == search.search_space_size()
+        assert stats.candidates == len(box1_system) ** len(small_objects)
         # Signature dedup: far fewer optimizer estimates than candidates x queries.
         assert 0 < stats.estimator_calls < stats.candidates
 
     def test_cost_override_falls_back_to_scalar(self, small_objects, box1_system,
                                                 small_catalog, small_workload):
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            cost_override=lambda layout: 42.0, batch=True,
-        )
-        result = search.search(small_workload)
-        assert search.last_batch_stats is None  # scalar path ran
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, cost_override=lambda layout: 42.0, batch=True)
+        assert result.stats.batch is None  # scalar path ran
         assert result.feasible
 
     def test_unknown_constraint_type_falls_back_to_scalar(self, small_objects, box1_system,
@@ -200,16 +202,11 @@ class TestBatchExhaustiveIdentity:
             pass
 
         picky = PickyConstraint({name: 1e12 for name in small_workload.query_names})
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            constraint=picky, batch=True,
-        )
-        result = search.search(small_workload)
-        assert search.last_batch_stats is None
-        scalar = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            constraint=picky, batch=False,
-        ).search(small_workload)
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, constraint=picky, batch=True)
+        assert result.stats.batch is None
+        scalar = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, constraint=picky, batch=False)
         assert result.layout == scalar.layout
         assert result.toc_cents == scalar.toc_cents
 
@@ -334,14 +331,14 @@ class TestDOTIncrementalIdentity:
             profiles = WorkloadProfiler(small_objects, box1_system, estimator).profile(
                 workload, mode="estimate"
             )
-            dot = DOTOptimizer(small_objects, box1_system, estimator,
-                               incremental=incremental)
-            results[incremental] = dot.optimize(workload, profiles)
+            context = EvaluationContext(small_objects, box1_system, estimator, workload,
+                                        profiles=profiles)
+            results[incremental] = DOTSolver(incremental=incremental).solve(context)
         scalar, fast = results[False], results[True]
         assert fast.layout == scalar.layout
         assert fast.toc_cents == scalar.toc_cents
-        assert len(fast.history) == len(scalar.history)
-        for fast_move, scalar_move in zip(fast.history, scalar.history):
+        assert len(fast.stats.moves) == len(scalar.stats.moves)
+        for fast_move, scalar_move in zip(fast.stats.moves, scalar.stats.moves):
             assert fast_move.move_description == scalar_move.move_description
             assert fast_move.accepted == scalar_move.accepted
             assert fast_move.feasible == scalar_move.feasible
@@ -400,7 +397,7 @@ class TestFigure9Configuration:
         cold = [obj for obj in all_objects if obj not in hot]
         system = boxes.box2(capacity_limits_gb={"H-SSD": 21.0})
 
-        def build_search(batch):
+        def search(batch):
             estimator = WorkloadEstimator(catalog, buffer_pool=BufferPool(size_gb=4.0))
             from repro.experiments.runner import ExperimentRunner
 
@@ -408,20 +405,19 @@ class TestFigure9Configuration:
             constraint = runner.resolve_constraint(
                 workload, RelativeSLA(0.25, metric="throughput"), mode="estimate"
             )
-            return ExhaustiveSearch(
-                hot, system, estimator, constraint=constraint, per_group=True,
+            return solve_es(
+                hot, system, estimator, workload, constraint=constraint, per_group=True,
                 pinned_objects=cold, pinned_class=system.most_expensive().name,
                 batch=batch,
             )
 
-        return workload, build_search
+        return search
 
     def test_batch_es_bitwise_identical_to_scalar(self, fig9_setup):
         """Section 4.5.3 / Figure 9, H-SSD capped at 21 GB: the batch path
         must return the identical best layout and TOC, bit for bit."""
-        workload, build_search = fig9_setup
-        scalar = build_search(batch=False).search(workload)
-        batch = build_search(batch=True).search(workload)
+        scalar = fig9_setup(batch=False)
+        batch = fig9_setup(batch=True)
         assert scalar.feasible and batch.feasible
         assert batch.layout == scalar.layout
         assert batch.toc_cents == scalar.toc_cents
@@ -494,19 +490,17 @@ class TestSharedEstimateCache:
         bitwise while actually reusing estimates across the two searches."""
         from repro.core.batch_eval import QueryEstimateCache
 
-        # Independent reference runs (fresh estimator each, as before).
-        dot_reference = DOTOptimizer(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            constraint=loose_constraint,
-        )
+        def context(estimator, **kwargs):
+            return EvaluationContext(small_objects, box1_system, estimator, small_workload,
+                                     constraint=loose_constraint, **kwargs)
+
+        # Independent reference runs (fresh estimator and cache each).
+        reference_estimator = fresh_estimator(small_catalog)
         profiles = WorkloadProfiler(
-            small_objects, box1_system, dot_reference.estimator
+            small_objects, box1_system, reference_estimator
         ).profile(small_workload, mode="estimate")
-        dot_expected = dot_reference.optimize(small_workload, profiles)
-        es_expected = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            constraint=loose_constraint,
-        ).search(small_workload)
+        dot_expected = DOTSolver().solve(context(reference_estimator, profiles=profiles))
+        es_expected = ExhaustiveSolver().solve(context(fresh_estimator(small_catalog)))
 
         # Shared-cache runs over one estimator.
         estimator = fresh_estimator(small_catalog)
@@ -514,15 +508,11 @@ class TestSharedEstimateCache:
         shared_profiles = WorkloadProfiler(
             small_objects, box1_system, estimator, estimate_cache=cache
         ).profile(small_workload, mode="estimate")
-        dot_shared = DOTOptimizer(
-            small_objects, box1_system, estimator, constraint=loose_constraint,
-            estimate_cache=cache,
-        ).optimize(small_workload, shared_profiles)
+        dot_shared = DOTSolver().solve(
+            context(estimator, profiles=shared_profiles, estimate_cache=cache)
+        )
         misses_after_dot = cache.misses
-        es_shared = ExhaustiveSearch(
-            small_objects, box1_system, estimator, constraint=loose_constraint,
-            estimate_cache=cache,
-        ).search(small_workload)
+        es_shared = ExhaustiveSolver().solve(context(estimator, estimate_cache=cache))
 
         assert dot_shared.layout == dot_expected.layout
         assert dot_shared.toc_cents == dot_expected.toc_cents

@@ -3,9 +3,10 @@ plus the experiment runner/reporting utilities."""
 
 import pytest
 
+from repro.core.context import EvaluationContext
 from repro.core.discrete_cost import DiscreteCostModel
-from repro.core.dot import DOTOptimizer
-from repro.core.ilp import MILPPlacement
+from repro.core.dot import DOTSolver
+from repro.core.ilp import MILPSolver
 from repro.core.layout import Layout
 from repro.core.profiler import WorkloadProfiler
 from repro.core.provisioning import GeneralizedProvisioner, ProvisioningOption
@@ -29,66 +30,116 @@ def profiles(small_objects, box1_system, small_estimator, small_workload):
     return profiler.profile(small_workload, mode="estimate")
 
 
-class TestMILP:
-    def test_milp_solves_and_respects_budget(self, small_objects, box1_system, profiles):
-        groups = group_objects(small_objects)
-        best = sum(
-            profiles.io_time_share_ms(group, tuple(["H-SSD"] * len(group))) for group in groups
-        )
-        milp = MILPPlacement(small_objects, box1_system)
-        result = milp.solve(profiles, io_time_budget_ms=best * 4)
-        assert result.feasible
-        assert result.io_time_ms <= best * 4 * 1.0001
-        assert result.layout.satisfies_capacity()
+@pytest.fixture
+def make_context(small_objects, box1_system, small_estimator, small_workload, profiles):
+    """Contexts over the small fixtures, Box 1 contexts sharing ``profiles``."""
+    def build(system=box1_system, **kwargs):
+        if system is box1_system:
+            kwargs.setdefault("profiles", profiles)
+        return EvaluationContext(small_objects, system, small_estimator, small_workload,
+                                 **kwargs)
 
-    def test_milp_cheaper_budget_gives_cheaper_layout(self, small_objects, box1_system, profiles):
-        groups = group_objects(small_objects)
-        best = sum(
-            profiles.io_time_share_ms(group, tuple(["H-SSD"] * len(group))) for group in groups
+    return build
+
+
+def all_fast_io_time_ms(objects, profiles):
+    return sum(
+        profiles.io_time_share_ms(group, tuple(["H-SSD"] * len(group)))
+        for group in group_objects(objects)
+    )
+
+
+def io_time_ms(layout, objects, profiles):
+    """The MILP's aggregate I/O time of a layout (sum of group time shares)."""
+    return sum(
+        profiles.io_time_share_ms(group, layout.group_placement(group))
+        for group in group_objects(objects)
+    )
+
+
+class TestMILP:
+    def test_milp_solves_and_respects_budget(self, small_objects, profiles, make_context):
+        budget = all_fast_io_time_ms(small_objects, profiles) * 4
+        result = MILPSolver(io_time_budget_ms=budget).solve(make_context())
+        assert result.feasible
+        assert io_time_ms(result.layout, small_objects, profiles) <= budget * 1.0001
+        assert result.layout.satisfies_capacity()
+        assert result.stats.variables == sum(
+            3 ** len(group) for group in group_objects(small_objects)
         )
-        milp = MILPPlacement(small_objects, box1_system)
-        tight = milp.solve(profiles, io_time_budget_ms=best * 1.5)
-        loose = milp.solve(profiles, io_time_budget_ms=best * 50)
-        assert loose.objective_cents_per_hour <= tight.objective_cents_per_hour
+
+    def test_milp_cheaper_budget_gives_cheaper_layout(self, small_objects, profiles,
+                                                      make_context):
+        best = all_fast_io_time_ms(small_objects, profiles)
+        tight = MILPSolver(io_time_budget_ms=best * 1.5).solve(make_context())
+        loose = MILPSolver(io_time_budget_ms=best * 50).solve(make_context())
+        assert (loose.layout.storage_cost_cents_per_hour()
+                <= tight.layout.storage_cost_cents_per_hour())
 
     def test_milp_matches_or_beats_dot_layout_cost_under_same_budget(
-        self, small_objects, box1_system, small_estimator, small_workload, profiles
+        self, small_objects, profiles, make_context
     ):
-        groups = group_objects(small_objects)
-        best = sum(
-            profiles.io_time_share_ms(group, tuple(["H-SSD"] * len(group))) for group in groups
-        )
-        budget = best * 3
-        milp_result = MILPPlacement(small_objects, box1_system).solve(profiles, budget)
-        dot_result = DOTOptimizer(small_objects, box1_system, small_estimator).optimize(
-            small_workload, profiles
-        )
+        budget = all_fast_io_time_ms(small_objects, profiles) * 3
+        milp_result = MILPSolver(io_time_budget_ms=budget).solve(make_context())
+        dot_result = DOTSolver().solve(make_context())
         # The MILP minimises layout cost under the aggregate time budget, so no
         # DOT layout satisfying the same budget can be cheaper per hour.
-        dot_time = sum(
-            profiles.io_time_share_ms(group, dot_result.layout.group_placement(group))
-            for group in groups
-        )
-        if dot_time <= budget:
+        if io_time_ms(dot_result.layout, small_objects, profiles) <= budget:
             assert (
-                milp_result.objective_cents_per_hour
+                milp_result.layout.storage_cost_cents_per_hour()
                 <= dot_result.layout.storage_cost_cents_per_hour() + 1e-9
             )
 
-    def test_invalid_budget_rejected(self, small_objects, box1_system, profiles):
+    def test_invalid_budget_rejected(self, make_context):
         with pytest.raises(ConfigurationError):
-            MILPPlacement(small_objects, box1_system).solve(profiles, io_time_budget_ms=0.0)
+            MILPSolver(io_time_budget_ms=0.0).solve(make_context())
 
-    def test_impossible_capacity_reports_infeasible(self, small_objects, profiles,
-                                                    box1_system, small_estimator,
-                                                    small_workload):
+    def test_impossible_capacity_reports_infeasible(self, box1_system, make_context):
         tiny = box1_system.with_capacity_limits(
             {name: 1e-6 for name in box1_system.class_names}
         )
-        profiler = WorkloadProfiler(small_objects, tiny, small_estimator)
-        tiny_profiles = profiler.profile(small_workload, mode="estimate")
-        result = MILPPlacement(small_objects, tiny).solve(tiny_profiles, io_time_budget_ms=1e12)
+        result = MILPSolver(io_time_budget_ms=1e12).solve(make_context(system=tiny))
         assert not result.feasible
+
+    @staticmethod
+    def _stop_at_time_limit(monkeypatch, keep_incumbent):
+        """Make scipy report status 1 (time limit) for a real solve, keeping
+        that solve's ``x`` as the incumbent or dropping it."""
+        from scipy import optimize
+
+        real_milp = optimize.milp
+
+        def milp(*args, **kwargs):
+            solution = real_milp(*args, **kwargs)
+            return optimize.OptimizeResult(
+                x=solution.x if keep_incumbent else None,
+                fun=solution.fun if keep_incumbent else None,
+                status=1,
+                success=False,
+                message="Time limit reached. (HiGHS Status 13)",
+            )
+
+        monkeypatch.setattr(optimize, "milp", milp)
+
+    def test_time_limit_returns_the_incumbent(self, small_objects, profiles, make_context,
+                                              monkeypatch):
+        solver = MILPSolver(io_time_budget_ms=all_fast_io_time_ms(small_objects, profiles) * 4)
+        optimal = solver.solve(make_context())
+        self._stop_at_time_limit(monkeypatch, keep_incumbent=True)
+        result = solver.solve(make_context(), budget=0.5)
+        assert result.layout == optimal.layout
+        assert result.feasible
+        assert result.stats.degraded
+        assert "time limit" in result.stats.incidents[0]
+
+    def test_time_limit_without_incumbent_returns_no_layout(self, small_objects, profiles,
+                                                            make_context, monkeypatch):
+        solver = MILPSolver(io_time_budget_ms=all_fast_io_time_ms(small_objects, profiles) * 4)
+        self._stop_at_time_limit(monkeypatch, keep_incumbent=False)
+        result = solver.solve(make_context(), budget=0.5)
+        assert result.layout is None
+        assert not result.feasible
+        assert result.stats.degraded
 
 
 class TestDiscreteCostModel:
@@ -121,12 +172,13 @@ class TestDiscreteCostModel:
     def test_dot_with_discrete_cost_prefers_fewer_classes(self, small_objects, box1_system,
                                                           small_estimator, small_workload,
                                                           profiles):
-        linear = DOTOptimizer(small_objects, box1_system, small_estimator).optimize(
-            small_workload, profiles
-        )
-        discrete = DOTOptimizer(
-            small_objects, box1_system, small_estimator, cost_override=DiscreteCostModel(alpha=1.0)
-        ).optimize(small_workload, profiles)
+        linear = DOTSolver().solve(EvaluationContext(
+            small_objects, box1_system, small_estimator, small_workload, profiles=profiles
+        ))
+        discrete = DOTSolver().solve(EvaluationContext(
+            small_objects, box1_system, small_estimator, small_workload, profiles=profiles,
+            cost_override=DiscreteCostModel(alpha=1.0),
+        ))
         used = lambda layout: sum(1 for _, gb in layout.space_used_gb().items() if gb > 0)
         assert used(discrete.layout) <= used(linear.layout)
 

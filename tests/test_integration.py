@@ -93,7 +93,11 @@ class TestESvsDOT:
 class TestTPCCExperiment:
     @pytest.fixture(scope="class")
     def tpcc_result(self):
-        return figures.figure8(warehouses=20, sla_ratios=(0.5, 0.125), concurrency=100)
+        return {
+            box: figures.figure8_box(box, warehouses=20, sla_ratios=(0.5, 0.125),
+                                     concurrency=100)
+            for box in ("Box 1", "Box 2")
+        }
 
     def test_dot_toc_not_worse_than_all_hssd(self, tpcc_result):
         for box_result in tpcc_result.values():
@@ -123,8 +127,9 @@ class TestTPCCExperiment:
 
 class TestTable3Layouts:
     def test_hot_write_objects_stay_on_fast_storage(self):
-        result = figures.table3(warehouses=20, sla_ratios=(0.5,), concurrency=100)
-        layout = result["layouts"][0.5]
+        result = figures.figure8_box("Box 2", warehouses=20, sla_ratios=(0.5,),
+                                     concurrency=100)
+        layout = result["dot_results"][0.5].layout
         # The stock table (hot random reads and writes) belongs on the H-SSD,
         # as in the paper's Table 3 for every SLA.
         assert layout.class_name_of("stock") == "H-SSD"

@@ -13,7 +13,8 @@ epochs blend the two TOC metrics.
 
 import pytest
 
-from repro.core.dot import DOTOptimizer
+from repro.core.context import EvaluationContext
+from repro.core.dot import DOTSolver
 from repro.core.layout import Layout
 from repro.core.profiler import WorkloadProfiler
 from repro.dbms.executor import WorkloadEstimator
@@ -354,27 +355,19 @@ class TestTelemetryMonitor:
 class TestWarmStart:
     def test_warm_start_from_l0_equals_cold(self, small_objects, box1_system,
                                             small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        profiles = WorkloadProfiler(small_objects, box1_system, estimator).profile(
-            small_workload, mode="estimate"
-        )
-        optimizer = DOTOptimizer(small_objects, box1_system, estimator)
-        cold = optimizer.optimize(small_workload, profiles)
-        warm = optimizer.optimize(
-            small_workload, profiles, initial_layout=optimizer.initial_layout()
-        )
+        context = EvaluationContext(small_objects, box1_system,
+                                    fresh_estimator(small_catalog), small_workload)
+        cold = DOTSolver().solve(context)
+        warm = DOTSolver().solve(context, initial_layout=context.reference_layout())
         assert warm.layout == cold.layout
         assert warm.toc_cents == cold.toc_cents
 
     def test_warm_start_from_optimum_keeps_it(self, small_objects, box1_system,
                                               small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        profiles = WorkloadProfiler(small_objects, box1_system, estimator).profile(
-            small_workload, mode="estimate"
-        )
-        optimizer = DOTOptimizer(small_objects, box1_system, estimator)
-        cold = optimizer.optimize(small_workload, profiles)
-        warm = optimizer.optimize(small_workload, profiles, initial_layout=cold.layout)
+        context = EvaluationContext(small_objects, box1_system,
+                                    fresh_estimator(small_catalog), small_workload)
+        cold = DOTSolver().solve(context)
+        warm = DOTSolver().solve(context, initial_layout=cold.layout)
         assert warm.feasible
         assert warm.toc_cents <= cold.toc_cents
 

@@ -25,7 +25,7 @@ from repro.core.batch_eval import (
     _mixed_radix_weights,
     iter_assignment_chunks,
 )
-from repro.core.exhaustive import ExhaustiveSearch
+from repro.core.context import EvaluationContext
 from repro.core.layout import Layout
 from repro.core.parallel_search import (
     ParallelEnumerationEngine,
@@ -51,6 +51,12 @@ WORKERS = 2
 
 def fresh_estimator(catalog):
     return WorkloadEstimator(catalog, noise=0.0, buffer_pool=None, seed=7)
+
+
+def solve_es(objects, system, estimator, workload, constraint=None, **knobs):
+    """Exhaustive search over ``objects`` (enumerated) with solver ``knobs``."""
+    context = EvaluationContext(objects, system, estimator, workload, constraint=constraint)
+    return ExhaustiveSolver(**knobs).solve(context)
 
 
 def make_evaluator(objects, system, catalog, workload):
@@ -177,15 +183,12 @@ class TestRangeEnumeration:
 # ---------------------------------------------------------------------------
 
 def run_three_paths(objects, system, catalog, workload, **kwargs):
-    scalar = ExhaustiveSearch(
-        objects, system, fresh_estimator(catalog), batch=False, **kwargs
-    ).search(workload)
-    batch = ExhaustiveSearch(
-        objects, system, fresh_estimator(catalog), batch=True, **kwargs
-    ).search(workload)
-    parallel = ExhaustiveSearch(
-        objects, system, fresh_estimator(catalog), batch=True, workers=WORKERS, **kwargs
-    ).search(workload)
+    scalar = solve_es(objects, system, fresh_estimator(catalog), workload, batch=False,
+                      **kwargs)
+    batch = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
+                     **kwargs)
+    parallel = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
+                        workers=WORKERS, **kwargs)
     return scalar, batch, parallel
 
 
@@ -264,31 +267,24 @@ class TestParallelIdentity:
 
         space = len(box1_system) ** len(small_objects)
         with pytest.raises(ConfigurationError):
-            ExhaustiveSearch(
-                small_objects, box1_system, fresh_estimator(small_catalog),
-                max_layouts=space - 1,
-            ).search(small_workload)
-        parallel = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            max_layouts=space - 1, workers=WORKERS,
-        ).search(small_workload)
-        serial = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog)
-        ).search(small_workload)
+            solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                     small_workload, max_layouts=space - 1)
+        parallel = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                            small_workload, max_layouts=space - 1, workers=WORKERS)
+        serial = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload)
         assert_identical(serial, parallel)
 
     def test_parallel_records_stats(self, small_objects, box1_system, small_catalog,
                                     small_workload):
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog), workers=WORKERS
-        )
-        result = search.search(small_workload)
-        stats = search.last_batch_stats
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, workers=WORKERS)
+        stats = result.stats.batch
         assert stats is not None
-        assert stats.workers == WORKERS
+        assert stats.workers == result.stats.workers == WORKERS
         assert stats.shards > 0
         assert stats.build_s > 0.0
-        space = search.search_space_size()
+        space = len(box1_system) ** len(small_objects)
         assert result.evaluated_layouts + stats.pruned_layouts == space
         assert stats.candidates == result.evaluated_layouts
 
@@ -300,11 +296,10 @@ class TestParallelIdentity:
 class TestBuildTiming:
     def test_serial_batch_reports_build_separately(self, small_objects, box1_system,
                                                    small_catalog, small_workload):
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog), batch=True
-        )
-        result = search.search(small_workload)
-        assert search.last_batch_stats.build_s > 0.0
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, batch=True)
+        assert result.stats.batch.build_s > 0.0
+        assert result.stats.build_s == result.stats.batch.build_s
         assert result.elapsed_s > 0.0
 
     def test_warm_cache_shrinks_build_time_not_elapsed_meaning(
@@ -315,17 +310,13 @@ class TestBuildTiming:
 
         estimator = fresh_estimator(small_catalog)
         cache = QueryEstimateCache(estimator, small_workload.concurrency)
-        first = ExhaustiveSearch(
-            small_objects, box1_system, estimator, estimate_cache=cache
-        )
-        first.search(small_workload)
+        context = EvaluationContext(small_objects, box1_system, estimator, small_workload,
+                                    estimate_cache=cache)
+        ExhaustiveSolver().solve(context)
         misses_before = cache.misses
-        second = ExhaustiveSearch(
-            small_objects, box1_system, estimator, estimate_cache=cache
-        )
-        second.search(small_workload)
+        second = ExhaustiveSolver().solve(context)
         assert cache.misses == misses_before  # fully warm: no new estimates
-        assert second.last_batch_stats.build_s > 0.0
+        assert second.stats.batch.build_s > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +393,8 @@ class TestPruningSoundness:
         assert pruned.evaluated + pruned.stats.pruned_layouts == space
 
         # And the reference: the serial batch exhaustive search.
-        serial = ExhaustiveSearch(
-            objects, system, fresh_estimator(catalog), max_layouts=space
-        ).search(workload)
+        serial = solve_es(objects, system, fresh_estimator(catalog), workload,
+                          max_layouts=space)
         if serial.feasible:
             assert pruned.best_toc == serial.toc_cents
             assert pruned_layout == serial.layout
@@ -489,9 +479,8 @@ class TestResume:
         resumed = engine.run(partial)
         assert resumed.finished
 
-        reference = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog)
-        ).search(small_workload)
+        reference = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                             small_workload)
         row = np.array(resumed.best_row, dtype=np.int64)
         layout = Layout(list(small_objects), box1_system,
                         engine.evaluator.assignment_for_row(row), name="ES")
@@ -581,28 +570,26 @@ class TestFigure9Parallel:
         cold = [obj for obj in all_objects if obj not in hot]
         system = boxes.box2(capacity_limits_gb={"H-SSD": 21.0})
 
-        def build_search(**kwargs):
+        def search(**kwargs):
             estimator = WorkloadEstimator(catalog, buffer_pool=BufferPool(size_gb=4.0))
             runner = ExperimentRunner(all_objects, system, estimator)
             constraint = runner.resolve_constraint(
                 workload, RelativeSLA(0.25, metric="throughput"), mode="estimate"
             )
-            return ExhaustiveSearch(
-                hot, system, estimator, constraint=constraint, per_group=True,
+            return solve_es(
+                hot, system, estimator, workload, constraint=constraint, per_group=True,
                 pinned_objects=cold, pinned_class=system.most_expensive().name,
                 **kwargs,
             )
 
-        batch = build_search(batch=True).search(workload)
-        parallel_search = build_search(batch=True, workers=WORKERS)
-        parallel = parallel_search.search(workload)
+        batch = search(batch=True)
+        parallel = search(batch=True, workers=WORKERS)
         assert batch.feasible and parallel.feasible
         assert parallel.layout == batch.layout
         assert parallel.toc_cents == batch.toc_cents
-        stats = parallel_search.last_batch_stats
+        stats = parallel.stats.batch
         assert stats.workers == WORKERS
-        assert parallel.evaluated_layouts + stats.pruned_layouts == \
-            parallel_search.search_space_size()
+        assert parallel.evaluated_layouts + stats.pruned_layouts == len(system) ** len(hot)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +654,8 @@ class TestDiskCheckpoint:
         assert resumed.finished
         assert resumed.evaluated >= evaluated_before
 
-        reference = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog)
-        ).search(small_workload)
+        reference = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                             small_workload)
         row = np.array(resumed.best_row, dtype=np.int64)
         layout = Layout(list(small_objects), box1_system,
                         engine.evaluator.assignment_for_row(row), name="ES")
@@ -760,9 +746,8 @@ class TestDiskCheckpoint:
         resumed = engine.run(SearchProgress.load(path), checkpoint_path=path)
         assert resumed.finished
 
-        reference = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog)
-        ).search(small_workload)
+        reference = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                             small_workload)
         assert resumed.best_toc == reference.toc_cents
         # The final state also landed on disk.
         assert SearchProgress.load(path).finished

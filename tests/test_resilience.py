@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.core.batch_eval import BatchLayoutEvaluator
-from repro.core.exhaustive import ExhaustiveSearch
+from repro.core.context import EvaluationContext
 from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
-from repro.core.solver import DOTSolver, ExhaustiveSolver, FallbackSolver, get_solver
+from repro.core.solver import DOTSolver, ExhaustiveSolver, FallbackSolver
 from repro.dbms.executor import WorkloadEstimator
 from repro.exceptions import (
     CheckpointCorruptionError,
@@ -53,6 +53,13 @@ def fresh_estimator(catalog):
     return WorkloadEstimator(catalog, noise=0.0, buffer_pool=None, seed=7)
 
 
+def solve_es(small_objects, box1_system, small_catalog, small_workload, **knobs):
+    """Exhaustive search on a fresh estimator with solver ``knobs``."""
+    context = EvaluationContext(small_objects, box1_system, fresh_estimator(small_catalog),
+                                small_workload)
+    return ExhaustiveSolver(**knobs).solve(context)
+
+
 def make_engine(small_objects, box1_system, small_catalog, small_workload, **kwargs):
     evaluator = BatchLayoutEvaluator(
         small_objects, box1_system, fresh_estimator(small_catalog), small_workload
@@ -63,9 +70,7 @@ def make_engine(small_objects, box1_system, small_catalog, small_workload, **kwa
 @pytest.fixture
 def serial_reference(small_objects, box1_system, small_catalog, small_workload):
     """The fault-free serial optimum every chaos run must reproduce exactly."""
-    return ExhaustiveSearch(
-        small_objects, box1_system, fresh_estimator(small_catalog)
-    ).search(small_workload)
+    return solve_es(small_objects, box1_system, small_catalog, small_workload)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +141,17 @@ class TestChaosIdentity:
         shard_ids = [task[0] for task in probe.shard_ranges()]
         plan = FaultPlan.chaos_search(seed=23, shard_ids=shard_ids, crash_fraction=0.5)
         assert plan.shard_faults  # the chaos run must actually inject something
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan,
-        )
         with trace.tracing() as tracer:
-            result = search.search(small_workload)
-            roots = tracer.drain_roots()
+            result = solve_es(small_objects, box1_system, small_catalog, small_workload,
+                              workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan)
+            (root,) = tracer.drain_roots()
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
-        assert not result.timed_out
-        assert any("presumed dead" in incident for incident in result.incidents)
-        (warm_span,) = [root for root in roots if root["name"] == "es.warm"]
-        stats = search.last_batch_stats
+        assert not result.stats.degraded
+        assert any("presumed dead" in incident for incident in result.stats.incidents)
+        (warm_span,) = [child for child in root["children"] if child["name"] == "es.warm"]
+        stats = result.stats.batch
         assert stats.warm_s == warm_span["attrs"]["warm_s"]  # no worker warm-up
         assert stats.cache_hits == stats.cache_misses == 0  # no worker estimates
 
@@ -165,13 +167,11 @@ class TestChaosIdentity:
             seed=5, shard_ids=shard_ids, crash_fraction=0.0,
             exception_fraction=0.5, delay_fraction=0.25, delay_s=0.02,
         )
-        result = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            workers=WORKERS, fault_plan=plan,
-        ).search(small_workload)
+        result = solve_es(small_objects, box1_system, small_catalog, small_workload,
+                          workers=WORKERS, fault_plan=plan)
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
-        assert result.incidents  # every recovery left a trace
+        assert result.stats.incidents  # every recovery left a trace
 
     @pytest.mark.timeout(120)
     def test_kills_during_demand_dispatch_recover_identically(
@@ -189,16 +189,13 @@ class TestChaosIdentity:
         assert len(shard_ids) > WORKERS  # there must be shards left to steal
         plan = FaultPlan.chaos_search(seed=31, shard_ids=shard_ids, crash_fraction=0.4)
         assert plan.shard_faults
-        search = ExhaustiveSearch(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan,
-        )
-        result = search.search(small_workload)
+        result = solve_es(small_objects, box1_system, small_catalog, small_workload,
+                          workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan)
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
-        assert not result.timed_out
-        assert search.last_batch_stats.steals > 0
+        assert not result.stats.degraded
+        assert result.stats.batch.steals > 0
 
     def test_serial_path_injects_faults_without_killing_the_process(
             self, small_objects, box1_system, small_catalog, small_workload,
@@ -348,9 +345,6 @@ class _AlwaysFailingSolver:
 
 
 class TestDegradedSolves:
-    def test_fallback_is_registered(self):
-        assert isinstance(get_solver("fallback"), FallbackSolver)
-
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(budget=st.floats(min_value=0.0, max_value=0.02,
