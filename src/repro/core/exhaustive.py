@@ -330,14 +330,14 @@ class ExhaustiveSolver:
     # ------------------------------------------------------------------
     def _layouts(self, context: EvaluationContext):
         """Every candidate layout, in the batch paths' enumeration order."""
-        variable = self._variable_objects(context)
+        all_objects = self._objects(context) + self.pinned_objects
         pinned_class = self._pinned_class(context)
         pinned_assignment = {obj.name: pinned_class for obj in self.pinned_objects}
-        names = [obj.name for obj in variable]
+        names = [obj.name for obj in self._variable_objects(context)]
         for combo in itertools.product(context.system.class_names, repeat=len(names)):
             assignment = dict(pinned_assignment)
             assignment.update(zip(names, combo))
-            yield self._layout(context, assignment, "ES candidate")
+            yield Layout(all_objects, context.system, assignment, name="ES candidate")
 
     def _solve_scalar(self, context: EvaluationContext,
                       budget: Optional[float]) -> SolveResult:
