@@ -9,6 +9,11 @@ catalog listing (Table 2) has a golden at the small scenario scale, which
 keeps the sweep fast enough for every test run; the golden JSONs live in
 ``tests/golden/``.
 
+The drivers no figure covers -- the Section 4.4.3 ES-vs-DOT study and the
+Section 5 drivers -- are pinned in ``tests/golden/drivers.json`` at a small
+scale: measured SLA caps and evaluations, solver TOCs and assignments and
+the chosen box, all compared ``==`` (search times are left out).
+
 To refresh the goldens after an intentional numeric change::
 
     REPRO_WRITE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_experiments_figures.py
@@ -23,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import __main__ as cli
-from repro.experiments import orchestrator, specs
+from repro.experiments import figures, orchestrator, specs
 from repro.experiments.store import ResultsStore
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -189,3 +194,72 @@ class TestFiguresCli:
         assert specs.strip_timing(written) == _golden_view(
             "fig9", orchestrator.store_lookup(small_store)
         )
+
+
+# ---------------------------------------------------------------------------
+# Drivers without a figure golden
+# ---------------------------------------------------------------------------
+
+EVALUATION_FIELDS = ("layout_name", "toc_cents", "layout_cost_cents_per_hour",
+                     "response_time_s", "transactions_per_minute", "psr")
+
+
+def _solve(result):
+    return {"feasible": result.feasible, "psr": result.psr,
+            "toc_cents": result.toc_cents if result.feasible else None,
+            "evaluated_layouts": result.evaluated_layouts,
+            "assignment": result.layout and dict(result.layout.assignment())}
+
+
+def _recommendation(rec):
+    return rec and {
+        "caps_ms": dict(rec.constraint.caps_ms), "toc_cents": rec.toc_cents,
+        "estimated_toc_cents": rec.estimated_report.toc_cents, "psr": rec.psr,
+        "validated": rec.validated, "refinements_used": rec.refinements_used,
+        "relaxations_used": rec.relaxations_used, "assignment": dict(rec.layout.assignment()),
+    }
+
+
+def _driver_pin() -> dict:
+    es_vs_dot = figures.es_vs_dot_tpch(
+        scale_factor=2, repetitions=1,
+        capacity_limits_gb={"Box 1": {"HDD RAID 0": 24.0}, "Box 2": {"HDD": 8.0}},
+    )
+    discrete = figures.discrete_cost_experiment(2.0, 0.5, (0.0, 0.5, 1.0), 1)
+    grouping = figures.ablation_grouping(2.0, 0.5, 2)
+    decision = figures.generalized_provisioning(2.0, 0.5, 1)["decision"]
+    return {
+        "es_vs_dot_tpch": {box: {
+            "caps_ms": dict(entry["constraint"].caps_ms),
+            "dot": _solve(entry["dot"]), "es": _solve(entry["es"]),
+            **{key: {name: getattr(entry[key], name) for name in EVALUATION_FIELDS}
+               for key in ("dot_evaluation", "es_evaluation") if key in entry},
+        } for box, entry in es_vs_dot.items()},
+        "discrete_cost_experiment": {
+            "results": {f"{alpha:g}": _solve(result)
+                        for alpha, result in discrete["results"].items()},
+            "text": discrete["text"],
+        },
+        # The measured evaluations of the ablation surface only in its table.
+        "ablation_grouping": {
+            "results": {label: _solve(result) for label, result in grouping["results"].items()},
+            "text": grouping["text"],
+        },
+        "generalized_provisioning": {
+            "chosen": decision.chosen and decision.chosen.name,
+            "per_option": {name: _recommendation(rec)
+                           for name, rec in decision.per_option.items()},
+        },
+    }
+
+
+def test_driver_numbers_match_the_pin():
+    golden_path = GOLDEN_DIR / "drivers.json"
+    pin = json.loads(json.dumps(_driver_pin(), allow_nan=False))
+    if os.environ.get("REPRO_WRITE_GOLDEN"):
+        golden_path.write_text(json.dumps(pin, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"rewrote golden {golden_path}")
+    assert pin == json.loads(golden_path.read_text()), (
+        "driver numbers drifted from their golden; if the change is "
+        "intentional, refresh with REPRO_WRITE_GOLDEN=1"
+    )
