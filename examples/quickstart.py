@@ -22,7 +22,7 @@ from repro import scenarios
 from repro.core import ProvisioningAdvisor
 from repro.core.simple_layouts import simple_layouts
 from repro.experiments.reporting import format_evaluations
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import measure_layouts
 from repro.sla import RelativeSLA
 
 from repro.obs import log as obs_log
@@ -46,15 +46,17 @@ def main() -> None:
     system = scenarios.box_system("Box 1")
 
     # 4. Ask DOT for a layout under a relative SLA of 0.5.
+    sla = RelativeSLA(0.5)
     advisor = ProvisioningAdvisor(objects, system, estimator)
-    recommendation = advisor.recommend(workload, sla=RelativeSLA(0.5))
+    recommendation = advisor.recommend(workload, sla=sla)
     log.info("\n" + recommendation.describe())
 
-    # 5. Compare against the simple layouts.
-    runner = ExperimentRunner(objects, system, estimator)
+    # 5. Compare against the simple layouts, with PSR against the SLA
+    # resolved from a simulated run of the reference layout.
+    context = bundle.context(system=system, sla=sla)
     layouts = dict(simple_layouts(objects, system))
     layouts["DOT"] = recommendation.layout
-    evaluations = runner.evaluate_layouts(layouts, workload, sla=RelativeSLA(0.5))
+    evaluations = measure_layouts(context, layouts, context.resolve_constraint(sla, mode="run"))
     evaluations.sort(key=lambda evaluation: evaluation.toc_cents)
     log.info("\nMeasured comparison (simulated runs):")
     log.info(format_evaluations(evaluations, metric_label="Response time (s)"))

@@ -19,7 +19,7 @@ from repro import scenarios
 from repro.core import DOTSolver
 from repro.core.simple_layouts import simple_layouts
 from repro.experiments.reporting import format_evaluations, format_layout_assignment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import measure_layouts
 from repro.sla import RelativeSLA
 
 from repro.obs import log as obs_log
@@ -30,23 +30,19 @@ log = obs_log.get_logger("examples.tpcc_oltp_provisioning")
 
 def main(warehouses: int = 30) -> None:
     bundle = scenarios.build("tpcc_fig8", warehouses=warehouses, concurrency=100)
-    workload, estimator, objects = bundle.workload, bundle.estimator, bundle.objects
     system = scenarios.box_system("Box 2")
-    runner = ExperimentRunner(objects, system, estimator)
+    context = bundle.context(system=system, sla=None)
 
     # TPC-C plans never change with the layout (all random I/O), so a single
     # test-run profile on the all-H-SSD baseline suffices -- exactly the
     # pruning the paper applies in Section 4.5.1.  That convention travels
     # with the scenario, so the context profiles itself correctly on demand.
-    profiles = None
-    layouts = dict(simple_layouts(objects, system))
+    layouts = dict(simple_layouts(bundle.objects, system))
     for ratio in (0.5, 0.25, 0.125):
-        constraint = runner.resolve_constraint(
-            workload, RelativeSLA(ratio, metric="throughput"), mode="estimate"
+        constraint = context.resolve_constraint(RelativeSLA(ratio, metric="throughput"))
+        outcome = DOTSolver().solve(
+            bundle.context(system=system, sla=constraint, profiles=context.get_profiles())
         )
-        context = bundle.context(system=system, sla=constraint, profiles=profiles)
-        outcome = DOTSolver().solve(context)
-        profiles = context.get_profiles()  # reused across SLA ratios
         if outcome.feasible:
             name = f"DOT (SLA {ratio:g})"
             layouts[name] = outcome.layout.renamed(name)
@@ -55,7 +51,7 @@ def main(warehouses: int = 30) -> None:
         else:
             log.info(f"\nRelative SLA {ratio:g}: no feasible layout found")
 
-    evaluations = runner.evaluate_layouts(layouts, workload)
+    evaluations = measure_layouts(context, layouts)
     evaluations.sort(key=lambda evaluation: -(evaluation.transactions_per_minute or 0))
     log.info("\nMeasured comparison (simulated runs):")
     log.info(format_evaluations(evaluations, metric_label="tpmC"))

@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Union
 from repro.core.context import EvaluationContext, SolveResult
 from repro.core.dot import DOTSolver
 from repro.core.layout import Layout
-from repro.core.profiles import BaselinePlacement
 from repro.core.toc import TOCReport
 from repro.exceptions import InfeasibleLayoutError
 from repro.objects import DatabaseObject
@@ -90,8 +89,6 @@ class ProvisioningAdvisor:
         self,
         workload,
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = None,
-        profile_mode: str = "estimate",
-        baseline_patterns: Optional[Sequence[BaselinePlacement]] = None,
         max_refinements: int = 1,
         max_relaxations: int = 3,
         relaxation_factor: float = 1.25,
@@ -103,6 +100,11 @@ class ProvisioningAdvisor:
         the optimizer's own estimates (the feasibility test of Procedure 1
         compares estimate to estimate); the validation phase then checks the
         recommendation with a measured run against the same caps.
+
+        The first round profiles with estimates over the ``M^K`` baselines
+        (DOT asks the context on first use).  A failed validation re-profiles
+        with a test run, up to ``max_refinements`` times, and then relaxes
+        the caps by ``relaxation_factor``, up to ``max_relaxations`` times.
         """
         started = time.perf_counter()
         context = EvaluationContext(
@@ -114,9 +116,6 @@ class ProvisioningAdvisor:
             context.constraint = sla.resolve(reference_report.run_result)
         else:
             context.constraint = sla
-        context.profiles = context.profiler().profile(
-            workload, mode=profile_mode, patterns=baseline_patterns
-        )
 
         refinements_used = 0
         relaxations_used = 0
@@ -150,9 +149,7 @@ class ProvisioningAdvisor:
             # actual statistics first, then relax the SLA.
             if refinements_used < max_refinements:
                 refinements_used += 1
-                context.profiles = context.profiler().profile(
-                    workload, mode="testrun", patterns=baseline_patterns
-                )
+                context.profiles = context.profiler().profile(workload, mode="testrun")
                 continue
             if context.constraint is not None and relaxations_used < max_relaxations:
                 relaxations_used += 1

@@ -140,8 +140,8 @@ class EvaluationContext:
     wire by hand.
 
     ``profiles`` is computed lazily on first use (DOT and the MILP need it,
-    ES and the Object Advisor do not) and may be supplied eagerly by callers
-    that profile through a different mode (the TPC-C test-run profiling).
+    ES and the Object Advisor do not) and may be supplied eagerly, e.g. one
+    test-run profile set shared by the per-SLA contexts of Figure 8.
     """
 
     objects: List[DatabaseObject]
@@ -179,7 +179,6 @@ class EvaluationContext:
         workload,
         *,
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = None,
-        constraint_mode: str = "estimate",
         cost_override: Optional[Callable[[Layout], float]] = None,
         profile_mode: str = "estimate",
         single_baseline_profile: bool = False,
@@ -188,12 +187,9 @@ class EvaluationContext:
     ) -> "EvaluationContext":
         """Build a context, resolving a relative SLA into an absolute cap.
 
-        ``constraint_mode="estimate"`` (default) resolves the SLA against
-        optimizer estimates of the reference layout -- what a search should
-        consume so estimates are compared against estimate-derived caps.
-        ``"run"`` resolves against a simulated run (the reporting-side
-        convention); note run-mode evaluations advance the estimator's noise
-        RNG.
+        The caps come from noise-free optimizer estimates of the reference
+        layout, so a search compares estimates against estimates and
+        building a context never advances the estimator's noise RNG.
         """
         context = cls(
             objects=list(objects),
@@ -207,7 +203,7 @@ class EvaluationContext:
             profiles=profiles,
             estimate_cache=estimate_cache,
         )
-        context.constraint = context.resolve_constraint(sla, mode=constraint_mode)
+        context.constraint = context.resolve_constraint(sla)
         return context
 
     # ------------------------------------------------------------------
@@ -225,7 +221,11 @@ class EvaluationContext:
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]],
         mode: str = "estimate",
     ) -> Optional[PerformanceConstraint]:
-        """Resolve a relative SLA against the reference layout (or pass through)."""
+        """Resolve a relative SLA against the reference layout (or pass through).
+
+        ``mode="run"`` resolves against a simulated run -- the caps the
+        figures report PSR against -- and advances the estimator's noise RNG.
+        """
         if sla is None or isinstance(sla, PerformanceConstraint):
             return sla
         reference = self.toc_model.evaluate(self.reference_layout(), self.workload, mode=mode)

@@ -82,10 +82,9 @@ class WorkloadProfiler:
             name=name or f"baseline{tuple(pattern)!r}",
         )
 
-    def baseline_patterns(self, max_group_size: Optional[int] = None) -> List[BaselinePlacement]:
+    def baseline_patterns(self) -> List[BaselinePlacement]:
         """The ``M^K`` baseline placement patterns to profile."""
-        size = max_group_size if max_group_size is not None else self.max_group_size
-        return baseline_placements(self.system, size)
+        return baseline_placements(self.system, self.max_group_size)
 
     # ------------------------------------------------------------------
     def profile(
@@ -93,7 +92,6 @@ class WorkloadProfiler:
         workload,
         mode: str = "estimate",
         patterns: Optional[Sequence[BaselinePlacement]] = None,
-        max_group_size: Optional[int] = None,
         fast: bool = True,
     ) -> WorkloadProfileSet:
         """Profile the workload over baseline layouts.
@@ -117,7 +115,7 @@ class WorkloadProfiler:
         chosen = (
             [tuple(pattern) for pattern in patterns]
             if patterns is not None
-            else self.baseline_patterns(max_group_size)
+            else self.baseline_patterns()
         )
         if not chosen:
             raise ProfileError("no baseline placement patterns to profile")
@@ -178,11 +176,6 @@ class WorkloadProfiler:
             profile_set.add(pattern, io_by_object)
         return profile_set
 
-    def single_baseline_pattern(self, class_name: Optional[str] = None) -> BaselinePlacement:
-        """A single baseline pattern placing everything on one class.
-
-        Defaults to the most expensive class (All H-SSD in the paper's
-        TPC-C profiling).
-        """
-        chosen = class_name or self.system.most_expensive().name
-        return tuple([chosen] * self.max_group_size)
+    def single_baseline_pattern(self) -> BaselinePlacement:
+        """One baseline pattern placing everything on the priciest class (All H-SSD)."""
+        return tuple([self.system.most_expensive().name] * self.max_group_size)

@@ -71,7 +71,6 @@ class GeneralizedProvisioner:
         workload,
         options: Sequence[ProvisioningOption],
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = None,
-        profile_mode: str = "estimate",
     ) -> ProvisioningDecision:
         """Run the DOT pipeline for every option and keep the cheapest feasible one.
 
@@ -90,7 +89,7 @@ class GeneralizedProvisioner:
         for option in options:
             advisor = ProvisioningAdvisor(self.objects, option.system, self.estimator)
             try:
-                recommendation = advisor.recommend(workload, sla=sla, profile_mode=profile_mode)
+                recommendation = advisor.recommend(workload, sla=sla)
             except InfeasibleLayoutError:
                 per_option[option.name] = None
                 continue

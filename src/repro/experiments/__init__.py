@@ -1,15 +1,15 @@
 """Experiment harness reproducing every table and figure of the paper's evaluation."""
 
 from repro.experiments.boxes import box1, box2, both_boxes
-from repro.experiments.runner import ExperimentRunner, LayoutEvaluation, run_solver_matrix
+from repro.experiments.runner import LayoutEvaluation, measure_layouts, run_solver_matrix
 from repro.experiments import figures, reporting
 
 __all__ = [
     "box1",
     "box2",
     "both_boxes",
-    "ExperimentRunner",
     "LayoutEvaluation",
+    "measure_layouts",
     "run_solver_matrix",
     "drift",
     "figures",

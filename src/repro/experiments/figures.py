@@ -30,12 +30,11 @@ from repro import scenarios
 from repro.core.advisor import ProvisioningAdvisor
 from repro.core.discrete_cost import DiscreteCostModel
 from repro.core.layout import Layout
-from repro.core.profiler import WorkloadProfiler
 from repro.core.provisioning import GeneralizedProvisioner, ProvisioningOption
 from repro.core.simple_layouts import simple_layouts
 from repro.core.solver import DOTSolver, ExhaustiveSolver, MILPSolver, ObjectAdvisorSolver
 from repro.experiments.reporting import format_evaluations, format_table
-from repro.experiments.runner import ExperimentRunner, run_solver_matrix
+from repro.experiments.runner import measure_layouts, run_solver_matrix
 from repro.sla.constraints import RelativeSLA
 from repro.storage import catalog as storage_catalog
 from repro.storage.microbench import MicroBenchmark, format_table1
@@ -121,9 +120,9 @@ def tpch_comparison(
     bundle = _tpch_bundle(workload_kind, scale_factor, repetitions, sla_ratio)
     workload, estimator, objects = bundle.workload, bundle.estimator, bundle.objects
     system = scenarios.box_system(box_name)
-    runner = ExperimentRunner(objects, system, estimator)
     sla = RelativeSLA(sla_ratio, metric="response_time")
-    measured_constraint = runner.resolve_constraint(workload, sla, mode="run")
+    context = bundle.context(system=system, sla=sla)
+    measured_constraint = context.resolve_constraint(sla, mode="run")
 
     layouts: Dict[str, Layout] = dict(simple_layouts(objects, system))
 
@@ -133,11 +132,10 @@ def tpch_comparison(
 
     oa_layout = None
     if include_object_advisor:
-        oa_result = ObjectAdvisorSolver().solve(bundle.context(system=system, sla=sla))
-        oa_layout = oa_result.layout
+        oa_layout = ObjectAdvisorSolver().solve(context).layout
         layouts["OA"] = oa_layout
 
-    evaluations = runner.evaluate_layouts(layouts, workload, sla=measured_constraint)
+    evaluations = measure_layouts(context, layouts, measured_constraint)
     evaluations.sort(key=lambda evaluation: evaluation.toc_cents)
     return {
         "box": box_name,
@@ -187,15 +185,12 @@ def es_vs_dot_tpch(
 
     for box_name, box_limits in limits.items():
         system = scenarios.box_system(box_name, capacity_limits_gb=box_limits)
-        runner = ExperimentRunner(objects, system, bundle.estimator)
         # The context resolves the estimate-derived search constraint and
         # owns the one estimate table serving profiling, DOT's walk and the
         # exhaustive enumeration: every (query, touched-placement-signature)
         # pair is estimated once for the whole comparison.
         context = bundle.context(system=system, objects=objects)
-        constraint = runner.resolve_constraint(
-            bundle.workload, RelativeSLA(sla_ratio), mode="run"
-        )
+        constraint = context.resolve_constraint(RelativeSLA(sla_ratio), mode="run")
 
         outcomes = run_solver_matrix(
             context,
@@ -219,7 +214,7 @@ def es_vs_dot_tpch(
         rows = []
         for label, outcome in (("DOT", dot_result), ("ES", es_result)):
             if outcome.feasible:
-                evaluation = runner.evaluate_layout(outcome.layout, bundle.workload, constraint)
+                (evaluation,) = measure_layouts(context, {label: outcome.layout}, constraint)
                 comparison[f"{label.lower()}_evaluation"] = evaluation
                 rows.append(
                     [label, evaluation.response_time_s, evaluation.toc_cents,
@@ -252,30 +247,27 @@ def figure8_box(
     store-driven figure pipeline reassembles.
     """
     bundle = scenarios.build("tpcc_fig8", warehouses=warehouses, concurrency=concurrency)
-    workload, estimator, objects = bundle.workload, bundle.estimator, bundle.objects
     system = scenarios.box_system(box_name)
-    runner = ExperimentRunner(objects, system, estimator)
-    profiler = WorkloadProfiler(objects, system, estimator)
+    context = bundle.context(system=system, sla=None)
     # The paper profiles TPC-C on a single All H-SSD baseline via a test
-    # run, because the (random-I/O) plans never change with the layout.
-    single_pattern = profiler.single_baseline_pattern()
-    profiles = profiler.profile(workload, mode="testrun", patterns=[single_pattern])
+    # run, because the (random-I/O) plans never change with the layout;
+    # the scenario carries that convention.
+    profiles = context.get_profiles()
 
-    layouts: Dict[str, Layout] = dict(simple_layouts(objects, system))
+    layouts: Dict[str, Layout] = dict(simple_layouts(bundle.objects, system))
     dot_layouts: Dict[str, Layout] = {}
     per_sla = {}
     for ratio in sla_ratios:
-        constraint = runner.resolve_constraint(
-            workload, RelativeSLA(ratio, metric="throughput"), mode="estimate"
+        constraint = context.resolve_constraint(RelativeSLA(ratio, metric="throughput"))
+        outcome = DOTSolver().solve(
+            bundle.context(system=system, sla=constraint, profiles=profiles)
         )
-        context = bundle.context(system=system, sla=constraint, profiles=profiles)
-        outcome = DOTSolver().solve(context)
         per_sla[ratio] = outcome
         if outcome.feasible:
             name = f"DOT (SLA {ratio:g})"
             dot_layouts[name] = outcome.layout.renamed(name)
     layouts.update(dot_layouts)
-    evaluations = runner.evaluate_layouts(layouts, workload, sla=None)
+    evaluations = measure_layouts(context, layouts)
     evaluations.sort(key=lambda evaluation: -(evaluation.transactions_per_minute or 0.0))
     return {
         "evaluations": evaluations,
@@ -321,7 +313,7 @@ def figure9_arm(
     bundle = scenarios.build(
         "fig9_tpcc", warehouses=warehouses, concurrency=concurrency, sla_ratio=sla_ratio
     )
-    workload, estimator, all_objects = bundle.workload, bundle.estimator, bundle.objects
+    all_objects = bundle.objects
     if hot_groups is None:
         hot = list(all_objects)
         cold = []
@@ -333,14 +325,13 @@ def figure9_arm(
     system = scenarios.box_system("Box 2", capacity_limits_gb=limits)
     pinned_class = system.most_expensive().name
 
-    runner = ExperimentRunner(all_objects, system, estimator)
     # The context resolves the estimate-derived search constraint, owns
     # the estimate table DOT's walk and the enumeration share (the
     # test-run profiling cannot use it), and profiles lazily on the
     # single all-fast baseline the scenario prescribes.
     context = bundle.context(system=system)
-    constraint = runner.resolve_constraint(
-        workload, RelativeSLA(sla_ratio, metric="throughput"), mode="run"
+    constraint = context.resolve_constraint(
+        RelativeSLA(sla_ratio, metric="throughput"), mode="run"
     )
 
     outcomes = run_solver_matrix(
@@ -373,9 +364,7 @@ def figure9_arm(
         if not outcome.feasible:
             rows.append([method, float("nan"), float("nan"), outcome.elapsed_s])
             continue
-        evaluation = runner.evaluate_layout(
-            outcome.layout.renamed(method), workload, constraint
-        )
+        (evaluation,) = measure_layouts(context, {method: outcome.layout}, constraint)
         entry[f"{method.lower()}_evaluation"] = evaluation
         rows.append(
             [method, evaluation.transactions_per_minute, evaluation.toc_cents,
@@ -419,21 +408,17 @@ def discrete_cost_experiment(
 ) -> Dict[str, object]:
     """Section 5.2: DOT under the discrete-sized storage cost model."""
     bundle = _tpch_bundle("original", scale_factor, repetitions, sla_ratio)
-    workload, estimator, objects = bundle.workload, bundle.estimator, bundle.objects
     system = scenarios.box_system("Box 1")
-    runner = ExperimentRunner(objects, system, estimator)
-    constraint = runner.resolve_constraint(workload, RelativeSLA(sla_ratio), mode="estimate")
-    profiler = WorkloadProfiler(objects, system, estimator)
-    profiles = profiler.profile(workload, mode="estimate")
+    context = bundle.context(system=system, sla=RelativeSLA(sla_ratio))
+    profiles = context.get_profiles()
 
     rows = []
     per_alpha: Dict[float, object] = {}
     for alpha in alphas:
-        context = bundle.context(
-            system=system, sla=constraint, profiles=profiles,
+        outcome = DOTSolver().solve(bundle.context(
+            system=system, sla=context.constraint, profiles=profiles,
             cost_override=DiscreteCostModel(alpha=alpha),
-        )
-        outcome = DOTSolver().solve(context)
+        ))
         per_alpha[alpha] = outcome
         if outcome.feasible:
             classes_used = sum(
@@ -455,10 +440,7 @@ def ablation_grouping(
 ) -> Dict[str, object]:
     """Ablation: DOT's object groups vs per-object (layout-interaction-blind) moves."""
     bundle = _tpch_bundle("modified", scale_factor, repetitions, sla_ratio)
-    workload, objects = bundle.workload, bundle.objects
-    system = scenarios.box_system("Box 1")
-    runner = ExperimentRunner(objects, system, bundle.estimator)
-    context = bundle.context(system=system)
+    context = bundle.context(system=scenarios.box_system("Box 1"))
 
     rows = []
     outcomes = {}
@@ -466,7 +448,7 @@ def ablation_grouping(
         outcome = DOTSolver(independent_objects=independent).solve(context)
         outcomes[label] = outcome
         if outcome.feasible:
-            evaluation = runner.evaluate_layout(outcome.layout, workload, context.constraint)
+            (evaluation,) = measure_layouts(context, {label: outcome.layout}, context.constraint)
             rows.append([label, evaluation.response_time_s, evaluation.toc_cents, evaluation.psr])
         else:
             rows.append([label, float("nan"), float("nan"), 0.0])

@@ -1,9 +1,10 @@
-"""Experiment runner: measure layouts against workloads the way the paper reports them.
+"""Measure layouts against workloads the way the paper reports them.
 
-For each candidate layout the runner performs a simulated "real" run of the
-workload, computes the measured TOC, the performance metric (workload
-response time for DSS, tpmC for OLTP) and the PSR against the relative SLA
-resolved from the all-H-SSD (best performing) layout.
+:func:`measure_layouts` performs a simulated "real" run of the context's
+workload on each candidate layout and reports the measured TOC, the
+performance metric (workload response time for DSS, tpmC for OLTP) and the
+PSR against a given constraint -- in the figures, the relative SLA resolved
+from a simulated run of the all-H-SSD (best performing) layout.
 
 :func:`run_solver_matrix` is the experiment layer's "scenario x solver list"
 primitive: it runs any sequence of protocol-conforming solvers against one
@@ -15,17 +16,15 @@ solver name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.context import EvaluationContext
 from repro.core.layout import Layout
 from repro.core.solver import Solver, SolveResult
 from repro.exceptions import ConfigurationError
-from repro.core.toc import TOCModel, TOCReport
-from repro.objects import DatabaseObject
-from repro.sla.constraints import PerformanceConstraint, RelativeSLA
+from repro.core.toc import TOCReport
+from repro.sla.constraints import PerformanceConstraint
 from repro.sla.psr import performance_satisfaction_ratio
-from repro.storage.storage_class import StorageSystem
 
 
 @dataclass
@@ -46,6 +45,38 @@ class LayoutEvaluation:
         if self.transactions_per_minute is not None:
             return self.transactions_per_minute
         return self.response_time_s if self.response_time_s is not None else float("nan")
+
+
+def measure_layouts(
+    context: EvaluationContext,
+    layouts: Mapping[str, Layout],
+    constraint: Optional[PerformanceConstraint] = None,
+) -> List[LayoutEvaluation]:
+    """Measure each ``name -> layout`` with a simulated run, in the given order.
+
+    Each layout is renamed to its key.  PSR is taken against ``constraint``
+    (1.0 when ``None``), not ``context.constraint``: the figures report
+    against the run-derived cap, the search uses the estimate-derived one.
+    Every run advances the estimator's noise RNG, so the order matters.
+    """
+    evaluations = []
+    for name, layout in layouts.items():
+        report = context.evaluate(layout.renamed(name), mode="run")
+        psr = 1.0
+        if constraint is not None:
+            psr = performance_satisfaction_ratio(constraint, report.run_result)
+        evaluations.append(
+            LayoutEvaluation(
+                layout_name=name,
+                toc_cents=report.toc_cents,
+                layout_cost_cents_per_hour=report.layout_cost_cents_per_hour,
+                response_time_s=report.execution_time_s,
+                transactions_per_minute=report.transactions_per_minute,
+                psr=psr,
+                report=report,
+            )
+        )
+    return evaluations
 
 
 def run_solver_matrix(
@@ -76,79 +107,3 @@ def run_solver_matrix(
     for name, solver in zip(names, solvers):
         results[name] = solver.solve(context)
     return results
-
-
-class ExperimentRunner:
-    """Evaluates sets of layouts under a common, measured relative SLA."""
-
-    def __init__(
-        self,
-        objects: Sequence[DatabaseObject],
-        system: StorageSystem,
-        estimator,
-        cost_override=None,
-    ):
-        self.objects = list(objects)
-        self.system = system
-        self.estimator = estimator
-        self.toc_model = TOCModel(estimator, cost_override=cost_override)
-
-    # ------------------------------------------------------------------
-    def reference_layout(self) -> Layout:
-        """The best-performing reference: everything on the most expensive class."""
-        return Layout.uniform(self.objects, self.system, self.system.most_expensive().name)
-
-    def resolve_constraint(
-        self,
-        workload,
-        sla: Optional[Union[RelativeSLA, PerformanceConstraint]],
-        mode: str = "run",
-    ) -> Optional[PerformanceConstraint]:
-        """Resolve a relative SLA against the reference (all-H-SSD) layout.
-
-        ``mode="run"`` (default) resolves against a measured simulated run --
-        the form used when reporting PSR, as the paper does.  ``mode="estimate"``
-        resolves against optimizer estimates, which is what the DOT/ES search
-        should consume so that estimates are compared against estimate-derived
-        caps.
-        """
-        if sla is None or isinstance(sla, PerformanceConstraint):
-            return sla
-        reference = self.toc_model.evaluate(self.reference_layout(), workload, mode=mode)
-        return sla.resolve(reference.run_result)
-
-    # ------------------------------------------------------------------
-    def evaluate_layout(
-        self,
-        layout: Layout,
-        workload,
-        constraint: Optional[PerformanceConstraint] = None,
-    ) -> LayoutEvaluation:
-        """Measure one layout: simulated run, TOC, performance metric and PSR."""
-        report = self.toc_model.evaluate(layout, workload, mode="run")
-        psr = 1.0
-        if constraint is not None:
-            psr = performance_satisfaction_ratio(constraint, report.run_result)
-        return LayoutEvaluation(
-            layout_name=layout.name,
-            toc_cents=report.toc_cents,
-            layout_cost_cents_per_hour=report.layout_cost_cents_per_hour,
-            response_time_s=report.execution_time_s,
-            transactions_per_minute=report.transactions_per_minute,
-            psr=psr,
-            report=report,
-        )
-
-    def evaluate_layouts(
-        self,
-        layouts: Dict[str, Layout],
-        workload,
-        sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = None,
-    ) -> List[LayoutEvaluation]:
-        """Measure several layouts under one (shared) resolved constraint."""
-        constraint = self.resolve_constraint(workload, sla)
-        evaluations = []
-        for name, layout in layouts.items():
-            evaluation = self.evaluate_layout(layout.renamed(name), workload, constraint)
-            evaluations.append(evaluation)
-        return evaluations

@@ -15,7 +15,9 @@ reproduction rests on.  Four parts, one per module:
   stats, metrics snapshot, span tree) per observed solve or online run;
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report``: store summary,
   span flame view, and the ``--check-regressions`` CI perf gate comparing
-  ``BENCH_*.json`` output against ``benchmarks/baselines/``.
+  ``BENCH_*.json`` output against ``benchmarks/baselines/``.  It is not
+  imported with the package (``from repro.obs import report`` loads it), so
+  ``-m`` runs it exactly once.
 
 :mod:`repro.obs.log` adds structured stdlib logging with run-id/span-id
 context injection for the driver scripts; :mod:`repro.obs.instrument`
@@ -25,7 +27,7 @@ decorator).  Everything is off by default and opt-in per process
 (:func:`~repro.obs.trace.tracing`, :func:`~repro.obs.recorder.recording`).
 """
 
-from repro.obs import instrument, log, metrics, recorder, report, trace
+from repro.obs import instrument, log, metrics, recorder, trace
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.recorder import RunRecord, RunStore, recording, run_context
 from repro.obs.trace import Span, Tracer, current_span, get_tracer, span, tracing
@@ -44,7 +46,6 @@ __all__ = [
     "metrics",
     "recorder",
     "recording",
-    "report",
     "run_context",
     "span",
     "trace",

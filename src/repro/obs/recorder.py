@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro.exceptions import CheckpointCorruptionError
+
 #: Default store location, relative to the current working directory.
 DEFAULT_STORE_DIR = Path("benchmarks") / "runs"
 
@@ -101,13 +103,31 @@ class RunStore:
         return self.path
 
     def __iter__(self) -> Iterator[RunRecord]:
+        """The records oldest first, skipping a torn final append.
+
+        An unparseable line with valid records after it was damaged at rest:
+        :class:`CheckpointCorruptionError` names the file and the line.
+        """
         if not self.path.exists():
             return
+        damaged_line: Optional[int] = None
         with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, 1):
                 line = line.strip()
-                if line:
-                    yield RunRecord.from_json_line(line)
+                if not line:
+                    continue
+                try:
+                    record = RunRecord.from_json_line(line)
+                except json.JSONDecodeError:
+                    damaged_line = damaged_line or lineno
+                    continue
+                if damaged_line is not None:
+                    raise CheckpointCorruptionError(
+                        f"run store damaged at line {damaged_line} "
+                        "with valid records after it",
+                        path=self.path,
+                    )
+                yield record
 
     def load(self) -> List[RunRecord]:
         """Every record in the store, oldest first."""

@@ -94,6 +94,10 @@ from repro.workloads.workload import Workload
 #: Anything a migration assessment may return.
 AnyMigrationCost = Union[MigrationCost, SimulatedMigrationCost]
 
+#: Retries of a failed migration assessment/execution before the epoch
+#: holds the deployed layout and re-arms for the next epoch.
+MIGRATION_MAX_RETRIES = 2
+
 
 @dataclass
 class EpochRecord:
@@ -330,6 +334,12 @@ class _EpochEvaluation:
 class OnlineAdvisor:
     """Epoch-driven re-provisioning on top of the DOT pipeline.
 
+    Every epoch is accounted with deterministic optimizer estimates.  Epoch
+    0 provisions cold from the all-most-expensive reference layout, free of
+    migration charges, so the online run and the frozen baseline start from
+    the same initial provisioning.  Migrations are priced by a
+    :class:`~repro.online.migration.MigrationCostModel` over ``system``.
+
     Parameters
     ----------
     objects / system / estimator:
@@ -348,21 +358,6 @@ class OnlineAdvisor:
         Drift sensitivities for the telemetry monitor.
     policy:
         The migration amortization policy.
-    migration_model:
-        Migration cost model (defaults to one over ``system``).
-    evaluation_mode:
-        ``"estimate"`` (default, deterministic) or ``"run"`` (simulated
-        test runs with buffer pool and noise) for the per-epoch accounting.
-        In run mode the estimator's noise RNG advances with every
-        evaluation, so an online run followed by a frozen replay on the
-        *same* estimator draws different noise positions per epoch; for a
-        controlled online-vs-frozen comparison use estimate mode (as the
-        drift experiment does) or a fresh estimator per arm.
-    initial_layout:
-        The layout deployed before epoch 0 (defaults to the paper's
-        all-most-expensive reference).  Epoch 0 always provisions from it
-        cold, free of migration charges -- both the online run and the
-        frozen baseline start from the same initial provisioning.
     solver:
         The :class:`~repro.core.solver.Solver` the loop re-tiers through
         (default: a :class:`~repro.core.solver.DOTSolver`).  Every epoch's
@@ -410,10 +405,6 @@ class OnlineAdvisor:
         re-tier ``solver.solve`` call as its ``budget``.  A solve that blows
         it returns a degraded-but-feasible result (recorded as an incident)
         rather than stalling the loop.
-    migration_max_retries:
-        Bounded retries of a failed migration assessment/execution; after
-        ``migration_max_retries + 1`` failed attempts the epoch holds the
-        deployed layout and re-arms for the next epoch.
     outlier_policy:
         Forwarded to the :class:`~repro.online.monitor.TelemetryMonitor`:
         an optional MAD clamp on physically implausible telemetry epochs.
@@ -427,9 +418,6 @@ class OnlineAdvisor:
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = None,
         thresholds: Optional[DriftThresholds] = None,
         policy: Optional[ReProvisioningPolicy] = None,
-        migration_model: Optional[MigrationCostModel] = None,
-        evaluation_mode: str = "estimate",
-        initial_layout: Optional[Layout] = None,
         solver: Optional[Solver] = None,
         profile_source: str = "telemetry",
         predictor: Optional[TrendPredictor] = None,
@@ -437,11 +425,8 @@ class OnlineAdvisor:
         retier_on_sla_violation: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         retier_budget_s: Optional[float] = None,
-        migration_max_retries: int = 2,
         outlier_policy: Optional[OutlierPolicy] = None,
     ):
-        if evaluation_mode not in ("estimate", "run"):
-            raise ValueError(f"unknown evaluation mode {evaluation_mode!r}")
         if profile_source not in ("telemetry", "estimator"):
             raise ValueError(f"unknown profile source {profile_source!r}")
         if migration_execution not in ("analytic", "simulated"):
@@ -452,9 +437,7 @@ class OnlineAdvisor:
         self.sla = sla
         self.thresholds = thresholds or DriftThresholds()
         self.policy = policy or ReProvisioningPolicy()
-        self.migration_model = migration_model or MigrationCostModel(system)
-        self.evaluation_mode = evaluation_mode
-        self.initial_layout = initial_layout
+        self.migration_model = MigrationCostModel(system)
         self.solver = solver or DOTSolver()
         self.profile_source = profile_source
         self.predictor = predictor
@@ -462,12 +445,9 @@ class OnlineAdvisor:
         self.retier_on_sla_violation = retier_on_sla_violation
         self.fault_injector = fault_injector
         self.retier_budget_s = retier_budget_s
-        if migration_max_retries < 0:
-            raise ValueError("migration retries cannot be negative")
-        self.migration_max_retries = migration_max_retries
         self.outlier_policy = outlier_policy
         self.migration_executor = (
-            MigrationExecutor(system, model=self.migration_model)
+            MigrationExecutor(system)
             if migration_execution == "simulated"
             else None
         )
@@ -524,19 +504,6 @@ class OnlineAdvisor:
             return evaluator.evaluate(layout)
         return self.toc_model.evaluate(layout, workload, mode="estimate")
 
-    def _epoch_constraint(self, workload, evaluator=None,
-                          sla=None) -> Optional[PerformanceConstraint]:
-        """Resolve the SLA for one epoch's workload (estimate-derived caps).
-
-        ``sla`` overrides the advisor-level SLA (cross-kind epochs resolve
-        each component against the metric its kind carries).
-        """
-        chosen = self.sla if sla is None else sla
-        if chosen is None or isinstance(chosen, PerformanceConstraint):
-            return chosen
-        reference = self._estimate(self.reference_layout(), workload, evaluator)
-        return chosen.resolve(reference.run_result)
-
     def _component_sla(self, workload) -> Optional[Union[RelativeSLA, PerformanceConstraint]]:
         """The SLA as it applies to one pure component of a mixed epoch.
 
@@ -561,13 +528,15 @@ class OnlineAdvisor:
                              adapt_sla: bool) -> Optional[PerformanceConstraint]:
         """The component's epoch constraint, resolved at most once per epoch.
 
+        A relative SLA is resolved against the estimated reference layout
+        (estimate-derived caps), through the cache-backed ``evaluator``.
         ``adapt_sla`` is True only for components of a *mixed* epoch, where
         a relative SLA's metric must follow each component's kind; pure
         epochs apply the advisor SLA exactly as declared (the PR-4
         behaviour, regression-locked).  A single epoch evaluates its
         components several times (observation, candidate gate, rebase
-        refresh, run-mode accounting); the resolved caps are identical each
-        time, so they are memoized per component object.  :meth:`run` /
+        refresh); the resolved caps are identical each time, so they are
+        memoized per component object.  :meth:`run` /
         :meth:`evaluate_frozen` clear the memo at every epoch boundary --
         constraints must track the drifting workload, and component
         identity is only stable within an epoch.
@@ -575,9 +544,10 @@ class OnlineAdvisor:
         key = id(component)
         if key not in self._constraint_memo:
             sla = self._component_sla(component) if adapt_sla else self.sla
-            self._constraint_memo[key] = self._epoch_constraint(
-                component, evaluator, sla=sla
-            )
+            if isinstance(sla, RelativeSLA):
+                reference = self._estimate(self.reference_layout(), component, evaluator)
+                sla = sla.resolve(reference.run_result)
+            self._constraint_memo[key] = sla
         return self._constraint_memo[key]
 
     # ------------------------------------------------------------------
@@ -588,21 +558,16 @@ class OnlineAdvisor:
         layout: Layout,
         component,
         caches: Dict[int, QueryEstimateCache],
-        mode: str,
         adapt_sla: bool = False,
     ) -> Tuple[TOCReport, float]:
-        """Score one pure-kind component: its TOC report and PSR.
+        """Score one pure-kind component: its estimated TOC report and PSR.
 
-        The SLA is resolved through the cache-backed estimate evaluator in
-        *both* modes (constraint caps are estimate-derived by convention);
-        only the accounted report switches to a simulated run in run mode.
+        Report and SLA caps both come from the cache-backed estimate
+        evaluator.
         """
         evaluator = self._epoch_evaluator(component, self._cache_for(caches, component))
         constraint = self._resolved_constraint(component, evaluator, adapt_sla)
-        if mode == "estimate":
-            report = self._estimate(layout, component, evaluator)
-        else:
-            report = self.toc_model.evaluate(layout, component, mode="run")
+        report = self._estimate(layout, component, evaluator)
         psr = (
             performance_satisfaction_ratio(constraint, report.run_result)
             if constraint is not None
@@ -615,7 +580,6 @@ class OnlineAdvisor:
         layout: Layout,
         workload,
         caches: Dict[int, QueryEstimateCache],
-        mode: str = "estimate",
     ) -> _EpochEvaluation:
         """Score one layout against one epoch, blending across kinds.
 
@@ -626,7 +590,7 @@ class OnlineAdvisor:
         """
         components = self._components(workload)
         if len(components) == 1:
-            report, psr = self._evaluate_component(layout, components[0][0], caches, mode)
+            report, psr = self._evaluate_component(layout, components[0][0], caches)
             return _EpochEvaluation(report=report, psr=psr)
 
         blended = _BlendedRunResult(getattr(workload, "name", "workload"))
@@ -634,7 +598,7 @@ class OnlineAdvisor:
         psr = 0.0
         for component, weight in components:
             report, component_psr = self._evaluate_component(
-                layout, component, caches, mode, adapt_sla=True
+                layout, component, caches, adapt_sla=True
             )
             toc_cents += weight * report.toc_cents
             psr += weight * component_psr
@@ -734,10 +698,10 @@ class OnlineAdvisor:
         Each attempt first consults the fault injector (an injected
         ``migration_failure`` fails its first ``spec.attempts`` attempts),
         then runs the real assessment.  Every failed attempt is recorded;
-        ``None`` after ``migration_max_retries + 1`` failures tells the loop
+        ``None`` after ``MIGRATION_MAX_RETRIES + 1`` failures tells the loop
         to hold the deployed layout for this epoch.
         """
-        attempts = self.migration_max_retries + 1
+        attempts = MIGRATION_MAX_RETRIES + 1
         for attempt in range(attempts):
             try:
                 if (self.fault_injector is not None
@@ -971,8 +935,7 @@ class OnlineAdvisor:
             epoch_item = self._as_epoch(item, position)
             workload = epoch_item.workload
             self._constraint_memo.clear()
-            mode = "estimate" if self.evaluation_mode == "estimate" else "run"
-            evaluation = self._evaluate_epoch(layout, workload, caches, mode=mode)
+            evaluation = self._evaluate_epoch(layout, workload, caches)
             cumulative += evaluation.toc_cents
             records.append(
                 FrozenEpochRecord(
@@ -1053,11 +1016,7 @@ class OnlineLoop:
                 outlier_policy=advisor.outlier_policy,
             )
         if self.current is None:
-            self.current = (
-                advisor.initial_layout
-                if advisor.initial_layout is not None
-                else advisor.reference_layout()
-            )
+            self.current = advisor.reference_layout()
         monitor = self.monitor
         caches = self.caches
         current = self.current
@@ -1239,16 +1198,11 @@ class OnlineLoop:
                         migration = None
                         migration_reason = "migration cost exceeds projected saving"
 
-        # 5: account the epoch on the (possibly re-tiered) layout.  In
-        # estimate mode the deployed layout's report already exists --
-        # `observed` when it did not change, the rebase refresh when it
-        # did -- so nothing is recomputed.
-        if advisor.evaluation_mode == "estimate":
-            final = retiered_eval if retiered_eval is not None else observed
-        else:
-            # Simulated test runs are stateful (noise RNG) and must
-            # never be served from the estimate tables.
-            final = advisor._evaluate_epoch(current, workload, caches, mode="run")
+        # 5: account the epoch on the (possibly re-tiered) layout.  Its
+        # report already exists -- `observed` when the layout did not
+        # change, the rebase refresh when it did -- so nothing is
+        # recomputed.
+        final = retiered_eval if retiered_eval is not None else observed
         migration_charge = (
             migration.cost_cents if migrated and migration is not None else 0.0
         )

@@ -24,7 +24,7 @@ constants of the class pair):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.layout import Layout
 from repro.storage.io_profile import IOType
@@ -260,10 +260,9 @@ class MigrationExecutor:
     Parameters
     ----------
     system:
-        The storage system whose simulated devices service the batches.
-    model:
-        The analytic :class:`MigrationCostModel` providing batch geometry and
-        the cross-check price (defaults to one over ``system``).
+        The storage system whose simulated devices service the batches; an
+        analytic :class:`MigrationCostModel` over it provides the batch
+        geometry and the cross-check price.
     jitter:
         Per-batch measurement noise of the simulator (``0`` keeps the run
         deterministic and makes the idle-system busy time equal the analytic
@@ -276,13 +275,12 @@ class MigrationExecutor:
         the mover forever (``1 / (1 - u)`` diverges).
     """
 
-    def __init__(self, system: StorageSystem, model: Optional[MigrationCostModel] = None,
-                 jitter: float = 0.0, seed: int = 2011,
+    def __init__(self, system: StorageSystem, jitter: float = 0.0, seed: int = 2011,
                  max_utilization: float = 0.9):
         if not 0.0 <= max_utilization < 1.0:
             raise ValueError("utilisation cap must be in [0, 1)")
         self.system = system
-        self.model = model or MigrationCostModel(system)
+        self.model = MigrationCostModel(system)
         self.jitter = jitter
         self.seed = seed
         self.max_utilization = max_utilization

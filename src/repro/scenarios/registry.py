@@ -129,7 +129,6 @@ class ScenarioBundle:
         capacity_limits_gb: Optional[Mapping[str, float]] = None,
         objects: Optional[Sequence[DatabaseObject]] = None,
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = DEFAULT_SLA,
-        constraint_mode: str = "estimate",
         cost_override: Optional[Callable[[Layout], float]] = None,
         profiles: Optional[WorkloadProfileSet] = None,
         estimate_cache: Optional[QueryEstimateCache] = None,
@@ -154,7 +153,6 @@ class ScenarioBundle:
             estimator=self.estimator if estimator is None else estimator,
             workload=self.workload,
             sla=self.sla if sla is DEFAULT_SLA else sla,
-            constraint_mode=constraint_mode,
             cost_override=cost_override,
             profile_mode=self.profile_mode,
             single_baseline_profile=self.single_baseline_profile,

@@ -399,12 +399,8 @@ class TestFigure9Configuration:
 
         def search(batch):
             estimator = WorkloadEstimator(catalog, buffer_pool=BufferPool(size_gb=4.0))
-            from repro.experiments.runner import ExperimentRunner
-
-            runner = ExperimentRunner(all_objects, system, estimator)
-            constraint = runner.resolve_constraint(
-                workload, RelativeSLA(0.25, metric="throughput"), mode="estimate"
-            )
+            context = EvaluationContext(all_objects, system, estimator, workload)
+            constraint = context.resolve_constraint(RelativeSLA(0.25, metric="throughput"))
             return solve_es(
                 hot, system, estimator, workload, constraint=constraint, per_group=True,
                 pinned_objects=cold, pinned_class=system.most_expensive().name,

@@ -1,5 +1,5 @@
 """Section 5 extensions: MILP reference, discrete cost model, generalized provisioning,
-plus the experiment runner/reporting utilities."""
+plus the layout measurement and reporting utilities."""
 
 import pytest
 
@@ -18,7 +18,7 @@ from repro.experiments.reporting import (
     format_layout_assignment,
     format_table,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import measure_layouts
 from repro.objects import group_objects
 from repro.sla.constraints import RelativeSLA
 from repro.storage import catalog as storage_catalog
@@ -209,18 +209,19 @@ class TestGeneralizedProvisioning:
             provisioner.decide(small_workload, [])
 
 
-class TestExperimentRunner:
+class TestMeasureLayouts:
     def test_evaluations_include_psr_and_toc(self, small_objects, box1_system, small_catalog,
                                              small_workload):
         from repro.dbms.executor import WorkloadEstimator
 
         estimator = WorkloadEstimator(small_catalog, noise=0.0)
-        runner = ExperimentRunner(small_objects, box1_system, estimator)
+        context = EvaluationContext(small_objects, box1_system, estimator, small_workload)
         layouts = {
             "All H-SSD": Layout.uniform(small_objects, box1_system, "H-SSD"),
             "All HDD RAID 0": Layout.uniform(small_objects, box1_system, "HDD RAID 0"),
         }
-        evaluations = runner.evaluate_layouts(layouts, small_workload, sla=RelativeSLA(0.5))
+        constraint = context.resolve_constraint(RelativeSLA(0.5), mode="run")
+        evaluations = measure_layouts(context, layouts, constraint)
         by_name = {evaluation.layout_name: evaluation for evaluation in evaluations}
         assert by_name["All H-SSD"].psr == pytest.approx(1.0)
         assert by_name["All H-SSD"].toc_cents > 0
@@ -232,9 +233,9 @@ class TestExperimentRunner:
         from repro.dbms.executor import WorkloadEstimator
 
         estimator = WorkloadEstimator(small_catalog, buffer_pool=BufferPool(2.0), noise=0.0)
-        runner = ExperimentRunner(small_objects, box1_system, estimator)
-        measured = runner.resolve_constraint(small_workload, RelativeSLA(0.5), mode="run")
-        estimated = runner.resolve_constraint(small_workload, RelativeSLA(0.5), mode="estimate")
+        context = EvaluationContext(small_objects, box1_system, estimator, small_workload)
+        measured = context.resolve_constraint(RelativeSLA(0.5), mode="run")
+        estimated = context.resolve_constraint(RelativeSLA(0.5), mode="estimate")
         # Measured (buffer-assisted) caps are at most the estimate-based caps.
         for name, cap in measured.caps_ms.items():
             assert cap <= estimated.caps_ms[name] * 1.001
@@ -248,10 +249,10 @@ class TestReporting:
 
     def test_format_evaluations(self, small_objects, box1_system, small_estimator,
                                 small_workload):
-        runner = ExperimentRunner(small_objects, box1_system, small_estimator)
-        evaluations = runner.evaluate_layouts(
-            {"All H-SSD": Layout.uniform(small_objects, box1_system, "H-SSD")},
-            small_workload,
+        context = EvaluationContext(small_objects, box1_system, small_estimator,
+                                    small_workload)
+        evaluations = measure_layouts(
+            context, {"All H-SSD": Layout.uniform(small_objects, box1_system, "H-SSD")}
         )
         text = format_evaluations(evaluations, "Response time (s)")
         assert "All H-SSD" in text and "TOC" in text

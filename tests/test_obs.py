@@ -10,7 +10,8 @@ Four contracts are locked here:
   worker spans merge into the coordinator's tree (including a
   killed-and-retried shard), and a solve/online run's span tree accounts
   for >= 95% of its wall time.
-* **Durability** -- run records survive a JSONL round-trip bitwise.
+* **Durability** -- run records survive a JSONL round-trip bitwise; a torn
+  final append is skipped and a line damaged at rest is refused by name.
 * **The gate** -- the regression check passes a run against its own
   baseline and fails when a gated metric degrades 2x (or a required bench
   output is missing).
@@ -19,12 +20,17 @@ Four contracts are locked here:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import scenarios
 from repro.core import DOTSolver, ExhaustiveSolver
+from repro.exceptions import CheckpointCorruptionError
 from repro.obs import log as obs_log
 from repro.obs import metrics, recorder, report, trace
 from repro.obs.trace import NULL_SPAN, Span, Tracer
@@ -274,6 +280,24 @@ class TestRecorder:
         assert loaded == record
         assert loaded.to_json_line() == record.to_json_line()
 
+    def test_torn_final_append_loads_the_intact_records(self, tmp_path):
+        store = recorder.RunStore(tmp_path)
+        for run_id in ("run-1", "run-2"):
+            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
+        store.path.write_bytes(store.path.read_bytes()[:-20])
+        assert [record.run_id for record in store.load()] == ["run-1"]
+
+    def test_damaged_middle_line_raises_naming_the_store(self, tmp_path):
+        store = recorder.RunStore(tmp_path)
+        for run_id in ("run-1", "run-2", "run-3"):
+            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
+        lines = store.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][:40] + "\n"
+        store.path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CheckpointCorruptionError, match="line 2") as info:
+            store.load()
+        assert str(store.path) in str(info.value)
+
     def test_solve_records_when_recording(self, sanity_bundle, tmp_path):
         with recorder.recording(tmp_path), trace.tracing():
             with recorder.run_context(scenario="synthetic_sanity", seed=7):
@@ -382,9 +406,19 @@ class TestGate:
 
     def test_committed_baselines_gate_green(self, tmp_path):
         """The baselines we ship must pass their own gate (reflexivity)."""
-        from pathlib import Path
         baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
         assert report.check_regressions(baselines, baselines) == 0
+
+    def test_module_entry_point_imports_the_report_once(self):
+        """Importing the package must not import the report: ``-m`` would run it twice."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs.report",
+             "--help"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestSpanCoverage:

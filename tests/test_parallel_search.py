@@ -558,7 +558,6 @@ class TestFigure9Parallel:
     def test_parallel_matches_batch_on_fig9_config(self):
         from repro.dbms.buffer_pool import BufferPool
         from repro.experiments import boxes
-        from repro.experiments.runner import ExperimentRunner
         from repro.workloads import tpcc
 
         warehouses, concurrency = 300, 300
@@ -572,10 +571,8 @@ class TestFigure9Parallel:
 
         def search(**kwargs):
             estimator = WorkloadEstimator(catalog, buffer_pool=BufferPool(size_gb=4.0))
-            runner = ExperimentRunner(all_objects, system, estimator)
-            constraint = runner.resolve_constraint(
-                workload, RelativeSLA(0.25, metric="throughput"), mode="estimate"
-            )
+            context = EvaluationContext(all_objects, system, estimator, workload)
+            constraint = context.resolve_constraint(RelativeSLA(0.25, metric="throughput"))
             return solve_es(
                 hot, system, estimator, workload, constraint=constraint, per_group=True,
                 pinned_objects=cold, pinned_class=system.most_expensive().name,

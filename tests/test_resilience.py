@@ -591,7 +591,6 @@ class TestOnlineResilience:
         chaotic = chaos_advisor(
             small_objects, box1_system, small_catalog,
             fault_injector=FaultInjector(plan),
-            migration_max_retries=2,
         ).run(two_phase_generator.epochs())
         record = next(r for r in chaotic.records if r.epoch == target)
         previous = next(r for r in chaotic.records if r.epoch == target - 1)
