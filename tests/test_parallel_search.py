@@ -693,6 +693,32 @@ class TestDiskCheckpoint:
         assert (loaded.stats.build_s, loaded.stats.warm_s, loaded.stats.attach_s) == \
             (0.25, 0.5, 0.125)
 
+    def test_checkpoint_save_bytes_are_pinned(self, tmp_path):
+        """``save`` keeps writing the format-2 bytes: indented, sorted keys,
+        ``Infinity`` for an incumbent-less run."""
+        progress = SearchProgress(total_shards=2, completed={0}, evaluated=27,
+                                  space=81, prefix_depth=2,
+                                  incidents=["shard 1 attempt 0 failed"])
+        progress.stats.candidates = 27
+        written = (
+            b'{\n  "best_index": -1,\n  "best_row": null,\n  "best_toc": Infinity,\n'
+            b'  "checksum": "42ffdf30b9e5b06d131779d5618a050f45dd35f04bdd3c733e6ac2b5234a8cbf",\n'
+            b'  "completed": [\n    0\n  ],\n  "evaluated": 27,\n  "format": 2,\n'
+            b'  "incidents": [\n    "shard 1 attempt 0 failed"\n  ],\n'
+            b'  "prefix_depth": 2,\n  "space": 81,\n  "stats": {\n'
+            b'    "attach_s": 0.0,\n    "build_s": 0.0,\n    "cache_hits": 0,\n'
+            b'    "cache_misses": 0,\n    "candidates": 27,\n    "capacity_feasible": 0,\n'
+            b'    "chunks": 0,\n    "estimator_calls": 0,\n    "eval_s": 0.0,\n'
+            b'    "feasible": 0,\n    "oltp_aggregations": 0,\n'
+            b'    "pruned_chunk_layouts": 0,\n    "pruned_chunks": 0,\n'
+            b'    "pruned_subtree_layouts": 0,\n    "pruned_subtrees": 0,\n'
+            b'    "shards": 0,\n    "steals": 0,\n    "warm_s": 0.0,\n'
+            b'    "workers": 0\n  },\n  "total_shards": 2\n}\n'
+        )
+        path = progress.save(tmp_path / "pinned.json")
+        assert path.read_bytes() == written
+        assert SearchProgress.load(path).to_json() == progress.to_json()
+
     def test_unsupported_format_version_is_refused(self, tmp_path):
         from repro.exceptions import ConfigurationError
 

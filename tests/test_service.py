@@ -348,6 +348,56 @@ class TestJournal:
         with pytest.raises(CheckpointCorruptionError):
             Journal.load(path)
 
+    #: A two-record journal and one snapshot exactly as the format-1 writers
+    #: put them on disk.  Both must keep loading, and writing the same
+    #: records must keep producing these bytes.
+    PINNED_JOURNAL = (
+        b'{"checksum": "3d96137d869b8814dc53e8ae014c3b6f147862b18e1571b0dbedaba5f644a2f7", '
+        b'"format_version": 1, "kind": "tenant_registered", "payload": {"spec": '
+        b'{"drift": "steady", "num_epochs": 2, "tenant_id": "alpha"}, "tick": 0}, "seq": 1}\n'
+        b'{"checksum": "def24bae322958930c4d43b03beee2f9a1693a560f06cf63e856945517bbedf2", '
+        b'"format_version": 1, "kind": "epoch_committed", "payload": {"assignment": '
+        b'{"lineitem": "H-SSD", "orders": "L-SSD"}, "epoch": 0, "tenant_id": "alpha", '
+        b'"tick": 1, "toc_cents": 1.5}, "seq": 2}\n'
+    )
+    PINNED_SNAPSHOT = (
+        b'{"checksum": "257255ac96a13ebd3a1c5c132f892569f79500f944c73598db4904355f95dc9f", '
+        b'"format_version": 1, "seq": 2, "state": {"queue": {"cursor": 0, "items": []}, '
+        b'"tick": 1, "used_budget_s": {"alpha": 0.25}}}\n'
+    )
+
+    def test_on_disk_formats_are_pinned(self, tmp_path):
+        spec = {"tenant_id": "alpha", "num_epochs": 2, "drift": "steady"}
+        assignment = {"lineitem": "H-SSD", "orders": "L-SSD"}
+        state = {"tick": 1, "queue": {"cursor": 0, "items": []},
+                 "used_budget_s": {"alpha": 0.25}}
+
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "journal.jsonl").write_bytes(self.PINNED_JOURNAL)
+        records, note = Journal.load(old / "journal.jsonl")
+        assert note is None
+        assert [(r["seq"], r["kind"]) for r in records] == \
+            [(1, "tenant_registered"), (2, "epoch_committed")]
+        assert records[0]["payload"] == {"tick": 0, "spec": spec}
+        assert records[1]["payload"] == {"tick": 1, "tenant_id": "alpha", "epoch": 0,
+                                         "assignment": assignment, "toc_cents": 1.5}
+        (old / "snaps").mkdir()
+        (old / "snaps" / "snapshot-0000000002.json").write_bytes(self.PINNED_SNAPSHOT)
+        snapshot = SnapshotStore(old / "snaps").load_latest()
+        assert (snapshot["seq"], snapshot["state"]) == (2, state)
+
+        new = tmp_path / "new"
+        journal = Journal(new / "journal.jsonl")
+        journal.append("tenant_registered", tick=0, spec=spec)
+        journal.append("epoch_committed", tick=1, tenant_id="alpha", epoch=0,
+                       assignment=assignment, toc_cents=1.5)
+        journal.close()
+        assert (new / "journal.jsonl").read_bytes() == self.PINNED_JOURNAL
+        saved = SnapshotStore(new / "snaps").save(2, state)
+        assert saved.name == "snapshot-0000000002.json"
+        assert saved.read_bytes() == self.PINNED_SNAPSHOT
+
     def test_snapshot_store_quarantines_corrupt(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
         store.save(1, {"tick": 1})
