@@ -39,7 +39,8 @@ single-core ceiling:
   the completed shards).  The engine is a context manager and always
   terminates/joins its pool -- on success, error and ``KeyboardInterrupt``
   alike.  Every recovery action is recorded in ``SearchProgress.incidents``.
-  Checkpoints are checksum-guarded: a truncated or garbled file raises
+  Checkpoints are written, sealed, read and quarantined through
+  :mod:`repro.durable`: a damaged file raises
   :class:`~repro.exceptions.CheckpointCorruptionError` naming the path
   (:meth:`SearchProgress.load_or_quarantine` renames it aside and redoes the
   affected shards from scratch).  Faults themselves are injectable through
@@ -61,10 +62,8 @@ serial path exactly and the returned layout and TOC are bitwise identical.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,6 +78,7 @@ from repro.core.batch_eval import (
     accumulate_space_used,
     iter_assignment_chunks,
 )
+from repro.durable import atomic_write, check_seal, quarantine, read_document, seal
 from repro.exceptions import (
     CheckpointCorruptionError,
     ConfigurationError,
@@ -118,12 +118,12 @@ class SearchProgress:
     layout yet) use the ``json`` module's ``Infinity`` extension, which the
     loader parses back.
 
-    The on-disk form is integrity-guarded: the payload carries a SHA-256
-    checksum over its canonical rendering, so a truncated write, bit rot or
-    hand edits surface as :class:`~repro.exceptions.CheckpointCorruptionError`
-    (with the offending path) instead of a bare ``json`` traceback or -- far
-    worse -- a silently wrong resume.  :meth:`load_or_quarantine` converts a
-    corrupt checkpoint into a fresh start by renaming the damaged file aside
+    The on-disk form carries a :func:`~repro.durable.seal`, so a truncated
+    write, bit rot or hand edits surface as
+    :class:`~repro.exceptions.CheckpointCorruptionError` (with the offending
+    path) instead of a bare ``json`` traceback or -- far worse -- a silently
+    wrong resume.  :meth:`load_or_quarantine` converts a corrupt checkpoint
+    into a fresh start by renaming the damaged file aside
     (``<name>.quarantined``), which makes the engine redo the affected shards
     rather than trust them.
     """
@@ -153,16 +153,9 @@ class SearchProgress:
         return len(self.completed) >= self.total_shards
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _payload_checksum(payload: Dict[str, object]) -> str:
-        """SHA-256 over the canonical rendering of a checksum-less payload."""
-        body = {key: value for key, value in payload.items() if key != "checksum"}
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
     def to_json(self) -> Dict[str, object]:
-        """The checkpoint as a JSON-serialisable dictionary (checksummed)."""
-        payload = {
+        """The checkpoint as a JSON-serialisable dictionary (sealed)."""
+        return seal({
             "format": self.FORMAT_VERSION,
             "total_shards": self.total_shards,
             "completed": sorted(self.completed),
@@ -174,23 +167,17 @@ class SearchProgress:
             "space": self.space,
             "prefix_depth": self.prefix_depth,
             "incidents": list(self.incidents),
-        }
-        payload["checksum"] = self._payload_checksum(payload)
-        return payload
+        })
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the checkpoint to ``path`` as JSON; returns the path.
 
-        The write is atomic (temp file + ``os.replace`` in the same
-        directory), so a crash mid-save -- the very interruption scenario
-        checkpoints exist for -- can never destroy the previous good
-        checkpoint.
+        The write is :func:`~repro.durable.atomic_write`, so a crash
+        mid-save -- the very interruption scenario checkpoints exist for --
+        can never destroy the previous good checkpoint.
         """
         path = Path(path)
-        payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(payload)
-        os.replace(scratch, path)
+        atomic_write(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
         return path
 
     @classmethod
@@ -199,7 +186,7 @@ class SearchProgress:
         """Rebuild a checkpoint from :meth:`to_json` output.
 
         Schema violations (wrong format version, unknown stats fields) raise
-        :class:`ConfigurationError`; a failed payload checksum raises
+        :class:`ConfigurationError`; a failed seal raises
         :class:`CheckpointCorruptionError` naming ``source``.
         """
         version = data.get("format")
@@ -215,13 +202,7 @@ class SearchProgress:
             raise ConfigurationError(
                 f"SearchProgress checkpoint has unknown stats fields {unknown}"
             )
-        recorded = data.get("checksum")
-        if recorded != cls._payload_checksum(data):
-            raise CheckpointCorruptionError(
-                "SearchProgress checkpoint failed its payload checksum"
-                + ("" if recorded is not None else " (checksum missing)"),
-                path=source,
-            )
+        check_seal(data, source, "SearchProgress checkpoint")
         best_row = data.get("best_row")
         return cls(
             total_shards=int(data["total_shards"]),
@@ -248,24 +229,7 @@ class SearchProgress:
         (they indicate an incompatible writer, not a damaged file).
         """
         path = Path(path)
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            # Garbled bytes (a torn sector) are as fatal as an unreadable
-            # file: both mean the checkpoint cannot be trusted.
-            raise CheckpointCorruptionError(
-                f"checkpoint is unreadable: {exc}", path=path
-            ) from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointCorruptionError(
-                f"checkpoint is not valid JSON: {exc}", path=path
-            ) from exc
-        if not isinstance(data, dict):
-            raise CheckpointCorruptionError(
-                f"checkpoint JSON is a {type(data).__name__}, not an object", path=path
-            )
+        data = read_document(path, "checkpoint")
         try:
             return cls.from_json(data, source=path)
         except (TypeError, ValueError, KeyError) as exc:
@@ -290,7 +254,7 @@ class SearchProgress:
         try:
             return cls.load(path)
         except CheckpointCorruptionError:
-            os.replace(path, path.with_name(path.name + ".quarantined"))
+            quarantine(path)
             return None
 
     # ------------------------------------------------------------------

@@ -18,7 +18,10 @@ spans are inside its tree).
 
 Round-tripping is bitwise: floats serialize via ``repr`` (Python's shortest
 round-trip representation), so a loaded record compares equal to the one
-written -- enforced by ``tests/test_obs.py``.
+written -- enforced by ``tests/test_obs.py``.  The store file is a
+:class:`repro.durable.AppendLog`: every line is sealed and fsynced, a torn
+final append is cut before the next one, and a line damaged at rest raises
+naming the file.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from repro.exceptions import CheckpointCorruptionError
+from repro.durable import AppendLog
 
 #: Default store location, relative to the current working directory.
 DEFAULT_STORE_DIR = Path("benchmarks") / "runs"
@@ -73,7 +76,11 @@ class RunRecord:
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
         """Rebuild a record from one store line."""
-        data = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
+        """Rebuild a record from its parsed JSON, ignoring unknown keys."""
         known = set(cls.__dataclass_fields__)
         return cls(**{key: value for key, value in data.items() if key in known})
 
@@ -89,52 +96,37 @@ def _fallback_encoder(value):
 
 
 class RunStore:
-    """Append-only JSONL store of :class:`RunRecord` lines."""
+    """Append-only JSONL store of sealed :class:`RunRecord` lines."""
 
     def __init__(self, directory: os.PathLike = DEFAULT_STORE_DIR):
         self.directory = Path(directory)
         self.path = self.directory / "runs.jsonl"
+        self._log = AppendLog(self.path)
 
     def append(self, record: RunRecord) -> Path:
-        """Append one record (creates the directory on first write)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(record.to_json_line() + "\n")
+        """Durably append one record (creates the directory on first write)."""
+        self._log.append(json.loads(record.to_json_line()))
         return self.path
 
-    def __iter__(self) -> Iterator[RunRecord]:
-        """The records oldest first, skipping a torn final append.
-
-        An unparseable line with valid records after it was damaged at rest:
-        :class:`CheckpointCorruptionError` names the file and the line.
-        """
-        if not self.path.exists():
-            return
-        damaged_line: Optional[int] = None
-        with self.path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = RunRecord.from_json_line(line)
-                except json.JSONDecodeError:
-                    damaged_line = damaged_line or lineno
-                    continue
-                if damaged_line is not None:
-                    raise CheckpointCorruptionError(
-                        f"run store damaged at line {damaged_line} "
-                        "with valid records after it",
-                        path=self.path,
-                    )
-                yield record
+    def close(self) -> None:
+        """Close the store's file (a later append reopens it)."""
+        self._log.close()
 
     def load(self) -> List[RunRecord]:
-        """Every record in the store, oldest first."""
-        return list(self)
+        """Every record in the store, oldest first, without a torn final append.
+
+        A damaged line with lines after it raises
+        :class:`~repro.exceptions.CheckpointCorruptionError` naming the file
+        and the line.
+        """
+        records, _ = AppendLog.load(self.path)
+        return [RunRecord.from_dict(data) for data in records]
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return iter(self.load())
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return len(self.load())
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +170,7 @@ def recording(directory: os.PathLike = DEFAULT_STORE_DIR):
         yield store
     finally:
         set_store(previous)
+        store.close()
 
 
 @contextmanager

@@ -1,35 +1,28 @@
-"""Checksummed write-ahead journal and snapshots for the advisor service.
+"""Write-ahead journal and snapshots for the advisor service.
 
 Durability follows the command-logging school: the journal records *what
 happened* (tenant registrations, committed epochs, sheds, kills, breaker
-transitions) as pure data, one JSONL record per line, each carrying a
-monotonically increasing ``seq`` and a SHA-256 checksum over its canonical
-form.  Because every tenant's epoch stream is rebuilt deterministically
-from its registered spec, recovery re-executes the committed epochs through
-the same code path and *verifies* each replayed layout bitwise against the
-journaled assignment -- the journal is simultaneously the redo log and the
-integrity oracle.
+transitions) as pure data, one sealed JSONL record per line, each carrying
+a monotonically increasing ``seq``.  Because every tenant's epoch stream is
+rebuilt deterministically from its registered spec, recovery re-executes
+the committed epochs through the same code path and *verifies* each
+replayed layout bitwise against the journaled assignment -- the journal is
+simultaneously the redo log and the integrity oracle.
 
-Damage handling mirrors the parallel-search checkpoint conventions:
-
-* a torn tail (the crash interrupted the last ``write``) is detected by the
-  checksum and sliced off with a note -- everything before it replays;
-* a corrupt record *followed by valid ones* (bit rot mid-file) or a ``seq``
-  gap is unrecoverable and raises
-  :class:`~repro.exceptions.CheckpointCorruptionError`;
-* snapshots are written atomically (tmp + rename), carry their own
-  checksum, and a corrupt snapshot is quarantined aside (``.corrupt``) so
-  recovery falls back to the previous one instead of crashing on it.
+The crash-safety mechanics -- seals, the torn-tail policy of the
+append-only log, atomic snapshot writes and quarantine -- are those of
+:mod:`repro.durable`.  This module adds the ``seq`` chain (a gap raises
+:class:`~repro.exceptions.CheckpointCorruptionError`) and the fallback from
+a damaged snapshot to the previous one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.durable import AppendLog, atomic_write, check_seal, quarantine, read_document, seal
 from repro.exceptions import CheckpointCorruptionError
 
 #: Bump when the journal/snapshot record layout changes incompatibly.
@@ -39,49 +32,29 @@ JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_PREFIX = "snapshot-"
 
 
-def _checksum(payload: Dict[str, object]) -> str:
-    """SHA-256 over the canonical JSON form (checksum field excluded)."""
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != "checksum"},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 class Journal:
-    """An append-only, checksummed JSONL write-ahead journal.
+    """The service's write-ahead journal, kept in an :class:`~repro.durable.AppendLog`.
 
     Records are the service's commit points: a state change is durable iff
-    its record round-tripped to the journal (``flush`` + ``fsync`` by
-    default), and recovery trusts nothing that is not in it.  The file is
-    opened lazily on first append so read-only consumers never create one.
+    its record round-tripped to the journal (fsynced by default), and
+    recovery trusts nothing that is not in it.
     """
 
     def __init__(self, path: Union[str, Path], sync: bool = True):
         self.path = Path(path)
-        self.sync = sync
-        self._handle = None
+        self._log = AppendLog(self.path, sync=sync)
         self._seq = 0
 
     # -- writing -------------------------------------------------------
     def append(self, kind: str, **payload: object) -> int:
         """Durably append one record; returns its sequence number."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
         self._seq += 1
-        record = {
+        self._log.append({
             "format_version": FORMAT_VERSION,
             "seq": self._seq,
             "kind": kind,
             "payload": payload,
-        }
-        record["checksum"] = _checksum(record)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
+        })
         return self._seq
 
     def resume_at(self, last_seq: int) -> None:
@@ -95,76 +68,39 @@ class Journal:
 
     def close(self) -> None:
         """Close the underlying file handle (appends reopen it)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     # -- reading -------------------------------------------------------
     @staticmethod
     def load(path: Union[str, Path]) -> Tuple[List[Dict[str, object]], Optional[str]]:
         """Read and verify a journal; returns ``(records, torn_tail_note)``.
 
-        A checksum/parse failure on the *last* populated region is a torn
-        tail (the crash hit mid-write): it is sliced off and reported in
-        the note.  A bad record with valid records after it, or a gap in
-        the ``seq`` chain, means the file was damaged at rest and raises
+        On top of :meth:`AppendLog.load` (a torn tail is sliced off with a
+        note, damage mid-file raises), a gap in the ``seq`` chain raises
         :class:`CheckpointCorruptionError` -- replaying around missing
         history would silently diverge from the pre-crash state.
         """
-        path = Path(path)
-        if not path.exists():
-            return [], None
-        records: List[Dict[str, object]] = []
-        bad: List[Tuple[int, str]] = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                bad.append((lineno, "unparseable line"))
-                continue
-            if not isinstance(record, dict) or record.get("checksum") != _checksum(record):
-                bad.append((lineno, "checksum mismatch"))
-                continue
-            if bad:
-                # A valid record after a bad one: damage mid-file, not a torn
-                # tail.  Refuse to replay around the hole.
-                lineno_bad, why = bad[0]
-                raise CheckpointCorruptionError(
-                    f"journal damaged at line {lineno_bad} ({why}) "
-                    f"with valid records after it",
-                    path=path,
-                )
-            records.append(record)
-        expected = 0
-        for record in records:
-            expected += 1
+        records, note = AppendLog.load(path)
+        for expected, record in enumerate(records, 1):
             if record.get("seq") != expected:
                 raise CheckpointCorruptionError(
                     f"journal sequence broken: expected seq {expected}, "
                     f"found {record.get('seq')!r}",
                     path=path,
                 )
-        note = None
-        if bad:
-            note = (
-                f"journal tail torn at line {bad[0][0]} ({bad[0][1]}); "
-                f"replaying {len(records)} intact records"
-            )
         return records, note
 
 
 class SnapshotStore:
-    """Atomic, checksummed snapshots of the service's scheduler state.
+    """Atomic, sealed snapshots of the service's scheduler state.
 
     Snapshots bound the blast radius of a torn journal and carry the state
     the journal does not re-derive cheaply: queue contents, consumed budget
     units, breaker circuits and per-tenant cursors/layout assignments (the
     drift reference travels as its per-object I/O counts).  ``save`` writes
-    ``snapshot-<seq>.json`` via tmp + rename; ``load_latest`` walks the
-    snapshots newest-first and quarantines corrupt ones aside instead of
-    failing recovery on them.
+    ``snapshot-<seq>.json`` atomically; ``load_latest`` walks the snapshots
+    newest-first and quarantines damaged ones aside instead of failing
+    recovery on them.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -173,20 +109,9 @@ class SnapshotStore:
     def save(self, seq: int, state: Dict[str, object]) -> Path:
         """Atomically persist one snapshot keyed by its journal watermark."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        record = {
-            "format_version": FORMAT_VERSION,
-            "seq": seq,
-            "state": state,
-        }
-        record["checksum"] = _checksum(record)
+        record = seal({"format_version": FORMAT_VERSION, "seq": seq, "state": state})
         path = self.directory / f"{SNAPSHOT_PREFIX}{seq:010d}.json"
-        tmp = path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(record, sort_keys=True) + "\n")
         return path
 
     def paths(self) -> List[Path]:
@@ -196,15 +121,13 @@ class SnapshotStore:
         return sorted(self.directory.glob(f"{SNAPSHOT_PREFIX}*.json"))
 
     def load_latest(self) -> Optional[Dict[str, object]]:
-        """The newest intact snapshot record, quarantining corrupt ones."""
+        """The newest intact snapshot record, quarantining damaged ones."""
         for path in reversed(self.paths()):
             try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(record, dict) or record.get("checksum") != _checksum(record):
-                    raise CheckpointCorruptionError("snapshot checksum mismatch", path=path)
-            except (json.JSONDecodeError, CheckpointCorruptionError):
-                quarantine = path.with_suffix(path.suffix + ".corrupt")
-                os.replace(path, quarantine)
+                record = read_document(path, "snapshot")
+                check_seal(record, path, "snapshot")
+            except CheckpointCorruptionError:
+                quarantine(path)
                 continue
             return record
         return None

@@ -272,3 +272,30 @@ def small_objects(small_catalog):
 def uniform_placement(catalog: DatabaseCatalog, storage_class: StorageClass):
     """Helper: place every catalog object on one storage class."""
     return {obj.name: storage_class for obj in catalog.database_objects()}
+
+
+# ---------------------------------------------------------------------------
+# Durable-write boundaries
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def durable_calls(monkeypatch):
+    """Every ``os.fsync`` and ``os.replace`` call, in order.
+
+    An fsync is recorded as ``("fsync", inode)`` of the file or directory it
+    flushed, a rename as ``("replace", source name, target name)``.
+    """
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        return fsync(fd)
+
+    def recording_replace(source, target):
+        calls.append(("replace", Path(source).name, Path(target).name))
+        return replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return calls

@@ -287,6 +287,16 @@ class TestRecorder:
         store.path.write_bytes(store.path.read_bytes()[:-20])
         assert [record.run_id for record in store.load()] == ["run-1"]
 
+    def test_appends_after_a_torn_final_append_keep_every_intact_record(self, tmp_path):
+        store = recorder.RunStore(tmp_path)
+        for run_id in ("run-1", "run-2"):
+            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
+        store.path.write_bytes(store.path.read_bytes()[:-20])  # crash mid-append
+        store = recorder.RunStore(tmp_path)  # the next process's store
+        for run_id in ("run-3", "run-4"):
+            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
+        assert [record.run_id for record in store.load()] == ["run-1", "run-3", "run-4"]
+
     def test_damaged_middle_line_raises_naming_the_store(self, tmp_path):
         store = recorder.RunStore(tmp_path)
         for run_id in ("run-1", "run-2", "run-3"):

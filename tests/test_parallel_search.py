@@ -775,6 +775,15 @@ class TestDiskCheckpoint:
         # The final state also landed on disk.
         assert SearchProgress.load(path).finished
 
+    def test_save_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
+            self, tmp_path, durable_calls):
+        path = SearchProgress(total_shards=1).save(tmp_path / "progress.json")
+        assert durable_calls == [
+            ("fsync", path.stat().st_ino),
+            ("replace", "progress.json.tmp", "progress.json"),
+            ("fsync", tmp_path.stat().st_ino),
+        ]
+
     def test_save_is_atomic_and_leaves_no_scratch_file(self, tmp_path):
         progress = SearchProgress(total_shards=3, space=27, prefix_depth=1)
         path = progress.save(tmp_path / "atomic.json")

@@ -30,7 +30,7 @@ from repro.exceptions import (
     TenantBudgetExceededError,
 )
 from repro.obs import metrics as obs_metrics
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec, corrupt_file
 from repro.service import (
     AdmissionController,
     AdvisorService,
@@ -398,6 +398,38 @@ class TestJournal:
         assert saved.name == "snapshot-0000000002.json"
         assert saved.read_bytes() == self.PINNED_SNAPSHOT
 
+    def test_non_utf8_journal_line_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        for kind in ("a", "b", "c"):
+            journal.append(kind)
+        journal.close()
+        corrupt_file(path, "garble", seed=3)
+        with pytest.raises(UnicodeDecodeError):
+            path.read_bytes().decode("utf-8")
+        with pytest.raises(CheckpointCorruptionError) as info:
+            Journal.load(path)
+        assert str(path) in str(info.value)
+
+    def test_junk_newest_snapshot_falls_back_and_is_quarantined(self, tmp_path):
+        store = SnapshotStore(tmp_path / "snaps")
+        store.save(1, {"tick": 1})
+        newest = store.save(2, {"tick": 2})
+        corrupt_file(newest, "junk")
+        latest = store.load_latest()
+        assert (latest["seq"], latest["state"]) == (1, {"tick": 1})
+        assert not newest.exists()
+        assert newest.with_name(newest.name + ".quarantined").exists()
+
+    def test_snapshot_save_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
+            self, tmp_path, durable_calls):
+        path = SnapshotStore(tmp_path).save(1, {"tick": 1})
+        assert durable_calls == [
+            ("fsync", path.stat().st_ino),
+            ("replace", path.name + ".tmp", path.name),
+            ("fsync", tmp_path.stat().st_ino),
+        ]
+
     def test_snapshot_store_quarantines_corrupt(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
         store.save(1, {"tick": 1})
@@ -408,7 +440,7 @@ class TestJournal:
         good.write_text(json.dumps(payload))
         latest = store.load_latest()
         assert latest is not None and latest["state"]["tick"] == 1
-        assert any(p.suffix == ".corrupt" for p in (tmp_path / "snaps").iterdir())
+        assert any(p.suffix == ".quarantined" for p in (tmp_path / "snaps").iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +589,7 @@ class TestAdvisorService:
         lines = path.read_text().splitlines()
         doctored = []
         import json as _json
-        from repro.service.journal import _checksum
+        from repro.durable import checksum
         for line in lines:
             record = _json.loads(line)
             if record["kind"] == "epoch_committed":
@@ -568,7 +600,7 @@ class TestAdvisorService:
                 record["payload"]["assignment"][name] = classes[-1] \
                     if assignment[name] != classes[-1] else classes[0]
                 record.pop("checksum")
-                record["checksum"] = _checksum(record)
+                record["checksum"] = checksum(record)
             doctored.append(_json.dumps(record, sort_keys=True))
         path.write_text("\n".join(doctored) + "\n")
         with pytest.raises(CheckpointCorruptionError):
@@ -588,6 +620,34 @@ class TestAdvisorService:
         assert recovered.torn_tail_note is not None
         report = recovered.run(max_ticks=64)
         assert report.all_done
+
+    def test_second_crash_after_a_torn_tail_still_recovers(self, tmp_path):
+        """Recovery cuts the torn bytes before it appends, so the journal
+        stays recoverable through a second crash and the run converges to
+        the fault-free layouts."""
+        clean = _fleet_service(tmp_path / "clean")
+        clean_report = clean.run(max_ticks=64)
+        clean.shutdown()
+
+        state = tmp_path / "state"
+        service = _fleet_service(state)
+        for _ in range(2):
+            service.tick()
+        service.journal.close()
+        with (state / "journal.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"seq": 999, "kind": "epoch_committed", "pay')
+        recovered = AdvisorService.recover(
+            state, ServiceConfig(workers=2, queue_depth=4))
+        assert recovered.torn_tail_note is not None
+        recovered.tick()
+        recovered.journal.close()  # second hard stop
+
+        again = AdvisorService.recover(state, ServiceConfig(workers=2, queue_depth=4))
+        assert again.torn_tail_note is None
+        report = again.run(max_ticks=64)
+        again.shutdown()
+        assert report.all_done
+        assert report.layouts() == clean_report.layouts()
 
 
 # ---------------------------------------------------------------------------
