@@ -53,6 +53,8 @@ LOG = obs_log.get_logger("repro.service")
 
 #: EWMA weight of the newest step measurement in the declared-cost estimate.
 _COST_ALPHA = 0.5
+#: Dispatch attempts per epoch before the tenant is marked failed.
+MAX_STEP_ATTEMPTS = 4
 
 
 @dataclass(frozen=True)
@@ -61,14 +63,7 @@ class ServiceConfig:
 
     workers: int = 2
     queue_depth: int = 8
-    heartbeat_timeout_ticks: int = 1
-    max_worker_restarts: int = 3
-    restart_backoff_ticks: int = 1
     snapshot_every_ticks: int = 8
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_ticks: int = 4
-    #: Dispatch attempts per epoch before the tenant is marked failed.
-    max_step_attempts: int = 4
     #: ``fsync`` every journal append (turn off only in benchmarks).
     sync_journal: bool = True
 
@@ -175,16 +170,8 @@ class AdvisorService:
         self.snapshots = SnapshotStore(self.state_dir / "snapshots")
         self.queue = WorkQueue(max_depth=self.config.queue_depth)
         self.admission = AdmissionController(self.queue)
-        self.supervisor = Supervisor(
-            workers=self.config.workers,
-            heartbeat_timeout_ticks=self.config.heartbeat_timeout_ticks,
-            max_restarts=self.config.max_worker_restarts,
-            restart_backoff_ticks=self.config.restart_backoff_ticks,
-        )
-        self.board = BreakerBoard(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown_ticks=self.config.breaker_cooldown_ticks,
-        )
+        self.supervisor = Supervisor(workers=self.config.workers)
+        self.board = BreakerBoard()
         self.solver = GuardedFallbackSolver(board=self.board)
         self.tenants: Dict[str, TenantRuntime] = {}
         self.ticks = 0
@@ -356,12 +343,12 @@ class AdvisorService:
     def _requeue(self, runtime: TenantRuntime, item: WorkItem, registry) -> None:
         """Requeue an admitted-but-uncommitted item, bounding its attempts."""
         runtime.attempts = item.attempt + 1
-        if runtime.attempts >= self.config.max_step_attempts:
+        if runtime.attempts >= MAX_STEP_ATTEMPTS:
             runtime.failed = True
             runtime.in_flight = False
             runtime.note(
                 f"tick {self.ticks}: epoch {item.epoch} exceeded "
-                f"{self.config.max_step_attempts} attempts; tenant failed"
+                f"{MAX_STEP_ATTEMPTS} attempts; tenant failed"
             )
             registry.counter("service.step_failures").inc()
             LOG.error("service: tenant %s failed (epoch %d retry bound)",

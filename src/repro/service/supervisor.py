@@ -13,11 +13,11 @@ real one regardless:
   commit record is written after execution, so a killed step simply never
   happened) and its heartbeat stops;
 * the **watchdog** declares a worker dead once its heartbeat is
-  ``heartbeat_timeout_ticks`` stale, requeues nothing itself (the daemon
+  :data:`HEARTBEAT_TIMEOUT_TICKS` stale, requeues nothing itself (the daemon
   requeued the lost item at kill time) and schedules a **restart with
-  exponential backoff** (``restart_backoff_ticks * 2^(restarts-1)``);
-* a worker past ``max_restarts`` is **retired** -- capacity shrinks rather
-  than flaps, and the daemon reports it.
+  exponential backoff** (``RESTART_BACKOFF_TICKS * 2^(restarts-1)``);
+* a worker past :data:`MAX_RESTARTS` is **retired** -- capacity shrinks
+  rather than flaps, and the daemon reports it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.exceptions import ConfigurationError
+
+#: Ticks without a heartbeat before the watchdog declares a worker dead.
+HEARTBEAT_TIMEOUT_TICKS = 1
+#: Restarts per worker before it is retired.
+MAX_RESTARTS = 3
+#: Backoff before a worker's first restart; it doubles with every restart.
+RESTART_BACKOFF_TICKS = 1
 
 #: Worker states.
 IDLE = "idle"
@@ -54,16 +61,10 @@ class Worker:
 class Supervisor:
     """Owns the worker pool and its failure/restart lifecycle."""
 
-    def __init__(self, workers: int = 2, heartbeat_timeout_ticks: int = 1,
-                 max_restarts: int = 3, restart_backoff_ticks: int = 1):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise ConfigurationError("the service needs at least one worker")
-        if heartbeat_timeout_ticks < 1:
-            raise ConfigurationError("heartbeat timeout must be >= 1 tick")
         self.workers = [Worker(worker_id=i) for i in range(workers)]
-        self.heartbeat_timeout_ticks = heartbeat_timeout_ticks
-        self.max_restarts = max_restarts
-        self.restart_backoff_ticks = restart_backoff_ticks
         self.kills = 0
         self.restarts = 0
         self.retired = 0
@@ -104,24 +105,24 @@ class Supervisor:
         for worker in self.workers:
             if worker.state != DEAD:
                 continue
-            if tick - worker.last_heartbeat_tick < self.heartbeat_timeout_ticks:
+            if tick - worker.last_heartbeat_tick < HEARTBEAT_TIMEOUT_TICKS:
                 continue
             worker.restarts += 1
-            if worker.restarts > self.max_restarts:
+            if worker.restarts > MAX_RESTARTS:
                 worker.state = RETIRED
                 self.retired += 1
                 incidents.append(
                     f"tick {tick}: worker {worker.worker_id} exceeded "
-                    f"{self.max_restarts} restarts; retired"
+                    f"{MAX_RESTARTS} restarts; retired"
                 )
                 continue
-            backoff = self.restart_backoff_ticks * (2 ** (worker.restarts - 1))
+            backoff = RESTART_BACKOFF_TICKS * (2 ** (worker.restarts - 1))
             worker.state = BACKOFF
             worker.available_at_tick = tick + backoff
             self.restarts += 1
             incidents.append(
                 f"tick {tick}: worker {worker.worker_id} heartbeat lost; "
-                f"restart {worker.restarts}/{self.max_restarts} "
+                f"restart {worker.restarts}/{MAX_RESTARTS} "
                 f"after {backoff}-tick backoff"
             )
         return incidents
