@@ -3,8 +3,9 @@
 * **Contracts** -- the canonical checksum, typed reads that name the file,
   quarantine, the atomic write's fsync/rename order and the append log's
   torn-tail policy.
-* **Byte-cut sweep** -- every cut of an append log's last record loads the
-  older records, and a following append then loads cleanly.
+* **Byte-cut sweep** -- every cut of the journal's or the run store's last
+  record loads the older records, and a following append then loads
+  cleanly.
 * **Crash points** -- a child process runs one durable write (a snapshot
   save, a checkpoint save, a journal append, a run-store append) with
   ``os.fsync`` and ``os.replace`` patched to ``os._exit`` just before, or
@@ -102,8 +103,8 @@ def test_quarantine_renames_the_file_aside(tmp_path):
 # The append log's torn-tail policy
 # ---------------------------------------------------------------------------
 
-def _log_of(tmp_path, count, sync=True):
-    log = AppendLog(tmp_path / "log.jsonl", sync=sync)
+def _log_of(tmp_path, count):
+    log = AppendLog(tmp_path / "log.jsonl")
     for n in range(count):
         log.append({"n": n})
     log.close()
@@ -122,6 +123,7 @@ def test_a_missing_log_is_empty_and_only_an_append_creates_it(tmp_path):
 
 @pytest.mark.parametrize("tail, why", [
     (b'{"n": 2, "chec', "no newline"),
+    (json.dumps(seal({"n": 2}), sort_keys=True).encode(), "no newline"),
     (b'{"n": 2, "chec\n', "unparseable line"),
     (b'{"n": 2}\n', "checksum mismatch"),
 ])
@@ -132,18 +134,6 @@ def test_a_bad_final_line_is_a_torn_tail(tmp_path, tail, why):
     records, note = AppendLog.load(path)
     assert [record["n"] for record in records] == [0, 1]
     assert note is not None and "line 3" in note and why in note
-
-
-def test_a_complete_final_record_without_its_newline_is_torn(tmp_path):
-    path = _log_of(tmp_path, 2)
-    path.write_bytes(path.read_bytes()[:-1])
-    records, note = AppendLog.load(path)
-    assert [record["n"] for record in records] == [0]
-    assert note is not None and "no newline" in note
-    log = AppendLog(path)
-    log.append({"n": 2})
-    log.close()
-    assert [record["n"] for record in AppendLog.load(path)[0]] == [0, 2]
 
 
 @pytest.mark.parametrize("damage", [b"\xff\xfe not utf-8", b"not json", b""])
@@ -165,22 +155,6 @@ def test_garbled_log_raises_naming_the_file(tmp_path):
     with pytest.raises(CheckpointCorruptionError) as info:
         AppendLog.load(path)
     assert str(path) in str(info.value)
-
-
-def test_every_cut_of_the_last_record_loads_the_old_ones_then_appends_cleanly(tmp_path):
-    path = _log_of(tmp_path, 2, sync=False)
-    intact = path.read_bytes()
-    first_line = intact.index(b"\n") + 1
-    for cut in range(first_line, len(intact)):
-        path.write_bytes(intact[:cut])
-        records, note = AppendLog.load(path)
-        assert [record["n"] for record in records] == [0], cut
-        assert (note is None) == (cut == first_line), cut
-        log = AppendLog(path, sync=False)
-        log.append({"n": 2})
-        log.close()
-        records, note = AppendLog.load(path)
-        assert [record["n"] for record in records] == [0, 2] and note is None, cut
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +197,11 @@ def test_every_cut_of_the_last_append_recovers_and_then_appends_cleanly(tmp_path
         _write(kind, tmp_path, version)
     (path,) = tmp_path.iterdir()
     intact = path.read_bytes()
-    for cut in range(intact.index(b"\n") + 1, len(intact)):
+    first_line = intact.index(b"\n") + 1
+    for cut in range(first_line, len(intact)):
         path.write_bytes(intact[:cut])
         assert _recover(kind, tmp_path) == 1, cut
+        assert (AppendLog.load(path)[1] is None) == (cut == first_line), cut
         _write(kind, tmp_path, 2)
         assert _recover(kind, tmp_path) == 2, cut
         assert AppendLog.load(path)[1] is None, cut
