@@ -223,13 +223,20 @@ class EvaluationContext:
     ) -> Optional[PerformanceConstraint]:
         """Resolve a relative SLA against the reference layout (or pass through).
 
-        ``mode="run"`` resolves against a simulated run -- the caps the
-        figures report PSR against -- and advances the estimator's noise RNG.
+        Estimate-mode caps come from the incremental evaluator, which
+        reproduces the scalar estimate's per-query times and throughput bit
+        for bit and leaves the reference's estimates in the context's cache
+        for the profiler and the solvers.  ``mode="run"`` resolves against a
+        simulated run -- the caps the figures report PSR against -- and
+        advances the estimator's noise RNG.
         """
         if sla is None or isinstance(sla, PerformanceConstraint):
             return sla
-        reference = self.toc_model.evaluate(self.reference_layout(), self.workload, mode=mode)
-        return sla.resolve(reference.run_result)
+        reference = self.reference_layout()
+        evaluator = self.incremental_evaluator() if mode == "estimate" else None
+        if evaluator is not None:
+            return sla.resolve(evaluator.run_result(reference))
+        return sla.resolve(self.toc_model.evaluate(reference, self.workload, mode=mode).run_result)
 
     def checker(self) -> FeasibilityChecker:
         """A feasibility checker for the context's constraint."""

@@ -15,15 +15,16 @@ pieces on top of the core pipeline:
   loop can re-tier before a ramp or flash crowd peaks;
 * :mod:`repro.online.migration` -- migration plans between layouts, the
   analytic cost model charging bytes moved between class pairs against the
-  TOC, the :class:`MigrationExecutor` that instead *runs* the plan's byte
-  batches on the device simulator contending with the epoch workload, and
-  the amortization policy gating every re-tier;
+  TOC, and the amortization policy gating every re-tier;
 * :mod:`repro.online.controller` -- the :class:`OnlineAdvisor` epoch loop:
-  telemetry-driven re-profiling (the estimator replay only runs at cold
-  start), re-tiering through the uniform
-  :class:`~repro.core.solver.Solver` protocol (warm-started DOT by default)
-  with per-concurrency estimate tables shared across epochs, emitting a
-  timeline of layouts, PSRs and cumulative migration-aware cost.
+  each epoch evaluates through one
+  :class:`~repro.core.context.EvaluationContext` per pure component
+  (per-concurrency estimate tables shared across epochs), re-profiles from
+  telemetry (the estimator replay only runs at cold start and on telemetry
+  dropouts) and re-tiers through the uniform
+  :class:`~repro.core.solver.Solver` protocol (warm-started DOT by
+  default), emitting a timeline of layouts, PSRs and cumulative
+  migration-aware cost.
 """
 
 from repro.online.drift import (
@@ -43,11 +44,9 @@ from repro.online.monitor import (
 from repro.online.migration import (
     MigrationCost,
     MigrationCostModel,
-    MigrationExecutor,
     MigrationPlan,
     ObjectMove,
     ReProvisioningPolicy,
-    SimulatedMigrationCost,
 )
 from repro.online.controller import (
     EpochRecord,
@@ -71,11 +70,9 @@ __all__ = [
     "TrendPredictor",
     "MigrationCost",
     "MigrationCostModel",
-    "MigrationExecutor",
     "MigrationPlan",
     "ObjectMove",
     "ReProvisioningPolicy",
-    "SimulatedMigrationCost",
     "EpochRecord",
     "FrozenEpochRecord",
     "FrozenRunResult",

@@ -19,20 +19,19 @@ Each epoch it
    monitor's *observed* (or, on a predictive trigger, *projected*)
    per-object I/O counts -- the estimator-replay profiling of the paper's
    refinement-phase shortcut only runs at the cold initial provisioning (or
-   when ``profile_source="estimator"`` is forced).  Every per-(query,
-   signature) estimate is shared across epochs through per-concurrency
-   :class:`~repro.core.batch_eval.QueryEstimateCache` instances (owned by
-   the per-epoch :class:`~repro.core.context.EvaluationContext`) -- an
-   unchanged query on an unchanged placement is never re-estimated, which is
-   what makes running the advisor every epoch affordable;
-4. prices the layout transition and only **re-tiers** when the
+   when ``profile_source="estimator"`` is forced).  Each epoch builds one
+   :class:`~repro.core.context.EvaluationContext` per pure component, and
+   every per-(query, signature) estimate -- the SLA's reference layout
+   included -- is shared across epochs through the per-concurrency
+   :class:`~repro.core.batch_eval.QueryEstimateCache` instances the contexts
+   are built on: an unchanged query on an unchanged placement is never
+   re-estimated, which is what makes running the advisor every epoch
+   affordable;
+4. prices the layout transition with the analytic
+   :class:`~repro.online.migration.MigrationCostModel` and only
+   **re-tiers** when the
    :class:`~repro.online.migration.ReProvisioningPolicy` projects the TOC
-   savings to amortise the migration within its horizon.  The price comes
-   from the analytic :class:`~repro.online.migration.MigrationCostModel` or
-   -- with ``migration_execution="simulated"`` -- from the
-   :class:`~repro.online.migration.MigrationExecutor`, which runs the
-   plan's byte batches through the device simulator *contending with the
-   epoch workload* (the analytic price stays attached as a cross-check);
+   savings to amortise the migration within its horizon;
 5. records a timeline entry: the deployed layout, its TOC and PSR for the
    epoch, any migration performed and the cumulative migration-aware cost.
 
@@ -55,13 +54,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.batch_eval import QueryEstimateCache
-from repro.core.context import EvaluationContext, make_incremental_evaluator
+from repro.core.context import EvaluationContext
 from repro.core.layout import Layout
 from repro.core.solver import DOTSolver, Solver, SolveResult
-from repro.core.profiler import WorkloadProfiler
 from repro.core.profiles import WorkloadProfileSet
-from repro.core.toc import TOCModel, TOCReport
-from repro.dbms.cost_model import CostModel
+from repro.core.toc import TOCReport
 from repro.dbms.plan import merge_io_counts, scale_io_counts
 from repro.objects import DatabaseObject
 from repro.obs import instrument as obs_instrument
@@ -72,10 +69,8 @@ from repro.online.drift import EpochWorkload
 from repro.online.migration import (
     MigrationCost,
     MigrationCostModel,
-    MigrationExecutor,
     MigrationPlan,
     ReProvisioningPolicy,
-    SimulatedMigrationCost,
 )
 from repro.online.monitor import (
     DriftDecision,
@@ -87,14 +82,10 @@ from repro.online.monitor import (
 )
 from repro.resilience.faults import FaultInjector
 from repro.sla.constraints import PerformanceConstraint, RelativeSLA
-from repro.sla.psr import performance_satisfaction_ratio
 from repro.storage.storage_class import StorageSystem
 from repro.workloads.workload import Workload
 
-#: Anything a migration assessment may return.
-AnyMigrationCost = Union[MigrationCost, SimulatedMigrationCost]
-
-#: Retries of a failed migration assessment/execution before the epoch
+#: Retries of a failed migration assessment before the epoch
 #: holds the deployed layout and re-arms for the next epoch.
 MIGRATION_MAX_RETRIES = 2
 
@@ -112,7 +103,7 @@ class EpochRecord:
     drift: DriftDecision
     reoptimized: bool
     migrated: bool
-    migration: Optional[AnyMigrationCost]
+    migration: Optional[MigrationCost]
     migration_reason: str
     epoch_cost_cents: float
     cumulative_cost_cents: float
@@ -269,35 +260,20 @@ class FrozenRunResult:
 class _BlendedRunResult:
     """The merged observation of a cross-kind epoch (duck-typed run result).
 
-    Carries exactly what the telemetry monitor and the migration executor
-    read: the weight-blended per-object I/O counts, per-class busy times and
-    measurement window of the component evaluations.
+    Carries exactly what the telemetry monitor reads: the weight-blended
+    per-object I/O counts of the component evaluations.
     """
 
-    __slots__ = ("workload_name", "io_by_object", "busy_time_by_class_ms",
-                 "total_time_s", "component_results")
+    __slots__ = ("workload_name", "io_by_object")
 
     def __init__(self, workload_name: str):
         self.workload_name = workload_name
         self.io_by_object: Dict[str, Dict[object, float]] = {}
-        self.busy_time_by_class_ms: Dict[str, float] = {}
-        self.total_time_s: float = 0.0
-        #: ``(workload, weight, run_result)`` per folded component -- kept so
-        #: consumers needing per-concurrency detail (the migration
-        #: executor's contention window) do not have to work from the
-        #: merged counts alone.
-        self.component_results: List[Tuple[object, float, object]] = []
 
-    def fold(self, workload, run_result, weight: float) -> None:
+    def fold(self, run_result, weight: float) -> None:
         merge_io_counts(
             self.io_by_object, scale_io_counts(run_result.io_by_object, weight)
         )
-        for class_name, busy_ms in run_result.busy_time_by_class_ms.items():
-            self.busy_time_by_class_ms[class_name] = (
-                self.busy_time_by_class_ms.get(class_name, 0.0) + weight * busy_ms
-            )
-        self.total_time_s += weight * run_result.total_time_s
-        self.component_results.append((workload, weight, run_result))
 
 
 class _GlitchedRunResult:
@@ -360,15 +336,17 @@ class OnlineAdvisor:
         The migration amortization policy.
     solver:
         The :class:`~repro.core.solver.Solver` the loop re-tiers through
-        (default: a :class:`~repro.core.solver.DOTSolver`).  Every epoch's
-        re-optimization builds an :class:`~repro.core.context.EvaluationContext`
-        around the epoch workload and calls ``solver.solve(context,
-        initial_layout=deployed)``, so any protocol-conforming solver can
-        drive the loop.
+        (default: a :class:`~repro.core.solver.DOTSolver`).  Every epoch
+        builds one :class:`~repro.core.context.EvaluationContext` per pure
+        component of its workload, and a re-optimization calls
+        ``solver.solve(context, initial_layout=deployed)`` on the dominant
+        component's context, so any protocol-conforming solver can drive the
+        loop.
     profile_source:
         ``"telemetry"`` (default) builds each re-tier's workload profiles
         from the monitor's observed per-object I/O counts (the estimator
-        replay only runs at the cold initial provisioning);
+        replay only runs at the cold initial provisioning and on telemetry
+        dropouts);
         ``"estimator"`` forces the paper's refinement-phase shortcut of
         re-profiling every drifted epoch through the optimizer's ``M^K``
         baseline enumeration.
@@ -379,13 +357,6 @@ class OnlineAdvisor:
         projected profile), still gated by the amortization ``policy``.
         Requires telemetry (it is independent of ``profile_source`` only in
         that the cold start still profiles through the estimator).
-    migration_execution:
-        ``"analytic"`` (default) prices migrations with the closed-form
-        :class:`~repro.online.migration.MigrationCostModel`;
-        ``"simulated"`` executes the plan's byte batches on the device
-        simulator contending with the epoch workload
-        (:class:`~repro.online.migration.MigrationExecutor`), keeping the
-        analytic price attached as a cross-check.
     retier_on_sla_violation:
         When True, an epoch whose observed PSR drops below 1.0 re-optimizes
         even if the telemetry drift axes stayed inside their thresholds (the
@@ -421,7 +392,6 @@ class OnlineAdvisor:
         solver: Optional[Solver] = None,
         profile_source: str = "telemetry",
         predictor: Optional[TrendPredictor] = None,
-        migration_execution: str = "analytic",
         retier_on_sla_violation: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         retier_budget_s: Optional[float] = None,
@@ -429,8 +399,6 @@ class OnlineAdvisor:
     ):
         if profile_source not in ("telemetry", "estimator"):
             raise ValueError(f"unknown profile source {profile_source!r}")
-        if migration_execution not in ("analytic", "simulated"):
-            raise ValueError(f"unknown migration execution mode {migration_execution!r}")
         self.objects = list(objects)
         self.system = system
         self.estimator = estimator
@@ -441,40 +409,12 @@ class OnlineAdvisor:
         self.solver = solver or DOTSolver()
         self.profile_source = profile_source
         self.predictor = predictor
-        self.migration_execution = migration_execution
         self.retier_on_sla_violation = retier_on_sla_violation
         self.fault_injector = fault_injector
         self.retier_budget_s = retier_budget_s
         self.outlier_policy = outlier_policy
-        self.migration_executor = (
-            MigrationExecutor(system)
-            if migration_execution == "simulated"
-            else None
-        )
-        self.toc_model = TOCModel(estimator)
-        #: Per-epoch memo of resolved constraints, keyed by component id
-        #: (see :meth:`_resolved_constraint`).
-        self._constraint_memo: Dict[int, Optional[PerformanceConstraint]] = {}
 
     # ------------------------------------------------------------------
-    def reference_layout(self) -> Layout:
-        """The best-performing reference: everything on the priciest class."""
-        return Layout.uniform(self.objects, self.system, self.system.most_expensive().name)
-
-    @staticmethod
-    def _components(workload) -> List[Tuple[object, float]]:
-        """The pure-kind components of a workload with their blend weights."""
-        if getattr(workload, "kind", "dss") == "mixed":
-            return list(workload.components)
-        return [(workload, 1.0)]
-
-    @staticmethod
-    def _lead_workload(workload):
-        """The workload the re-optimization solves for (dominant component)."""
-        if getattr(workload, "kind", "dss") == "mixed":
-            return workload.dominant
-        return workload
-
     def _cache_for(self, caches: Dict[int, QueryEstimateCache], workload) -> QueryEstimateCache:
         """The shared estimate cache for a workload's concurrency."""
         concurrency = getattr(workload, "concurrency", 1)
@@ -483,26 +423,6 @@ class OnlineAdvisor:
             cache = QueryEstimateCache(self.estimator, concurrency)
             caches[concurrency] = cache
         return cache
-
-    def _epoch_evaluator(self, workload, cache: Optional[QueryEstimateCache]):
-        """A cache-backed estimate evaluator for one epoch's workload.
-
-        Every estimate-mode evaluation of the loop (drift observation, SLA
-        re-resolution against the reference layout, reference rebasing,
-        per-epoch accounting) goes through it, so an unchanged query on an
-        unchanged placement is never re-estimated -- across layouts *and*
-        across epochs.  ``None`` (exotic workload kinds) falls back to the
-        full scalar estimator.
-        """
-        return make_incremental_evaluator(
-            self.estimator, workload, self.toc_model, cache=cache, collect_io=True
-        )
-
-    def _estimate(self, layout: Layout, workload, evaluator) -> TOCReport:
-        """Estimate-mode TOC report, through the shared cache when possible."""
-        if evaluator is not None:
-            return evaluator.evaluate(layout)
-        return self.toc_model.evaluate(layout, workload, mode="estimate")
 
     def _component_sla(self, workload) -> Optional[Union[RelativeSLA, PerformanceConstraint]]:
         """The SLA as it applies to one pure component of a mixed epoch.
@@ -518,68 +438,57 @@ class OnlineAdvisor:
             return self.sla
         return RelativeSLA(self.sla.ratio, metric=metric)
 
+    def _contexts(self, workload, caches: Dict[int, QueryEstimateCache]
+                  ) -> List[Tuple[EvaluationContext, float]]:
+        """One evaluation context per pure component of an epoch, with its weight.
+
+        Each context shares the loop's estimate cache for its concurrency and
+        resolves a relative SLA against the estimated reference layout, so
+        the caps track the drifting workload epoch by epoch.  Components of
+        a *mixed* (cross-kind) epoch are held to the SLA metric of their
+        kind; a pure epoch applies the SLA exactly as declared.
+        """
+        mixed = getattr(workload, "kind", "dss") == "mixed"
+        components = list(workload.components) if mixed else [(workload, 1.0)]
+        return [
+            (
+                EvaluationContext.build(
+                    self.objects, self.system, self.estimator, component,
+                    sla=self._component_sla(component) if mixed else self.sla,
+                    estimate_cache=self._cache_for(caches, component),
+                ),
+                weight,
+            )
+            for component, weight in components
+        ]
+
     @staticmethod
     def _as_epoch(item: Union[EpochWorkload, Workload], position: int) -> EpochWorkload:
         if isinstance(item, EpochWorkload):
             return item
         return EpochWorkload(epoch=position, weights=(1.0,), workload=item)
 
-    def _resolved_constraint(self, component, evaluator,
-                             adapt_sla: bool) -> Optional[PerformanceConstraint]:
-        """The component's epoch constraint, resolved at most once per epoch.
-
-        A relative SLA is resolved against the estimated reference layout
-        (estimate-derived caps), through the cache-backed ``evaluator``.
-        ``adapt_sla`` is True only for components of a *mixed* epoch, where
-        a relative SLA's metric must follow each component's kind; pure
-        epochs apply the advisor SLA exactly as declared (the PR-4
-        behaviour, regression-locked).  A single epoch evaluates its
-        components several times (observation, candidate gate, rebase
-        refresh); the resolved caps are identical each time, so they are
-        memoized per component object.  :meth:`run` /
-        :meth:`evaluate_frozen` clear the memo at every epoch boundary --
-        constraints must track the drifting workload, and component
-        identity is only stable within an epoch.
-        """
-        key = id(component)
-        if key not in self._constraint_memo:
-            sla = self._component_sla(component) if adapt_sla else self.sla
-            if isinstance(sla, RelativeSLA):
-                reference = self._estimate(self.reference_layout(), component, evaluator)
-                sla = sla.resolve(reference.run_result)
-            self._constraint_memo[key] = sla
-        return self._constraint_memo[key]
-
     # ------------------------------------------------------------------
     # Epoch evaluation (pure and cross-kind)
     # ------------------------------------------------------------------
-    def _evaluate_component(
-        self,
-        layout: Layout,
-        component,
-        caches: Dict[int, QueryEstimateCache],
-        adapt_sla: bool = False,
-    ) -> Tuple[TOCReport, float]:
-        """Score one pure-kind component: its estimated TOC report and PSR.
+    @staticmethod
+    def _estimate(context: EvaluationContext, layout: Layout) -> TOCReport:
+        """Estimate-mode TOC report of one component, through its cache.
 
-        Report and SLA caps both come from the cache-backed estimate
-        evaluator.
+        The incremental evaluator collects the per-object I/O counts the
+        telemetry monitor reads; exotic workload kinds it cannot take fall
+        back to the full scalar estimator.
         """
-        evaluator = self._epoch_evaluator(component, self._cache_for(caches, component))
-        constraint = self._resolved_constraint(component, evaluator, adapt_sla)
-        report = self._estimate(layout, component, evaluator)
-        psr = (
-            performance_satisfaction_ratio(constraint, report.run_result)
-            if constraint is not None
-            else 1.0
-        )
-        return report, psr
+        evaluator = context.incremental_evaluator(collect_io=True)
+        if evaluator is None:
+            return context.evaluate(layout)
+        return evaluator.evaluate(layout)
 
     def _evaluate_epoch(
         self,
         layout: Layout,
         workload,
-        caches: Dict[int, QueryEstimateCache],
+        contexts: List[Tuple[EvaluationContext, float]],
     ) -> _EpochEvaluation:
         """Score one layout against one epoch, blending across kinds.
 
@@ -588,26 +497,24 @@ class OnlineAdvisor:
         evaluate every component with its own kind's machinery and blend TOC
         and PSR by the phase weights.
         """
-        components = self._components(workload)
-        if len(components) == 1:
-            report, psr = self._evaluate_component(layout, components[0][0], caches)
-            return _EpochEvaluation(report=report, psr=psr)
+        if len(contexts) == 1:
+            context = contexts[0][0]
+            report = self._estimate(context, layout)
+            return _EpochEvaluation(report=report, psr=context.psr(report))
 
         blended = _BlendedRunResult(getattr(workload, "name", "workload"))
         toc_cents = 0.0
         psr = 0.0
-        for component, weight in components:
-            report, component_psr = self._evaluate_component(
-                layout, component, caches, adapt_sla=True
-            )
+        for context, weight in contexts:
+            report = self._estimate(context, layout)
             toc_cents += weight * report.toc_cents
-            psr += weight * component_psr
-            blended.fold(component, report.run_result, weight)
+            psr += weight * context.psr(report)
+            blended.fold(report.run_result, weight)
         report = TOCReport(
             layout_name=layout.name,
             workload_name=blended.workload_name,
             metric="cents_blended",
-            layout_cost_cents_per_hour=self.toc_model.layout_cost(layout),
+            layout_cost_cents_per_hour=contexts[0][0].toc_model.layout_cost(layout),
             execution_time_s=None,
             throughput_tasks_per_hour=None,
             transactions_per_minute=None,
@@ -619,81 +526,14 @@ class OnlineAdvisor:
     # ------------------------------------------------------------------
     # Migration pricing
     # ------------------------------------------------------------------
-    def _component_busy_ms(self, layout: Layout, workload, run_result) -> Dict[str, float]:
-        """Per-class busy time of one pure component's observation.
-
-        The incremental DSS evaluator does not type busy time by class (the
-        drift loop never needed it), so it is reconstructed here from the
-        observed per-object counts and the deployed layout's placement --
-        the same ``CostModel.io_time_by_class`` the full estimator uses, at
-        the component's own concurrency calibration point.
-        """
-        busy = getattr(run_result, "busy_time_by_class_ms", None)
-        if busy:
-            return dict(busy)
-        cost_model = CostModel(
-            layout.placement(),
-            concurrency=getattr(workload, "concurrency", 1),
-            parameters=self.estimator.parameters,
-        )
-        return cost_model.io_time_by_class(run_result.io_by_object)
-
-    def _contention_context(self, layout: Layout, workload, observed: _EpochEvaluation):
-        """The background load the simulated migration contends with.
-
-        Cross-kind epochs reconstruct busy time *per component* (each at
-        its own concurrency, weighted by its phase share) -- service times
-        at concurrency 300 and concurrency 1 differ, so typing the merged
-        counts at one calibration point would misprice the contention.
-        """
-        run_result = observed.run_result
-        window = _BlendedRunResult(run_result.workload_name)
-        component_results = getattr(run_result, "component_results", None)
-        if component_results:
-            for component, weight, result in component_results:
-                for class_name, busy_ms in self._component_busy_ms(
-                        layout, component, result).items():
-                    window.busy_time_by_class_ms[class_name] = (
-                        window.busy_time_by_class_ms.get(class_name, 0.0)
-                        + weight * busy_ms
-                    )
-        else:
-            window.busy_time_by_class_ms = self._component_busy_ms(
-                layout, workload, run_result
-            )
-        window.total_time_s = run_result.total_time_s
-        return window
-
-    def _assess_migration(
-        self,
-        plan: MigrationPlan,
-        candidate: Layout,
-        workload,
-        observed: _EpochEvaluation,
-        deployed: Layout,
-    ) -> AnyMigrationCost:
-        """Price one migration plan (analytic, or simulated under load)."""
-        if self.migration_executor is not None:
-            return self.migration_executor.execute(
-                plan,
-                workload_result=self._contention_context(deployed, workload, observed),
-                layout_cost_cents_per_hour=candidate.storage_cost_cents_per_hour(),
-            )
-        return self.migration_model.assess(
-            plan, layout_cost_cents_per_hour=candidate.storage_cost_cents_per_hour()
-        )
-
     def _assess_migration_with_retry(
         self,
         epoch: int,
         plan: MigrationPlan,
         candidate: Layout,
-        workload,
-        observed: _EpochEvaluation,
-        deployed: Layout,
         incidents: List[str],
-    ) -> Optional[AnyMigrationCost]:
-        """Price/execute one migration with bounded retries.
+    ) -> Optional[MigrationCost]:
+        """Price one migration with bounded retries.
 
         Each attempt first consults the fault injector (an injected
         ``migration_failure`` fails its first ``spec.attempts`` attempts),
@@ -709,7 +549,9 @@ class OnlineAdvisor:
                     raise RuntimeError(
                         f"injected migration failure (attempt {attempt})"
                     )
-                return self._assess_migration(plan, candidate, workload, observed, deployed)
+                return self.migration_model.assess(
+                    plan, layout_cost_cents_per_hour=candidate.storage_cost_cents_per_hour()
+                )
             except Exception as exc:
                 incidents.append(
                     f"epoch {epoch}: migration attempt {attempt + 1}/{attempts} "
@@ -813,7 +655,7 @@ class OnlineAdvisor:
         self,
         candidate: Layout,
         workload,
-        caches: Dict[int, QueryEstimateCache],
+        contexts: List[Tuple[EvaluationContext, float]],
         dot_result: SolveResult,
     ) -> float:
         """The candidate layout's epoch TOC for the amortization gate.
@@ -822,13 +664,14 @@ class OnlineAdvisor:
         gate input); cross-kind epochs blend the candidate's per-component
         TOCs, since the solver only scored the dominant component.
         """
-        if getattr(workload, "kind", "dss") != "mixed":
+        if len(contexts) == 1:
             return dot_result.toc_cents
-        return self._evaluate_epoch(candidate, workload, caches).toc_cents
+        return self._evaluate_epoch(candidate, workload, contexts).toc_cents
 
     # ------------------------------------------------------------------
     def _rebase_monitor(self, monitor: TelemetryMonitor, epoch: int, layout: Layout,
-                        workload, caches: Dict[int, QueryEstimateCache]) -> _EpochEvaluation:
+                        workload, contexts: List[Tuple[EvaluationContext, float]]
+                        ) -> _EpochEvaluation:
         """Point the drift reference at the new layout's own telemetry.
 
         I/O counts depend on the layout (a re-tier can flip plans), so the
@@ -838,7 +681,7 @@ class OnlineAdvisor:
         the new layout's evaluation so the caller can account the epoch
         from it.
         """
-        refreshed = self._evaluate_epoch(layout, workload, caches)
+        refreshed = self._evaluate_epoch(layout, workload, contexts)
         monitor.mark_reprovisioned(epoch, refreshed.run_result)
         return refreshed
 
@@ -846,9 +689,8 @@ class OnlineAdvisor:
     def _reprofile(
         self,
         monitor: TelemetryMonitor,
-        lead,
-        cache: QueryEstimateCache,
-        initial_epoch: bool,
+        lead: EvaluationContext,
+        fresh_telemetry: bool,
         forecast: Optional[PredictionDecision],
     ) -> WorkloadProfileSet:
         """The workload profiles a re-optimization consumes.
@@ -856,64 +698,50 @@ class OnlineAdvisor:
         * **Predictive trigger** -- the trend predictor's *projected*
           per-object counts, so DOT's move ordering anticipates where the
           I/O is heading rather than where it was.
-        * **Telemetry (warm)** -- the monitor's latest observed counts.  No
-          estimator call and *no estimate-cache warm-up* happens here: the
-          single-pattern profile set is a pure re-labelling of telemetry the
-          loop already paid for (the regression tests pin the cache-stats
-          counters on this).
-        * **Cold start / ``profile_source="estimator"``** -- the paper's
-          refinement-phase shortcut: the epoch workload is re-profiled
-          through the optimizer's ``M^K`` baseline enumeration (shared
-          estimate cache, so repeated epochs replay from the tables).
+        * **Telemetry (warm)** -- the monitor's observed counts of this
+          epoch.  No estimator call and *no estimate-cache warm-up* happens
+          here: the single-pattern profile set is a pure re-labelling of
+          telemetry the loop already paid for (the regression tests pin the
+          cache-stats counters on this).
+        * **Cold start, telemetry dropout, ``profile_source="estimator"``**
+          -- the paper's refinement-phase shortcut: the lead context profiles
+          its workload through the optimizer's ``M^K`` baseline enumeration
+          (shared estimate cache, so repeated epochs replay from the
+          tables).  ``fresh_telemetry`` is False on the cold start and on a
+          dropout epoch, whose telemetry never arrived: the monitor would
+          only hold an earlier epoch's counts.
         """
-        concurrency = getattr(lead, "concurrency", 1)
         if forecast is not None and forecast.io_by_object:
             return monitor.profile_set_from_counts(
-                forecast.io_by_object, concurrency=concurrency
+                forecast.io_by_object, concurrency=lead.concurrency
             )
-        if self.profile_source == "telemetry" and not initial_epoch and monitor.history:
-            return monitor.profile_set(concurrency=concurrency)
-        profiler = WorkloadProfiler(
-            self.objects, self.system, self.estimator, estimate_cache=cache
-        )
-        return profiler.profile(lead, mode="estimate")
+        if fresh_telemetry and self.profile_source == "telemetry":
+            return monitor.profile_set(concurrency=lead.concurrency)
+        return lead.get_profiles()
 
     # ------------------------------------------------------------------
     def _reoptimize(
         self,
-        workload,
-        cache: QueryEstimateCache,
-        constraint: Optional[PerformanceConstraint],
-        sla,
+        lead: EvaluationContext,
         profiles: WorkloadProfileSet,
         warm_from: Optional[Layout],
         budget: Optional[float] = None,
     ) -> Tuple[SolveResult, Optional[Layout]]:
         """Re-solve against the given profiles, warm then (if infeasible) cold.
 
-        The epoch's problem is packaged as an
-        :class:`~repro.core.context.EvaluationContext` (sharing the loop's
-        estimate cache and the freshly re-profiled workload) and handed to
-        the configured solver through the uniform ``solve`` protocol.  The
-        warm solve starts from the deployed layout, which is cheap when the
-        drift is small but -- for DOT -- can never return a group to the
+        The lead component's context -- sharing the loop's estimate cache,
+        carrying the freshly re-profiled workload -- goes to the configured
+        solver through the uniform ``solve`` protocol.  The warm solve
+        starts from the deployed layout, which is cheap when the drift is
+        small but -- for DOT -- can never return a group to the
         all-most-expensive placement; when it finds nothing feasible (e.g.
         the drift *tightened* the effective SLA), the cold restart explores
         from the fast end exactly as the paper's Procedure 1 does.
         """
-        context = EvaluationContext(
-            objects=self.objects,
-            system=self.system,
-            estimator=self.estimator,
-            workload=workload,
-            constraint=constraint,
-            sla=sla if isinstance(sla, RelativeSLA) else None,
-            profiles=profiles,
-            estimate_cache=cache,
-        )
-        result = self.solver.solve(context, initial_layout=warm_from, budget=budget)
+        lead.profiles = profiles
+        result = self.solver.solve(lead, initial_layout=warm_from, budget=budget)
         if not result.feasible and warm_from is not None:
-            result = self.solver.solve(context, budget=budget)
+            result = self.solver.solve(lead, budget=budget)
         return result, result.layout if result.feasible else None
 
     # ------------------------------------------------------------------
@@ -934,8 +762,9 @@ class OnlineAdvisor:
         for position, item in enumerate(epoch_workloads):
             epoch_item = self._as_epoch(item, position)
             workload = epoch_item.workload
-            self._constraint_memo.clear()
-            evaluation = self._evaluate_epoch(layout, workload, caches)
+            evaluation = self._evaluate_epoch(
+                layout, workload, self._contexts(workload, caches)
+            )
             cumulative += evaluation.toc_cents
             records.append(
                 FrozenEpochRecord(
@@ -1007,7 +836,7 @@ class OnlineLoop:
             "online.epoch", epoch=epoch,
             workload=getattr(workload, "name", "workload"),
         )
-        advisor._constraint_memo.clear()
+        contexts = advisor._contexts(workload, self.caches)
         if self.monitor is None:
             self.monitor = TelemetryMonitor(
                 advisor.system,
@@ -1016,9 +845,8 @@ class OnlineLoop:
                 outlier_policy=advisor.outlier_policy,
             )
         if self.current is None:
-            self.current = advisor.reference_layout()
+            self.current = contexts[0][0].reference_layout()
         monitor = self.monitor
-        caches = self.caches
         current = self.current
 
         # 1 + 2: observe the epoch on the deployed layout, score drift
@@ -1028,11 +856,14 @@ class OnlineLoop:
         # flaky counter in front of a healthy system.
         incidents: List[str] = []
         injector = advisor.fault_injector
-        observed = advisor._evaluate_epoch(current, workload, caches)
+        observed = advisor._evaluate_epoch(current, workload, contexts)
         telemetry_spec = (
             injector.telemetry_fault(epoch) if injector is not None else None
         )
-        if telemetry_spec is not None and telemetry_spec.kind == "telemetry_dropout":
+        dropout = (
+            telemetry_spec is not None and telemetry_spec.kind == "telemetry_dropout"
+        )
+        if dropout:
             monitor.observe_gap(epoch)
             decision = DriftDecision(
                 drifted=False,
@@ -1076,7 +907,7 @@ class OnlineLoop:
         # comparison.
         reoptimized = False
         migrated = False
-        migration: Optional[AnyMigrationCost] = None
+        migration: Optional[MigrationCost] = None
         migration_reason = "no drift"
         dot_result: Optional[SolveResult] = None
         retiered_eval: Optional[_EpochEvaluation] = None
@@ -1085,14 +916,11 @@ class OnlineLoop:
             candidate: Optional[Layout] = None
             solve_failed = False
             try:
-                mixed = getattr(workload, "kind", "dss") == "mixed"
-                lead = advisor._lead_workload(workload)
-                lead_cache = advisor._cache_for(caches, lead)
-                lead_evaluator = advisor._epoch_evaluator(lead, lead_cache)
-                lead_sla = advisor._component_sla(lead) if mixed else advisor.sla
-                lead_constraint = advisor._resolved_constraint(lead, lead_evaluator, mixed)
+                # The solver scores the dominant component of a mixed epoch:
+                # the first of largest weight, as CrossKindWorkload picks it.
+                lead = max(contexts, key=lambda pair: pair[1])[0]
                 profiles = advisor._reprofile(
-                    monitor, lead, lead_cache, initial_epoch,
+                    monitor, lead, not initial_epoch and not dropout,
                     forecast if predicted_trigger else None,
                 )
                 budget = advisor.retier_budget_s
@@ -1112,7 +940,7 @@ class OnlineLoop:
                     if budget is not None:
                         budget = max(0.0, budget - solver_spec.delay_s)
                 dot_result, candidate = advisor._reoptimize(
-                    lead, lead_cache, lead_constraint, lead_sla, profiles,
+                    lead, profiles,
                     warm_from=None if initial_epoch else current,
                     budget=budget,
                 )
@@ -1151,14 +979,14 @@ class OnlineLoop:
             elif initial_epoch:
                 current = candidate.renamed(f"DOT@epoch{epoch}")
                 retiered_eval = advisor._rebase_monitor(
-                    monitor, epoch, current, workload, caches
+                    monitor, epoch, current, workload, contexts
                 )
                 migrated = True
                 migration_reason = "initial provisioning (not charged)"
             else:
                 plan = MigrationPlan.between(current, candidate)
                 migration = advisor._assess_migration_with_retry(
-                    epoch, plan, candidate, workload, observed, current, incidents
+                    epoch, plan, candidate, incidents
                 )
                 if migration is None:
                     # Bounded retries exhausted: hold the deployed layout
@@ -1169,7 +997,7 @@ class OnlineLoop:
                     )
                 else:
                     candidate_toc = advisor._candidate_toc(
-                        candidate, workload, caches, dot_result
+                        candidate, workload, contexts, dot_result
                     )
                     # Restoring SLA feasibility is a constraint, not a cost
                     # tradeoff: the amortization gate only prices re-tiers
@@ -1179,7 +1007,7 @@ class OnlineLoop:
                     ):
                         current = candidate.renamed(f"DOT@epoch{epoch}")
                         retiered_eval = advisor._rebase_monitor(
-                            monitor, epoch, current, workload, caches
+                            monitor, epoch, current, workload, contexts
                         )
                         migrated = True
                         if sla_trigger:

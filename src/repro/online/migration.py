@@ -24,18 +24,12 @@ constants of the class pair):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.layout import Layout
 from repro.storage.io_profile import IOType
-from repro.storage.simulator import IORequest
 from repro.storage.storage_class import StorageSystem
-from repro.units import (
-    MS_PER_SECOND,
-    PAGE_SIZE_BYTES,
-    SECONDS_PER_HOUR,
-    gb_to_pages,
-)
+from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR, gb_to_pages
 
 
 @dataclass(frozen=True)
@@ -121,31 +115,21 @@ class MigrationCost:
 class MigrationCostModel:
     """Prices migration plans against a storage system's profiles and prices.
 
-    Parameters
-    ----------
-    system:
-        The storage system whose service times and prices apply.
-    concurrency:
-        Concurrency the migration batches are issued at (1: a single
-        background mover thread, the default).
-    page_size_bytes:
-        Transfer granularity; objects are copied page by page.
+    Objects are copied page by page by a single background mover thread, so
+    transfers run at the classes' concurrency-1 service times.
     """
 
-    def __init__(self, system: StorageSystem, concurrency: int = 1,
-                 page_size_bytes: int = PAGE_SIZE_BYTES):
+    def __init__(self, system: StorageSystem):
         self.system = system
-        self.concurrency = concurrency
-        self.page_size_bytes = page_size_bytes
 
     # ------------------------------------------------------------------
     # Per-GB unit constants of a class pair
     # ------------------------------------------------------------------
     def seconds_per_gb(self, source: str, target: str) -> float:
         """Seconds to read one GB from ``source`` and write it to ``target``."""
-        pages = gb_to_pages(1.0, self.page_size_bytes)
-        read_ms = self.system[source].service_time_ms(IOType.SEQ_READ, self.concurrency)
-        write_ms = self.system[target].service_time_ms(IOType.SEQ_WRITE, self.concurrency)
+        pages = gb_to_pages(1.0)
+        read_ms = self.system[source].service_time_ms(IOType.SEQ_READ, 1)
+        write_ms = self.system[target].service_time_ms(IOType.SEQ_WRITE, 1)
         return pages * (read_ms + write_ms) / MS_PER_SECOND
 
     def cents_per_gb(self, source: str, target: str) -> float:
@@ -190,174 +174,6 @@ class MigrationCostModel:
             io_time_s=io_time,
             transfer_cents=transfer,
             disruption_cents=disruption,
-        )
-
-    # ------------------------------------------------------------------
-    def io_requests(self, plan: MigrationPlan) -> Iterator[Tuple[str, IORequest]]:
-        """The migration's I/O batches for the device simulator.
-
-        Yields ``(class_name, request)`` pairs -- a sequential-read batch
-        against each move's source class followed by a sequential-write
-        batch against its target class -- consumable by
-        :meth:`repro.storage.simulator.MultiClassSimulator.run_batches`.
-        """
-        for move in plan.moves:
-            pages = gb_to_pages(move.size_gb, self.page_size_bytes)
-            yield move.source, IORequest(
-                io_type=IOType.SEQ_READ, count=pages, object_name=move.object_name
-            )
-            yield move.target, IORequest(
-                io_type=IOType.SEQ_WRITE, count=pages, object_name=move.object_name
-            )
-
-
-@dataclass(frozen=True)
-class SimulatedMigrationCost:
-    """A migration priced by *executing* its I/O on the device simulator.
-
-    The byte batches of the plan run through
-    :class:`~repro.storage.simulator.MultiClassSimulator`, sharing the
-    devices with the epoch workload: each class's utilisation by the
-    workload stretches the mover's effective transfer window (the mover only
-    gets the idle fraction of a device's queue), so the double-occupancy
-    charge grows with contention exactly as it would on real hardware.  The
-    purely analytic :class:`MigrationCost` is kept as ``analytic`` for
-    cross-checking -- with a deterministic simulator and an idle system the
-    two agree bit for bit.
-    """
-
-    bytes_moved_gb: float
-    bytes_by_class_pair: Dict[Tuple[str, str], float]
-    #: Device busy time of the migration I/O itself (excludes queueing).
-    io_time_s: float
-    #: Contention-stretched in-flight time the double-occupancy charge covers.
-    contended_time_s: float
-    #: Workload utilisation per storage class during the epoch (0..1).
-    utilization_by_class: Dict[str, float]
-    #: Simulated migration busy time per storage class (milliseconds).
-    busy_ms_by_class: Dict[str, float]
-    transfer_cents: float
-    disruption_cents: float
-    #: The closed-form model's price of the same plan (the cross-check).
-    analytic: MigrationCost
-
-    @property
-    def cost_cents(self) -> float:
-        """Total migration charge in cents (transfer plus disruption)."""
-        return self.transfer_cents + self.disruption_cents
-
-    @property
-    def contention_factor(self) -> float:
-        """How much device contention stretched the transfer window."""
-        if self.io_time_s <= 0:
-            return 1.0
-        return self.contended_time_s / self.io_time_s
-
-
-class MigrationExecutor:
-    """Executes migration plans on the device simulator, under workload load.
-
-    Parameters
-    ----------
-    system:
-        The storage system whose simulated devices service the batches; an
-        analytic :class:`MigrationCostModel` over it provides the batch
-        geometry and the cross-check price.
-    jitter:
-        Per-batch measurement noise of the simulator (``0`` keeps the run
-        deterministic and makes the idle-system busy time equal the analytic
-        ``io_time_s`` exactly).
-    seed:
-        Seed of the simulator's per-class noise streams.
-    max_utilization:
-        Cap on the workload utilisation a device may contribute to the
-        contention factor; a fully saturated class would otherwise starve
-        the mover forever (``1 / (1 - u)`` diverges).
-    """
-
-    def __init__(self, system: StorageSystem, jitter: float = 0.0, seed: int = 2011,
-                 max_utilization: float = 0.9):
-        if not 0.0 <= max_utilization < 1.0:
-            raise ValueError("utilisation cap must be in [0, 1)")
-        self.system = system
-        self.model = MigrationCostModel(system)
-        self.jitter = jitter
-        self.seed = seed
-        self.max_utilization = max_utilization
-
-    # ------------------------------------------------------------------
-    def _utilizations(self, workload_result) -> Dict[str, float]:
-        """Workload busy fraction per class over the epoch window."""
-        if workload_result is None:
-            return {}
-        busy_by_class = getattr(workload_result, "busy_time_by_class_ms", None) or {}
-        window_s = getattr(workload_result, "total_time_s", 0.0)
-        if window_s <= 0:
-            return {}
-        return {
-            class_name: min(busy_ms / MS_PER_SECOND / window_s, self.max_utilization)
-            for class_name, busy_ms in busy_by_class.items()
-        }
-
-    def execute(self, plan: MigrationPlan, workload_result=None,
-                layout_cost_cents_per_hour: float = 0.0) -> SimulatedMigrationCost:
-        """Run the plan's batches through the simulator and price the result.
-
-        ``workload_result`` is the epoch's
-        :class:`~repro.dbms.executor.WorkloadRunResult` (or anything with
-        ``busy_time_by_class_ms`` and ``total_time_s``); its per-class busy
-        fractions become the background load the mover contends with.  Passing
-        ``None`` prices an idle system, which reproduces the analytic model
-        exactly when ``jitter`` is zero.
-        """
-        from repro.storage.simulator import MultiClassSimulator
-
-        simulator = MultiClassSimulator(
-            self.system, concurrency=self.model.concurrency,
-            jitter=self.jitter, seed=self.seed,
-        )
-        utilization = self._utilizations(workload_result)
-
-        # One geometry source: the analytic model's own batch stream yields
-        # (source, read-batch), (target, write-batch) per move, in order.
-        batches = self.model.io_requests(plan)
-        busy_s_by_move: List[Tuple[ObjectMove, float, float]] = []
-        for move in plan.moves:
-            source_class, read_request = next(batches)
-            target_class, write_request = next(batches)
-            read_ms = simulator.submit(source_class, read_request)
-            write_ms = simulator.submit(target_class, write_request)
-            busy_s_by_move.append((move, read_ms / MS_PER_SECOND, write_ms / MS_PER_SECOND))
-
-        io_time_s = 0.0
-        contended_time_s = 0.0
-        transfer_cents = 0.0
-        for move, read_s, write_s in busy_s_by_move:
-            idle_src = 1.0 - utilization.get(move.source, 0.0)
-            idle_dst = 1.0 - utilization.get(move.target, 0.0)
-            in_flight_s = read_s / idle_src + write_s / idle_dst
-            io_time_s += read_s + write_s
-            contended_time_s += in_flight_s
-            prices = (
-                self.system[move.source].price_cents_per_gb_hour
-                + self.system[move.target].price_cents_per_gb_hour
-            )
-            # Double occupancy: the moved bytes are billed on both classes
-            # for their (contention-stretched) in-flight time.
-            transfer_cents += prices * (in_flight_s / SECONDS_PER_HOUR)
-        disruption_cents = layout_cost_cents_per_hour * (contended_time_s / SECONDS_PER_HOUR)
-        return SimulatedMigrationCost(
-            bytes_moved_gb=plan.bytes_moved_gb(),
-            bytes_by_class_pair=plan.bytes_by_class_pair(),
-            io_time_s=io_time_s,
-            contended_time_s=contended_time_s,
-            utilization_by_class=utilization,
-            busy_ms_by_class=simulator.busy_time_by_class_ms(),
-            transfer_cents=transfer_cents,
-            disruption_cents=disruption_cents,
-            analytic=self.model.assess(
-                plan, layout_cost_cents_per_hour=layout_cost_cents_per_hour
-            ),
         )
 
 

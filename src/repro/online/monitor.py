@@ -26,10 +26,9 @@ Two consumers sit on top of the telemetry history:
   which is how the controller re-profiles from *measurements* instead of
   replaying the workload through the estimator;
 * :class:`TrendPredictor` extrapolates the per-object I/O-share trend over
-  the telemetry window (linear least-squares or EWMA slope) so the
-  controller can re-tier *before* a ramp or flash crowd peaks -- the
-  anticipated drift decision is gated by exactly the same thresholds (and
-  cooldown) as the reactive one.
+  the telemetry window (least-squares slopes) so the controller can re-tier
+  *before* a ramp or flash crowd peaks -- the anticipated drift decision is
+  gated by exactly the same thresholds (and cooldown) as the reactive one.
 """
 
 from __future__ import annotations
@@ -161,21 +160,14 @@ class OutlierPolicy:
 class TrendPredictor:
     """Extrapolates the per-object I/O-share trend of the telemetry window.
 
-    The predictor fits one slope per object to the I/O *shares* of the last
-    ``window`` epochs observed under the currently deployed layout (telemetry
-    from before the last re-provision is layout-dependent and excluded), plus
-    one slope to the total I/O volume, and projects both ``horizon_epochs``
-    ahead.  Projected shares are clipped at zero and renormalised; projected
-    counts distribute each object's projected total over its I/O types in the
-    proportions of the latest observation.
-
-    ``method`` selects the slope estimator:
-
-    * ``"linear"`` -- ordinary least squares over the window (robust to a
-      single noisy epoch, the default);
-    * ``"ewma"`` -- exponentially weighted average of the consecutive
-      per-epoch deltas with smoothing ``ewma_alpha`` (reacts faster to a
-      fresh ramp).
+    The predictor fits one ordinary-least-squares slope per object to the
+    I/O *shares* of the last ``window`` epochs observed under the currently
+    deployed layout (telemetry from before the last re-provision is
+    layout-dependent and excluded), plus one slope to the total I/O volume,
+    and projects both ``horizon_epochs`` ahead.  Projected shares are
+    clipped at zero and renormalised; projected counts distribute each
+    object's projected total over its I/O types in the proportions of the
+    latest observation.
 
     With fewer than ``min_history`` observations in the window no prediction
     is made -- in particular, a freshly re-provisioned layout must accumulate
@@ -185,8 +177,6 @@ class TrendPredictor:
 
     window: int = 4
     horizon_epochs: int = 2
-    method: str = "linear"
-    ewma_alpha: float = 0.5
     min_history: int = 3
 
     def __post_init__(self) -> None:
@@ -194,10 +184,6 @@ class TrendPredictor:
             raise ValueError("trend window must span at least two epochs")
         if self.horizon_epochs < 1:
             raise ValueError("prediction horizon must be at least one epoch")
-        if self.method not in ("linear", "ewma"):
-            raise ValueError(f"unknown trend method {self.method!r}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("EWMA smoothing must be in (0, 1]")
         if self.min_history < 2:
             raise ValueError("need at least two observations to fit a trend")
         if self.min_history > self.window:
@@ -208,28 +194,16 @@ class TrendPredictor:
             )
 
     # ------------------------------------------------------------------
-    def _slope(self, epochs: Sequence[float], values: Sequence[float]) -> float:
-        """Per-epoch slope of one series under the configured estimator."""
-        if self.method == "linear":
-            x = np.asarray(epochs, dtype=float)
-            y = np.asarray(values, dtype=float)
-            x_centred = x - x.mean()
-            denominator = float(np.dot(x_centred, x_centred))
-            if denominator <= 0.0:
-                return 0.0
-            return float(np.dot(x_centred, y - y.mean()) / denominator)
-        slope = 0.0
-        primed = False
-        for position in range(1, len(values)):
-            gap = epochs[position] - epochs[position - 1]
-            if gap <= 0:
-                continue
-            delta = (values[position] - values[position - 1]) / gap
-            if not primed:
-                slope, primed = delta, True
-            else:
-                slope = self.ewma_alpha * delta + (1.0 - self.ewma_alpha) * slope
-        return slope
+    @staticmethod
+    def _slope(epochs: Sequence[float], values: Sequence[float]) -> float:
+        """Least-squares per-epoch slope of one series."""
+        x = np.asarray(epochs, dtype=float)
+        y = np.asarray(values, dtype=float)
+        x_centred = x - x.mean()
+        denominator = float(np.dot(x_centred, x_centred))
+        if denominator <= 0.0:
+            return 0.0
+        return float(np.dot(x_centred, y - y.mean()) / denominator)
 
     def project(self, telemetry_window: Sequence[EpochTelemetry]
                 ) -> Optional[EpochTelemetry]:

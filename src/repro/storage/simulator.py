@@ -4,16 +4,14 @@ The reproduction has no physical disks, so "running" I/O against a storage
 class means sampling per-request service times from the class's calibrated
 I/O profile (with a small log-normal jitter to mimic measurement noise) and
 accumulating busy time.  The simulator underpins the Section 3.5.1
-micro-benchmark (which regenerates Table 1), the "actual test run" mode of
-the workload executor used by DOT's validation phase, and -- via
-:class:`MultiClassSimulator` -- the migration I/O batches issued by the
-online re-provisioning subsystem when it moves objects between classes.
+micro-benchmark (which regenerates Table 1) and the "actual test run" mode
+of the workload executor used by DOT's validation phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -145,79 +143,3 @@ class DeviceSimulator:
     def observed_service_time_ms(self, io_type: IOType) -> float:
         """Mean observed per-request latency since the last reset."""
         return self.counters.mean_service_time_ms(io_type)
-
-
-class MultiClassSimulator:
-    """One :class:`DeviceSimulator` per storage class of a storage system.
-
-    Request batches are addressed by class name, which is what a data
-    migration needs: each object move issues a sequential-read batch against
-    its source class and a sequential-write batch against its target class.
-    Per-class RNG streams are spawned from one seed, so a run is
-    deterministic regardless of how batches interleave across classes.
-
-    Parameters
-    ----------
-    system:
-        A :class:`~repro.storage.storage_class.StorageSystem` (or any
-        iterable of storage classes).
-    concurrency:
-        Degree of concurrency the batches are issued at.
-    jitter:
-        Coefficient of variation of the per-batch measurement noise
-        (``0`` for deterministic runs).
-    seed:
-        Seed for the spawned per-class generators.
-    """
-
-    def __init__(
-        self,
-        system: Iterable[StorageClass],
-        concurrency: int = 1,
-        jitter: float = 0.05,
-        seed: Optional[int] = None,
-    ):
-        classes = list(system)
-        if not classes:
-            raise ValueError("need at least one storage class to simulate")
-        seeds = np.random.SeedSequence(seed).spawn(len(classes))
-        self.devices: Dict[str, DeviceSimulator] = {
-            storage_class.name: DeviceSimulator(
-                storage_class, concurrency=concurrency, jitter=jitter, seed=child_seed
-            )
-            for storage_class, child_seed in zip(classes, seeds)
-        }
-
-    # ------------------------------------------------------------------
-    def submit(self, class_name: str, request: IORequest) -> float:
-        """Service one batch against one class; returns the busy time (ms)."""
-        return self.devices[class_name].submit(request)
-
-    def run_batches(self, batches: Iterable[Tuple[str, IORequest]]) -> float:
-        """Service ``(class_name, request)`` batches; returns total busy time (ms).
-
-        Batches against *different* classes proceed in parallel (each device
-        services its own queue), so the wall-clock time of the whole run is
-        the busiest class's accumulated time -- :meth:`elapsed_ms` after a
-        single :meth:`run_batches` call -- while the return value is the
-        total device busy time across classes.
-        """
-        return sum(self.submit(class_name, request) for class_name, request in batches)
-
-    def elapsed_ms(self) -> float:
-        """Wall-clock elapsed time: the busiest class's accumulated busy time."""
-        return max(
-            device.counters.total_busy_time_ms() for device in self.devices.values()
-        )
-
-    def busy_time_by_class_ms(self) -> Dict[str, float]:
-        """Accumulated busy time per storage class."""
-        return {
-            name: device.counters.total_busy_time_ms()
-            for name, device in self.devices.items()
-        }
-
-    def reset(self) -> None:
-        """Clear every device's accumulated counters."""
-        for device in self.devices.values():
-            device.reset()

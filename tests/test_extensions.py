@@ -3,6 +3,7 @@ plus the layout measurement and reporting utilities."""
 
 import pytest
 
+from repro import scenarios
 from repro.core.context import EvaluationContext
 from repro.core.discrete_cost import DiscreteCostModel
 from repro.core.dot import DOTSolver
@@ -239,6 +240,21 @@ class TestMeasureLayouts:
         # Measured (buffer-assisted) caps are at most the estimate-based caps.
         for name, cap in measured.caps_ms.items():
             assert cap <= estimated.caps_ms[name] * 1.001
+
+    @pytest.mark.parametrize("scenario, overrides, misses", [
+        ("tpch_original", {"scale_factor": 2.0}, 22),  # response-time caps
+        ("tpcc_fig8", {"warehouses": 300}, 5),  # throughput floor
+    ])
+    def test_build_resolves_caps_through_the_estimate_cache(self, scenario, overrides,
+                                                             misses):
+        context = scenarios.build(scenario, **overrides).context()
+        reference = context.reference_layout()
+        scalar = context.toc_model.evaluate(reference, context.workload)
+        assert context.constraint == context.sla.resolve(scalar.run_result)
+        # The reference's estimates stay in the cache for the solvers.
+        assert context.estimate_cache.misses == misses
+        context.incremental_evaluator().evaluate(reference)
+        assert context.estimate_cache.misses == misses
 
 
 class TestReporting:

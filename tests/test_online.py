@@ -6,9 +6,8 @@ triggers a re-tier, the end-to-end crossfade beats the frozen layout net of
 migration charges) plus the ISSUE 5 closed-loop properties: telemetry-driven
 re-profiling is bitwise-identical to the estimator replay on plan-stable
 workloads and skips the per-epoch estimate-cache warm-up, the trend
-predictor fires before a ramp peaks and never on a stationary stream,
-simulated migration I/O agrees with the analytic model, and cross-kind
-epochs blend the two TOC metrics.
+predictor fires before a ramp peaks and never on a stationary stream, and
+cross-kind epochs blend the two TOC metrics under kind-matched constraints.
 """
 
 import pytest
@@ -17,6 +16,7 @@ from repro.core.context import EvaluationContext
 from repro.core.dot import DOTSolver
 from repro.core.layout import Layout
 from repro.core.profiler import WorkloadProfiler
+from repro.core.toc import TOCModel
 from repro.dbms.executor import WorkloadEstimator
 from repro.dbms.query import Query, TableAccess
 from repro.exceptions import WorkloadError
@@ -28,7 +28,6 @@ from repro.online.drift import (
 )
 from repro.online.migration import (
     MigrationCostModel,
-    MigrationExecutor,
     MigrationPlan,
     ReProvisioningPolicy,
 )
@@ -38,7 +37,7 @@ from repro.online.monitor import (
     TrendPredictor,
 )
 from repro.sla.constraints import RelativeSLA
-from repro.storage.simulator import MultiClassSimulator
+from repro.sla.psr import performance_satisfaction_ratio
 from repro.workloads.workload import CrossKindWorkload, Workload, blend_transaction_mixes
 
 
@@ -250,17 +249,6 @@ class TestMigration:
         cost = model.assess(plan, layout_cost_cents_per_hour=rate)
         assert cost.disruption_cents == pytest.approx(rate * cost.io_time_s / 3600.0)
 
-    def test_simulated_migration_matches_analytic_time(self, layouts, box1_system):
-        """Replaying the plan's I/O batches on the deterministic device
-        simulator must accumulate exactly the analytic migration time."""
-        source, target = layouts
-        plan = MigrationPlan.between(source, target)
-        model = MigrationCostModel(box1_system)
-        simulator = MultiClassSimulator(box1_system, jitter=0.0, seed=3)
-        busy_ms = simulator.run_batches(model.io_requests(plan))
-        assert busy_ms / 1000.0 == pytest.approx(model.io_time_s(plan))
-        assert simulator.elapsed_ms() <= busy_ms
-
     def test_policy_amortization(self):
         policy = ReProvisioningPolicy(horizon_epochs=4)
         # Saves 1 cent/epoch over 4 epochs; migration costs 3: migrate.
@@ -463,10 +451,6 @@ class TestTrendPredictor:
         with pytest.raises(ValueError):
             TrendPredictor(horizon_epochs=0)
         with pytest.raises(ValueError):
-            TrendPredictor(method="spline")
-        with pytest.raises(ValueError):
-            TrendPredictor(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
             TrendPredictor(min_history=1)
         with pytest.raises(ValueError):
             # Default min_history=3 could never be met by a 2-epoch window;
@@ -482,15 +466,13 @@ class TestTrendPredictor:
         assert not decision.predicted
         assert "insufficient telemetry" in decision.reason
 
-    @pytest.mark.parametrize("method", ["linear", "ewma"])
-    def test_ramp_is_anticipated_before_threshold(self, box1_system, method):
+    def test_ramp_is_anticipated_before_threshold(self, box1_system):
         """At 10 %/epoch share drift, a horizon-3 projection crosses a 40 %
         threshold while the observed distance is still at ~20 %."""
         monitor = TelemetryMonitor(
             box1_system, thresholds=DriftThresholds(share_threshold=0.40)
         )
-        predictor = TrendPredictor(window=3, horizon_epochs=3, min_history=2,
-                                   method=method)
+        predictor = TrendPredictor(window=3, horizon_epochs=3, min_history=2)
         for epoch in range(3):
             monitor.observe(epoch, _FakeResult("w", _ramp_counts(epoch)))
         assert not monitor.check_drift().drifted  # observed: 20 % < 40 %
@@ -745,89 +727,6 @@ class TestPredictiveController:
 
 
 # ---------------------------------------------------------------------------
-# Simulated (executor-backed) migration I/O
-# ---------------------------------------------------------------------------
-
-class TestMigrationExecutor:
-    @pytest.fixture
-    def plan(self, small_objects, box1_system):
-        fast = Layout.uniform(small_objects, box1_system, "H-SSD")
-        target = fast.with_assignment("fact", "HDD RAID 0").with_assignment(
-            "dim", "L-SSD")
-        return MigrationPlan.between(fast, target)
-
-    def test_idle_system_reproduces_the_analytic_model_exactly(self, plan,
-                                                               box1_system):
-        """With no background load and a deterministic simulator, executing
-        the plan's batches must price exactly what the closed form says."""
-        executor = MigrationExecutor(box1_system, jitter=0.0)
-        cost = executor.execute(plan)
-        assert cost.io_time_s == pytest.approx(cost.analytic.io_time_s, rel=1e-12)
-        assert cost.contended_time_s == pytest.approx(cost.analytic.io_time_s, rel=1e-12)
-        assert cost.transfer_cents == pytest.approx(cost.analytic.transfer_cents, rel=1e-12)
-        assert cost.contention_factor == pytest.approx(1.0)
-
-    def test_contention_stretches_the_double_occupancy_charge(self, plan,
-                                                              box1_system):
-        """A busy device slows the mover down: the simulated charge must
-        exceed the analytic one, bounded by the idle-fraction stretch."""
-
-        class _Load:
-            workload_name = "bg"
-            total_time_s = 100.0
-            busy_time_by_class_ms = {"H-SSD": 50_000.0, "L-SSD": 25_000.0}
-
-        executor = MigrationExecutor(box1_system, jitter=0.0)
-        cost = executor.execute(plan, workload_result=_Load())
-        assert cost.utilization_by_class["H-SSD"] == pytest.approx(0.5)
-        assert cost.utilization_by_class["L-SSD"] == pytest.approx(0.25)
-        # Busy time is load-independent; only the in-flight window stretches.
-        assert cost.io_time_s == pytest.approx(cost.analytic.io_time_s, rel=1e-12)
-        assert cost.transfer_cents > cost.analytic.transfer_cents
-        max_stretch = 1.0 / (1.0 - max(cost.utilization_by_class.values()))
-        assert cost.transfer_cents <= cost.analytic.transfer_cents * max_stretch
-        assert 1.0 < cost.contention_factor <= max_stretch
-
-    def test_utilization_is_capped(self, plan, box1_system):
-        class _Saturated:
-            workload_name = "bg"
-            total_time_s = 10.0
-            busy_time_by_class_ms = {"H-SSD": 1e9}
-
-        executor = MigrationExecutor(box1_system, jitter=0.0, max_utilization=0.9)
-        cost = executor.execute(plan, workload_result=_Saturated())
-        assert cost.utilization_by_class["H-SSD"] == pytest.approx(0.9)
-        assert cost.transfer_cents < float("inf")
-
-    def test_crossfade_simulated_vs_analytic_within_tolerance(
-            self, small_objects, box1_system, small_catalog, two_phase_generator):
-        """ISSUE 5: on the (single-phase-at-a-time) crossfade, every re-tier
-        priced by the executor must agree with the analytic model within the
-        contention bound -- same busy time, charge within the idle-fraction
-        stretch of the busiest class."""
-        advisor = OnlineAdvisor(
-            small_objects, box1_system, fresh_estimator(small_catalog),
-            sla=RelativeSLA(0.5),
-            thresholds=DriftThresholds(share_threshold=0.05),
-            # The contended price is steeper than the analytic one on this
-            # I/O-bound toy workload; widen the amortization window so the
-            # re-tier still happens and the price can be cross-checked.
-            policy=ReProvisioningPolicy(horizon_epochs=24),
-            migration_execution="simulated",
-        )
-        online = advisor.run(two_phase_generator.epochs())
-        migrations = [record.migration for record in online.records
-                      if record.migrated and record.migration is not None]
-        assert migrations
-        for cost in migrations:
-            assert cost.io_time_s == pytest.approx(cost.analytic.io_time_s, rel=1e-9)
-            assert cost.transfer_cents >= cost.analytic.transfer_cents
-            max_stretch = 1.0 / (1.0 - max(
-                cost.utilization_by_class.values(), default=0.0))
-            assert cost.cost_cents <= cost.analytic.cost_cents * max_stretch * (1 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Cross-kind drift
 # ---------------------------------------------------------------------------
 
@@ -906,33 +805,43 @@ class TestCrossKind:
             epoch for epoch in crosskind_generator.epochs()
             if epoch.epoch == record.epoch
         ).workload
+        toc_model = TOCModel(advisor.estimator)
         component_tocs = [
-            advisor.toc_model.evaluate(record.layout, component, mode="estimate").toc_cents
+            toc_model.evaluate(record.layout, component, mode="estimate").toc_cents
             for component, _ in epoch_workload.components
         ]
         assert min(component_tocs) <= record.toc_cents <= max(component_tocs)
 
-    def test_simulated_migration_on_mixed_epochs(self, small_objects, box1_system,
-                                                 small_catalog, crosskind_generator):
-        """Executor-priced migrations must work on kind-mixed epochs too,
-        reconstructing contention per component (each at its own
-        concurrency) rather than typing the merged counts at one point."""
+    def test_mixed_epochs_hold_each_component_to_its_kind(
+            self, small_objects, box1_system, small_catalog, crosskind_generator):
+        """A mixed epoch's PSR blends a throughput floor on its OLTP component
+        and response-time caps on its DSS component, each resolved on that
+        component's own estimated reference layout."""
         advisor = OnlineAdvisor(
             small_objects, box1_system, fresh_estimator(small_catalog),
             sla=RelativeSLA(0.5),
             thresholds=DriftThresholds(share_threshold=0.05),
-            policy=ReProvisioningPolicy(horizon_epochs=24),
-            migration_execution="simulated",
         )
         online = advisor.run(crosskind_generator.epochs())
-        migrations = [record.migration for record in online.records
-                      if record.migrated and record.migration is not None]
-        assert migrations
-        for cost in migrations:
-            assert cost.io_time_s == pytest.approx(cost.analytic.io_time_s, rel=1e-9)
-            assert cost.transfer_cents >= cost.analytic.transfer_cents
-            assert all(0.0 <= value <= 0.9
-                       for value in cost.utilization_by_class.values())
+        epochs = {epoch.epoch: epoch.workload for epoch in crosskind_generator.epochs()}
+        toc_model = TOCModel(advisor.estimator)
+        reference = Layout.uniform(small_objects, box1_system,
+                                   box1_system.most_expensive().name)
+        mixed_records = [record for record in online.records
+                         if epochs[record.epoch].kind == "mixed"]
+        assert mixed_records
+        for record in mixed_records:
+            psr = 0.0
+            for component, weight in epochs[record.epoch].components:
+                metric = "throughput" if component.kind == "oltp" else "response_time"
+                constraint = RelativeSLA(0.5, metric=metric).resolve(
+                    toc_model.evaluate(reference, component, mode="estimate").run_result
+                )
+                observed = toc_model.evaluate(record.layout, component, mode="estimate")
+                psr += weight * performance_satisfaction_ratio(
+                    constraint, observed.run_result
+                )
+            assert psr == record.psr
 
     def test_frozen_replay_handles_mixed_epochs(self, small_objects, box1_system,
                                                 small_catalog, crosskind_generator):

@@ -44,7 +44,7 @@ from repro.resilience import (
     FaultSpec,
     corrupt_file,
 )
-from repro.sla.constraints import RelativeSLA
+from repro.sla.constraints import RelativeSLA, ResponseTimeConstraint
 
 WORKERS = 2
 
@@ -501,6 +501,34 @@ class TestOnlineResilience:
             if record.epoch in dropout_epochs:
                 assert any("dropout" in incident for incident in record.incidents)
                 assert not record.drift.drifted
+
+    def test_dropout_epoch_reprofiles_through_the_estimator(
+            self, small_objects, box1_system, small_catalog, small_workload,
+            monkeypatch):
+        """A re-tier on a dropout epoch must not re-profile from the held
+        observation: the monitor only has an earlier epoch's counts, so the
+        loop falls back to estimator profiles, as the dropout incident says."""
+        served = []
+        profile_set = TelemetryMonitor.profile_set
+
+        def spy(self, *args, **kwargs):
+            served.append(self.history[-1].epoch)
+            return profile_set(self, *args, **kwargs)
+
+        monkeypatch.setattr(TelemetryMonitor, "profile_set", spy)
+        unattainable = ResponseTimeConstraint(
+            {query.name: 1e-9 for query in small_workload.queries}
+        )
+        plan = FaultPlan().add_epoch_fault(2, FaultSpec(kind="telemetry_dropout"))
+        advisor = OnlineAdvisor(
+            small_objects, box1_system, fresh_estimator(small_catalog),
+            sla=unattainable,
+            retier_on_sla_violation=True,
+            fault_injector=FaultInjector(plan),
+        )
+        result = advisor.run([small_workload] * 4)
+        assert all(record.reoptimized for record in result.records)
+        assert served == [1, 3]
 
     def test_outlier_epoch_is_clamped_not_acted_on(
             self, small_objects, box1_system, small_catalog, small_workload):
