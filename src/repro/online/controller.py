@@ -619,7 +619,7 @@ class OnlineAdvisor:
             if record.migrated and record.migration is not None:
                 registry.counter("online.retiers").inc()
                 registry.counter("online.migration_gb").inc(
-                    getattr(record.migration, "bytes_moved_gb", 0.0)
+                    record.migration.bytes_moved_gb
                 )
                 registry.counter("online.migration_cents").inc(
                     record.migration.cost_cents

@@ -822,26 +822,35 @@ class TestCrossKind:
             sla=RelativeSLA(0.5),
             thresholds=DriftThresholds(share_threshold=0.05),
         )
-        online = advisor.run(crosskind_generator.epochs())
-        epochs = {epoch.epoch: epoch.workload for epoch in crosskind_generator.epochs()}
+        epochs = list(crosskind_generator.epochs())
+        online = advisor.run(epochs)
+        # The deployed layouts meet the OLTP side under either metric; on the
+        # cheapest layout a throughput floor and response-time caps differ.
+        cheapest = Layout.uniform(small_objects, box1_system, box1_system.cheapest().name)
+        frozen = advisor.evaluate_frozen(epochs, cheapest)
         toc_model = TOCModel(advisor.estimator)
         reference = Layout.uniform(small_objects, box1_system,
                                    box1_system.most_expensive().name)
-        mixed_records = [record for record in online.records
-                         if epochs[record.epoch].kind == "mixed"]
-        assert mixed_records
-        for record in mixed_records:
+
+        def blended_psr(workload, layout):
             psr = 0.0
-            for component, weight in epochs[record.epoch].components:
+            for component, weight in workload.components:
                 metric = "throughput" if component.kind == "oltp" else "response_time"
                 constraint = RelativeSLA(0.5, metric=metric).resolve(
-                    toc_model.evaluate(reference, component, mode="estimate").run_result
+                    toc_model.evaluate(reference, component).run_result
                 )
-                observed = toc_model.evaluate(record.layout, component, mode="estimate")
-                psr += weight * performance_satisfaction_ratio(
-                    constraint, observed.run_result
-                )
-            assert psr == record.psr
+                observed = toc_model.evaluate(layout, component).run_result
+                psr += weight * performance_satisfaction_ratio(constraint, observed)
+            return psr
+
+        mixed = [position for position, epoch in enumerate(epochs)
+                 if epoch.workload.kind == "mixed"]
+        assert mixed
+        for position in mixed:
+            workload = epochs[position].workload
+            record = online.records[position]
+            assert record.psr == blended_psr(workload, record.layout)
+            assert frozen.records[position].psr == blended_psr(workload, cheapest)
 
     def test_frozen_replay_handles_mixed_epochs(self, small_objects, box1_system,
                                                 small_catalog, crosskind_generator):
