@@ -644,8 +644,8 @@ class BatchLayoutEvaluator:
         objects that are variable columns).  Warming them all makes the
         (possibly shared) estimate cache a complete, read-only lookup
         structure: the parallel engine's pool workers, which adopt this very
-        evaluator, never call the optimizer, and :meth:`toc_floor_factor`
-        can derive a sound workload-time lower bound from the now-exhaustive
+        evaluator, never call the optimizer, and :meth:`time_floor_factors`
+        can derive sound workload-time lower bounds from the now-exhaustive
         per-query response tables.
 
         A DSS table this call fills from empty becomes dense: the subspace
@@ -684,26 +684,20 @@ class BatchLayoutEvaluator:
         """A factor ``f`` with ``TOC(row) >= layout_cost(row) * f`` for every
         candidate row, or ``0.0`` when no sound bound is available.
 
-        For DSS workloads the workload-time factor of the TOC is bounded from
-        below by the sum of each query instance's minimum response time over
-        its (fully warmed) signature subspace; for OLTP the throughput is
-        bounded from above through the closed-loop population bound at the
-        minimum achievable mix response time.  A small multiplicative margin
-        absorbs floating-point rounding so the bound errs on the sound side;
-        the incumbent pruning that consumes it compares strictly, so the
-        margin never prunes a true optimum.
+        For DSS workloads this is :meth:`time_floor_factors` at depth 0: the
+        sum of each query instance's minimum response time over its (fully
+        warmed) signature subspace.  For OLTP the throughput is bounded from
+        above through the closed-loop population bound at the minimum
+        achievable mix response time.  A small multiplicative margin absorbs
+        floating-point rounding so the bound errs on the sound side; the
+        incumbent pruning that consumes it compares strictly, so the margin
+        never prunes a true optimum.
         """
         if not self._fully_warmed:
             return 0.0
-        margin = 1.0 - 1e-9
         if self.kind == "dss":
-            total_ms = 0.0
-            for query in self._instances:
-                table = self._tables[query.name]
-                if not table.response_ms:
-                    return 0.0
-                total_ms += min(table.response_ms)
-            return ((total_ms / MS_PER_SECOND) / SECONDS_PER_HOUR) * margin
+            return float(self.time_floor_factors(0)[0])
+        margin = 1.0 - 1e-9
         response_lb_ms = 0.0
         for query, weight in self._oltp.mix:
             table = self._tables[query.name]
@@ -721,6 +715,66 @@ class BatchLayoutEvaluator:
         if not (tasks_per_hour_ub > 0.0 and np.isfinite(tasks_per_hour_ub)):
             return 0.0
         return (1.0 / tasks_per_hour_ub) * margin
+
+    def time_floor_factors(self, depth: int) -> Optional[np.ndarray]:
+        """Per-prefix DSS workload-time floors for ``depth`` fixed columns.
+
+        Entry ``p`` of the returned ``M**depth`` array is a factor ``f`` with
+        ``TOC(row) >= layout_cost(row) * f`` for every candidate whose
+        leading ``depth`` columns spell prefix code ``p`` (mixed radix,
+        column 0 most significant -- the prefix's enumeration subtree).
+        Each query instance contributes the minimum of its response table
+        over the signature codes that agree with the fixed columns; the sum
+        runs over the instances in workload order and converts to hours with
+        the same ``1 - 1e-9`` margin as :meth:`toc_floor_factor`, which is
+        the ``depth == 0`` case.  Every instance's term is at most the
+        response the candidate's score adds in that position, so the floor
+        is sound bit for bit.
+
+        Returns ``None`` for OLTP workloads and before every table is fully
+        warmed.  The array holds ``M**depth`` floats, so callers keep
+        ``depth`` small.
+        """
+        if self.kind != "dss" or not self._fully_warmed:
+            return None
+        floors: Dict[str, np.ndarray] = {}
+        total_ms = np.zeros((self.num_classes,) * depth)
+        for query in self._instances:
+            floor = floors.get(query.name)
+            if floor is None:
+                floor = self._prefix_response_floor(self._tables[query.name], depth)
+                floors[query.name] = floor
+            total_ms += floor
+        return ((total_ms.reshape(-1) / MS_PER_SECOND) / SECONDS_PER_HOUR) * (1.0 - 1e-9)
+
+    def _prefix_response_floor(self, table: _QueryTable, depth: int) -> np.ndarray:
+        """One query's minimum response per prefix of ``depth`` columns,
+        shaped to broadcast over the ``(M,) * depth`` prefix grid.
+
+        The fully warmed table reshapes to ``(M,) * k`` with axis ``i`` the
+        class of column ``var_columns[i]`` (the :func:`_mixed_radix_weights`
+        order); the minimum runs over the axes of the free columns
+        (``>= depth``) and the remaining axes move to their columns.
+        """
+        num_classes = self.num_classes
+        responses = table.response_array()
+        if not table.dense:
+            # A table warmed after lazy scoring holds slots in first-use
+            # order; put them back in code order.
+            slot_of_code = np.empty(len(table.code_to_slot), dtype=np.intp)
+            slot_of_code[list(table.code_to_slot)] = list(table.code_to_slot.values())
+            responses = responses[slot_of_code]
+        columns = table.var_columns
+        grid = responses.reshape((num_classes,) * columns.size)
+        free = tuple(int(axis) for axis in np.flatnonzero(columns >= depth))
+        if free:
+            grid = np.asarray(grid.min(axis=free))
+        fixed = columns[columns < depth]
+        grid = grid.transpose(np.argsort(fixed))
+        shape = [1] * depth
+        for column in fixed:
+            shape[int(column)] = num_classes
+        return grid.reshape(shape)
 
     # ------------------------------------------------------------------
     # Candidate materialization helpers

@@ -19,9 +19,21 @@ single-core ceiling:
   subtrees whose cheapest completion already violates capacity (the prefix
   space usage is an exact intermediate of the evaluator's accumulation, and
   object sizes only ever add, so the bound is sound bit for bit), and an
-  *incumbent-TOC* bound discards chunks whose storage-cost lower bound times
-  the workload-time floor already exceeds the best TOC seen by any worker
-  (shared through a ``multiprocessing.Value``).
+  *incumbent-TOC* bound discards subtrees and chunks whose TOC lower bound
+  already exceeds the best TOC seen by any worker (shared through a
+  ``multiprocessing.Value``).  The bound is the storage-cost floor of the
+  fixed leading columns (cheapest class for the rest) times the
+  workload-time floor *of those same columns*: each query instance at the
+  minimum of its warmed response table over the signatures that agree with
+  the fixed prefix
+  (:meth:`~repro.core.batch_eval.BatchLayoutEvaluator.time_floor_factors`;
+  DSS only -- OLTP keeps the global population-bound factor).
+* **Seeded incumbent** -- before enumerating, a pruning engine scores the
+  ``M`` all-on-one-class layouts (the paper's uniform baselines) and starts
+  the incumbent from the best feasible one, so the TOC bound prunes from the
+  first chunk instead of waiting for enumeration order to reach a good
+  layout.  A deadline-aborted run therefore still returns at least that
+  layout.
 * **Resumability** -- progress is tracked per shard in a picklable
   :class:`SearchProgress`; feeding a partial progress object back into
   :meth:`ParallelEnumerationEngine.run` skips completed shards and continues
@@ -54,9 +66,14 @@ enumeration order) achieving the minimum TOC.  Every shard therefore reports
 lexicographic, which reproduces "minimum TOC, smallest index" regardless of
 shard completion order.  Pruning is strict: a subtree is only skipped when
 *every* completion is capacity-infeasible (TOC ``inf`` on the serial path),
-and a chunk only when its TOC lower bound is *strictly* above the incumbent
--- equal-TOC candidates are never discarded, so tie-breaking matches the
-serial path exactly and the returned layout and TOC are bitwise identical.
+and a subtree or chunk only when its TOC lower bound is *strictly* above the
+incumbent -- equal-TOC candidates are never discarded, so tie-breaking
+matches the serial path exactly and the returned layout and TOC are bitwise
+identical.  The seed folds in through the same lexicographic rule as a shard
+outcome, with the TOC its own chunk would score and its true mixed-radix
+index; since the optimum's chunk can never be cut, the seed changes what is
+pruned, never what is returned.  Seed rows are not counted as evaluated, so
+``evaluated + pruned_layouts`` still covers the space exactly once.
 """
 
 from __future__ import annotations
@@ -75,6 +92,7 @@ import numpy as np
 from repro.core.batch_eval import (
     BatchEvalStats,
     BatchLayoutEvaluator,
+    _mixed_radix_weights,
     accumulate_space_used,
     iter_assignment_chunks,
 )
@@ -95,6 +113,9 @@ SHARDS_PER_WORKER = 4
 #: :class:`ShardFailureError`.  Shard processing is idempotent and
 #: deterministic, so a retry is always safe.
 SHARD_MAX_RETRIES = 2
+#: Most prefixes (``M**depth``) one per-depth workload-time floor table
+#: holds; see :class:`_PruningBounds`.
+FLOOR_TABLE_MAX_PREFIXES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +286,17 @@ class SearchProgress:
         self.completed.add(outcome.shard_id)
         self.evaluated += outcome.evaluated
         self.stats.merge(outcome.stats)
-        if outcome.best_row is not None and (
-            outcome.best_toc < self.best_toc
-            or (outcome.best_toc == self.best_toc and outcome.best_index < self.best_index)
+        self.offer(outcome.best_toc, outcome.best_index, outcome.best_row)
+
+    def offer(self, toc: float, index: int, row: Optional[Tuple[int, ...]]) -> None:
+        """Adopt a candidate if it is lexicographically better: lower TOC,
+        or equal TOC at a smaller enumeration index."""
+        if row is not None and (
+            toc < self.best_toc or (toc == self.best_toc and index < self.best_index)
         ):
-            self.best_toc = outcome.best_toc
-            self.best_index = outcome.best_index
-            self.best_row = outcome.best_row
+            self.best_toc = toc
+            self.best_index = index
+            self.best_row = row
 
 
 @dataclass
@@ -307,8 +332,24 @@ class _PruningBounds:
     * residual fit: if the total size of the free objects exceeds the summed
       remaining slack of all classes (plus a conservative epsilon), no
       completion can fit;
-    * cost: the cheapest completion places every free object on the cheapest
-      class, giving a storage-cost lower bound for the incumbent-TOC test.
+    * TOC: the cheapest completion places every free object on the cheapest
+      class, giving a storage-cost lower bound, and the workload-time floor
+      of the fixed columns
+      (:meth:`~repro.core.batch_eval.BatchLayoutEvaluator.time_floor_factors`)
+      bounds the time factor; their product bounds every completion's TOC
+      for the incumbent test.
+
+    The time floors are built here, in the coordinator, so pool workers
+    inherit (or unpickle) them with the bounds and every chunk-grain floor
+    is a table lookup.  The evaluator computes them at the deepest depth
+    whose prefix grid fits :data:`FLOOR_TABLE_MAX_PREFIXES`; each shallower
+    prefix takes the minimum over its ``M`` children, which bounds every
+    completion just as soundly and is never below the evaluator's own floor
+    at that depth.  A range fixing more columns than the deepest table reads
+    that table: fixing fewer columns only lowers the floor.  OLTP workloads,
+    and evaluators whose tables are not fully warmed, keep the global
+    :meth:`~repro.core.batch_eval.BatchLayoutEvaluator.toc_floor_factor` as
+    a one-entry depth-0 table.
     """
 
     def __init__(self, evaluator: BatchLayoutEvaluator, prefix_depth: int):
@@ -339,6 +380,22 @@ class _PruningBounds:
         suffix = np.zeros(self.num_objects + 1)
         suffix[:-1] = np.cumsum(self.all_sizes[::-1])[::-1] * min_price
         self.suffix_min_cost = suffix
+        # Workload-time floors, indexed [depth][prefix code].
+        deepest = 0
+        while (deepest < self.num_objects
+               and self.num_classes ** (deepest + 1) <= FLOOR_TABLE_MAX_PREFIXES):
+            deepest += 1
+        floors = evaluator.time_floor_factors(deepest)
+        if floors is None:
+            deepest = 0
+            self.time_floors = [np.array([evaluator.toc_floor_factor()])]
+        else:
+            self.time_floors = [floors]
+            for _ in range(deepest):
+                self.time_floors.insert(
+                    0, self.time_floors[0].reshape(-1, self.num_classes).min(axis=1)
+                )
+        self.floor_depth = deepest
 
     def prefix_space(self, prefix_matrix: np.ndarray) -> np.ndarray:
         """Per-subtree per-class space usage of the fixed prefix columns.
@@ -352,27 +409,30 @@ class _PruningBounds:
         )
 
     def admissible(self, prefix_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keep_mask, cost_lower_bound)`` for a batch of subtree prefixes."""
+        """``(keep_mask, toc_lower_bound)`` for a batch of subtree prefixes."""
         used = self.prefix_space(prefix_matrix)
         overflow = (used > self.capacities[None, :]).any(axis=1)
         slack = np.clip(self.capacities[None, :] - used, 0.0, None).sum(axis=1)
         cannot_fit = self.residual_total_gb > slack + self.slack_epsilon
         keep = ~(overflow | cannot_fit)
         cost_lb = (used @ self.prices + self.residual_min_cost) * (1.0 - 1e-9)
-        return keep, cost_lb
+        depth = min(self.prefix_depth, self.floor_depth)
+        codes = prefix_matrix[:, :depth] @ _mixed_radix_weights(depth, self.num_classes)
+        return keep, cost_lb * self.time_floors[depth][codes]
 
-    def chunk_cost_lb(self, chunk_start: int, chunk_last: int) -> float:
-        """Storage-cost lower bound over the index range
-        ``[chunk_start, chunk_last]`` (inclusive).
+    def chunk_toc_lb(self, chunk_start: int, chunk_last: int) -> float:
+        """TOC lower bound over the index range ``[chunk_start, chunk_last]``
+        (inclusive).
 
         A contiguous mixed-radix range shares the common most-significant
         digits of its two endpoints; those columns are *fixed* for every
-        index in the range and price at their actual class, while the free
-        suffix prices at the cheapest class.  This tightens the per-subtree
-        bound (which fixes only ``prefix_depth`` columns) to chunk
-        granularity: deep inside a subtree a chunk fixes many more columns.
-        The same ``1 - 1e-9`` margin plus the caller's strict comparison
-        keep the bound sound regardless of summation order.
+        index in the range: they price at their actual class and select the
+        time floor, while the free suffix prices at the cheapest class.
+        This tightens the per-subtree bound (which fixes only
+        ``prefix_depth`` columns) to chunk granularity: deep inside a
+        subtree a chunk fixes many more columns.  The same ``1 - 1e-9``
+        margin plus the caller's strict comparison keep the bound sound
+        regardless of summation order.
         """
         cost = self.pinned_cost
         depth = 0
@@ -388,7 +448,10 @@ class _PruningBounds:
             lo -= digit_lo * place
             hi -= digit_hi * place
             depth = column + 1
-        return (cost + float(self.suffix_min_cost[depth])) * (1.0 - 1e-9)
+        cost_lb = (cost + float(self.suffix_min_cost[depth])) * (1.0 - 1e-9)
+        depth = min(depth, self.floor_depth)
+        code = chunk_start // self.num_classes ** (self.num_objects - depth)
+        return cost_lb * float(self.time_floors[depth][code])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +496,6 @@ def _process_shard(
     subtree_lo: int,
     subtree_hi: int,
     chunk_size: int,
-    toc_floor_factor: float,
     prune: bool,
     *,
     deadline: Optional[float] = None,
@@ -487,16 +549,16 @@ def _process_shard(
                 f"at subtree {prefix_start}/{subtree_hi}"
             )
         if prune:
-            keep, cost_lb = bounds.admissible(prefix_matrix)
+            keep, toc_lb = bounds.admissible(prefix_matrix)
         else:
             keep = np.ones(prefix_matrix.shape[0], dtype=bool)
-            cost_lb = np.zeros(prefix_matrix.shape[0])
+            toc_lb = np.zeros(prefix_matrix.shape[0])
         pruned = int((~keep).sum())
         stats.pruned_subtrees += pruned
         stats.pruned_subtree_layouts += pruned * subtree_size
         for offset in np.flatnonzero(keep):
             subtree = prefix_start + int(offset)
-            toc_lower_bound = float(cost_lb[offset]) * toc_floor_factor
+            toc_lower_bound = float(toc_lb[offset])
             subtree_stop = (subtree + 1) * subtree_size
             chunk_start = subtree * subtree_size
             while chunk_start < subtree_stop:
@@ -512,20 +574,15 @@ def _process_shard(
                         stats.pruned_chunks += -(-remaining // chunk_size)
                         stats.pruned_chunk_layouts += remaining
                         break
-                    if toc_floor_factor > 0.0:
-                        # Chunk-level bound: the chunk's endpoints share more
-                        # fixed digits than the subtree prefix, so its cost
-                        # floor is tighter -- skip just this chunk when even
-                        # that floor cannot beat the incumbent.
-                        chunk_bound = (
-                            bounds.chunk_cost_lb(chunk_start, chunk_stop - 1)
-                            * toc_floor_factor
-                        )
-                        if chunk_bound > current_best:
-                            stats.pruned_chunks += 1
-                            stats.pruned_chunk_layouts += chunk_stop - chunk_start
-                            chunk_start = chunk_stop
-                            continue
+                    # Chunk-level bound: the chunk's endpoints share more
+                    # fixed digits than the subtree prefix, so its cost and
+                    # time floors are tighter -- skip just this chunk when
+                    # even that bound cannot beat the incumbent.
+                    if bounds.chunk_toc_lb(chunk_start, chunk_stop - 1) > current_best:
+                        stats.pruned_chunks += 1
+                        stats.pruned_chunk_layouts += chunk_stop - chunk_start
+                        chunk_start = chunk_stop
+                        continue
                 _, chunk = next(iter_assignment_chunks(
                     num_objects, num_classes, chunk_stop - chunk_start,
                     start=chunk_start, stop=chunk_stop,
@@ -569,9 +626,8 @@ _WORKER_STATE: Optional[Dict[str, object]] = None
 
 
 def _worker_init(evaluator: BatchLayoutEvaluator, bounds: _PruningBounds, shared_value,
-                 chunk_size: int, toc_floor_factor: float, prune: bool,
-                 fault_plan: Optional[FaultPlan], deadline: Optional[float],
-                 trace_enabled: bool) -> None:
+                 chunk_size: int, prune: bool, fault_plan: Optional[FaultPlan],
+                 deadline: Optional[float], trace_enabled: bool) -> None:
     """Pool initializer: adopt the coordinator's warmed evaluator.
 
     The evaluator arrives through the pool's ``initargs``.  Under the
@@ -594,7 +650,6 @@ def _worker_init(evaluator: BatchLayoutEvaluator, bounds: _PruningBounds, shared
         "bounds": bounds,
         "incumbent": _SharedIncumbent(shared_value),
         "chunk_size": chunk_size,
-        "toc_floor_factor": toc_floor_factor,
         "prune": prune,
         "injector": FaultInjector(fault_plan) if fault_plan is not None else None,
         "deadline": deadline,
@@ -621,7 +676,6 @@ def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
         subtree_lo,
         subtree_hi,
         state["chunk_size"],
-        state["toc_floor_factor"],
         state["prune"],
         deadline=state["deadline"],
         injector=state["injector"],
@@ -647,7 +701,8 @@ class ParallelEnumerationEngine:
         The batch evaluator to enumerate with.  The engine warms every
         estimate signature on construction (``warm_signatures``), so the
         evaluator becomes a read-only lookup structure that pool workers
-        adopt as is.
+        adopt as is; a pruning engine then scores the ``M`` uniform layouts
+        to seed the incumbent.
     workers:
         Process count.  ``workers <= 1`` runs the identical sharded/pruned
         algorithm in-process (no pool) -- useful for tests and for machines
@@ -660,8 +715,8 @@ class ParallelEnumerationEngine:
         SHARDS_PER_WORKER`` subtrees (clamped to ``[1, N-1]``) so shards stay
         balanced and the capacity bound gets traction.
     prune:
-        Disable to enumerate every candidate (the bounds are then skipped
-        entirely); results are identical either way.
+        Disable to enumerate every candidate (the bounds and the uniform
+        seed are then skipped entirely); results are identical either way.
     retry_backoff_s:
         Base of the exponential backoff between attempts of the same shard
         (``retry_backoff_s * 2**attempt``).
@@ -727,9 +782,35 @@ class ParallelEnumerationEngine:
             )
         self.prefix_depth = prefix_depth
         self.num_subtrees = self.num_classes**self.prefix_depth
-        self._bounds = _PruningBounds(self.evaluator, self.prefix_depth)
         evaluator.warm_signatures()
-        self.toc_floor_factor = evaluator.toc_floor_factor() if prune else 0.0
+        self._bounds = _PruningBounds(self.evaluator, self.prefix_depth)
+        self._seed = self._uniform_seed() if prune else None
+
+    def _uniform_seed(self) -> Optional[Tuple[float, int, Tuple[int, ...]]]:
+        """``(toc, index, row)`` of the best feasible all-on-one-class row.
+
+        The ``M`` rows whose variable columns all hold one class (pinned
+        objects stay pinned) are the paper's uniform baselines.  The
+        evaluator scores them exactly as their shard's chunk will, so the
+        TOC is bit for bit the enumeration's; ``index`` is the row's
+        mixed-radix index.  ``None`` when no uniform row is feasible.  The
+        rows are scored outside the run's accounting (the evaluator's stats
+        are set aside): their shards enumerate them again, so ``evaluated +
+        pruned_layouts`` still covers the space exactly once.
+        """
+        rows = np.repeat(
+            np.arange(self.num_classes, dtype=np.int64)[:, None], self.num_objects, axis=1
+        )
+        stats, self.evaluator.stats = self.evaluator.stats, BatchEvalStats()
+        try:
+            evaluation = self.evaluator.evaluate_chunk(rows)
+        finally:
+            self.evaluator.stats = stats
+        best = evaluation.best_index
+        if best is None:
+            return None
+        index = sum(best * self.num_classes**column for column in range(self.num_objects))
+        return float(evaluation.toc_cents[best]), index, (best,) * self.num_objects
 
     # ------------------------------------------------------------------
     def _default_prefix_depth(self) -> int:
@@ -789,6 +870,10 @@ class ParallelEnumerationEngine:
                 )
             progress.space = self.space
             progress.prefix_depth = self.prefix_depth
+        if self._seed is not None:
+            # Both incumbents (serial and the pool's shared value) start
+            # from progress.best_toc, so the seed prunes from the first chunk.
+            progress.offer(*self._seed)
         pending = [task for task in shards if task[0] not in progress.completed]
         if not pending:
             return progress
@@ -898,7 +983,6 @@ class ParallelEnumerationEngine:
                     lo,
                     hi,
                     self.chunk_size,
-                    self.toc_floor_factor,
                     self.prune,
                     deadline=deadline,
                     injector=injector,
@@ -929,8 +1013,7 @@ class ParallelEnumerationEngine:
             processes=self.workers,
             initializer=_worker_init,
             initargs=(self.evaluator, self._bounds, shared_value, self.chunk_size,
-                      self.toc_floor_factor, self.prune, self.fault_plan, deadline,
-                      tracer.enabled),
+                      self.prune, self.fault_plan, deadline, tracer.enabled),
         )
         self._pool = pool
         dispatched = 0

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.core.batch_eval import (
@@ -25,6 +27,7 @@ from repro.core.batch_eval import (
     _mixed_radix_weights,
     iter_assignment_chunks,
 )
+import repro.core.parallel_search as ps
 from repro.core.context import EvaluationContext
 from repro.core.layout import Layout
 from repro.core.parallel_search import (
@@ -323,8 +326,11 @@ class TestBuildTiming:
 # Pruning soundness on randomized spaces
 # ---------------------------------------------------------------------------
 
-def random_scenario(seed):
-    """A seeded random catalog/workload/system with binding capacity limits."""
+def random_scenario(seed, kind="dss"):
+    """A seeded random catalog/workload/system with binding capacity limits.
+
+    ``kind="oltp"`` runs the same queries as a weighted transaction mix.
+    """
     rng = np.random.default_rng(seed)
     num_tables = int(rng.integers(2, 4))
     specs = [
@@ -348,8 +354,13 @@ def random_scenario(seed):
             accesses=(TableAccess(f"t{i}", selectivity=0.0001, index=f"t{i}_pkey",
                                   key_lookup=True),),
         ))
-    workload = Workload(name=f"rand-{seed}", kind="dss", queries=tuple(queries),
-                        concurrency=1)
+    if kind == "oltp":
+        mix = tuple((query, float(rng.uniform(0.5, 8.0))) for query in queries)
+        workload = Workload(name=f"rand-{seed}", kind="oltp", transaction_mix=mix,
+                            concurrency=50, measured_transaction_fraction=0.4)
+    else:
+        workload = Workload(name=f"rand-{seed}", kind="dss", queries=tuple(queries),
+                            concurrency=1)
     objects = catalog.database_objects()
     total_gb = sum(obj.size_gb for obj in objects)
     system = storage_catalog.box1().with_capacity_limits(
@@ -361,9 +372,20 @@ def random_scenario(seed):
     return catalog, workload, objects, system
 
 
-def engine_run(objects, system, catalog, workload, prune, workers=1):
+def random_constraint(catalog, workload, objects, system, ratio):
+    """``RelativeSLA(ratio)`` of the workload's kind, resolved against the
+    scenario's reference layout (``None`` without a ratio)."""
+    if ratio is None:
+        return None
+    metric = "throughput" if workload.kind == "oltp" else "response_time"
+    context = EvaluationContext(objects, system, fresh_estimator(catalog), workload)
+    return context.resolve_constraint(RelativeSLA(ratio, metric=metric))
+
+
+def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=None):
     """Run the enumeration engine directly (in-process unless workers > 1)."""
-    evaluator = make_evaluator(objects, system, catalog, workload)
+    evaluator = BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload,
+                                     constraint=constraint)
     engine = ParallelEnumerationEngine(
         evaluator, workers=workers, chunk_size=64, prune=prune
     )
@@ -375,31 +397,86 @@ def engine_run(objects, system, catalog, workload, prune, workers=1):
     return progress, layout, engine
 
 
+def assert_identity_under_pruning(seed, kind, ratio, workers):
+    """The seeded, floored engine, the unpruned engine and the serial batch
+    search agree bit for bit on one generated space."""
+    catalog, workload, objects, system = random_scenario(seed, kind)
+    constraint = random_constraint(catalog, workload, objects, system, ratio)
+    space = len(system) ** len(objects)
+
+    unpruned, unpruned_layout, _ = engine_run(objects, system, catalog, workload,
+                                              prune=False, constraint=constraint)
+    pruned, pruned_layout, _ = engine_run(objects, system, catalog, workload, prune=True,
+                                          workers=workers, constraint=constraint)
+    assert unpruned.evaluated == space
+    assert unpruned.stats.pruned_layouts == 0
+    assert pruned.best_toc == unpruned.best_toc
+    assert pruned.best_index == unpruned.best_index
+    assert pruned.best_row == unpruned.best_row
+    assert pruned_layout == unpruned_layout
+    assert pruned.evaluated + pruned.stats.pruned_layouts == space
+
+    # And the reference: the serial batch exhaustive search.
+    serial = solve_es(objects, system, fresh_estimator(catalog), workload,
+                      constraint=constraint, max_layouts=space)
+    if serial.feasible:
+        assert pruned.best_toc == serial.toc_cents
+        assert pruned_layout == serial.layout
+        row = [system.class_names.index(serial.layout.class_name_of(obj.name))
+               for obj in objects]
+        assert pruned.best_index == int(row @ _mixed_radix_weights(len(row), len(system)))
+    else:
+        assert pruned_layout is None and pruned.best_index == -1
+        assert pruned.best_toc == float("inf")
+
+
+#: Generated draws ``(seed, kind, ratio)`` that pin the cases the uniform
+#: seed must survive; ``test_hard_cases_are_what_they_claim`` keeps them so.
+CHEAPEST_BREAKS_CAP = {"seed": 4, "kind": "dss", "ratio": 0.05}
+NO_UNIFORM_FEASIBLE = {"seed": 3, "kind": "dss", "ratio": 0.05}
+OLTP_MIX = {"seed": 4, "kind": "oltp", "ratio": 0.2}
+
+
 class TestPruningSoundness:
     @pytest.mark.parametrize("seed", [11, 23, 47, 101])
     def test_pruned_engine_matches_unpruned_optimum(self, seed):
-        catalog, workload, objects, system = random_scenario(seed)
-        space = len(system) ** len(objects)
+        assert_identity_under_pruning(seed, "dss", None, workers=1)
 
-        unpruned, unpruned_layout, _ = engine_run(objects, system, catalog, workload,
-                                                  prune=False)
-        pruned, pruned_layout, _ = engine_run(objects, system, catalog, workload,
-                                              prune=True)
-        assert unpruned.evaluated == space
-        assert pruned.best_toc == unpruned.best_toc
-        assert pruned.best_index == unpruned.best_index
-        assert pruned_layout == unpruned_layout
-        assert pruned.evaluated <= unpruned.evaluated
-        assert pruned.evaluated + pruned.stats.pruned_layouts == space
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["dss", "oltp"]),
+           ratio=st.one_of(st.none(), st.floats(0.01, 0.5)),
+           workers=st.sampled_from([1, 1, 1, WORKERS]))
+    @example(**CHEAPEST_BREAKS_CAP, workers=1)
+    @example(**NO_UNIFORM_FEASIBLE, workers=1)
+    @example(**OLTP_MIX, workers=1)
+    @example(**CHEAPEST_BREAKS_CAP, workers=WORKERS)
+    def test_identity_holds_on_generated_spaces(self, seed, kind, ratio, workers):
+        assert_identity_under_pruning(seed, kind, ratio, workers)
 
-        # And the reference: the serial batch exhaustive search.
-        serial = solve_es(objects, system, fresh_estimator(catalog), workload,
-                          max_layouts=space)
-        if serial.feasible:
-            assert pruned.best_toc == serial.toc_cents
-            assert pruned_layout == serial.layout
-        else:
-            assert pruned_layout is None
+    def test_hard_cases_are_what_they_claim(self):
+        """The pinned draws keep covering the cases they are named for: the
+        all-cheapest layout fits but breaks a cap while another uniform
+        layout seeds the search (DSS response times, then an OLTP
+        throughput floor), and no uniform layout is feasible while mixed
+        ones are."""
+        def score(case):
+            catalog, workload, objects, system = random_scenario(case["seed"], case["kind"])
+            constraint = random_constraint(catalog, workload, objects, system, case["ratio"])
+            evaluator = BatchLayoutEvaluator(objects, system, fresh_estimator(catalog),
+                                             workload, constraint=constraint)
+            rows = all_rows(objects, system)
+            uniform = np.flatnonzero((rows == rows[:, :1]).all(axis=1))  # class order
+            cheapest = uniform[system.class_names.index(system.cheapest().name)]
+            return evaluator.evaluate_chunk(rows), uniform, cheapest
+
+        for case in (CHEAPEST_BREAKS_CAP, OLTP_MIX):
+            scored, uniform, cheapest = score(case)
+            assert scored.capacity_ok[cheapest] and not scored.feasible[cheapest]
+            assert scored.feasible[uniform].any()
+        scored, uniform, _ = score(NO_UNIFORM_FEASIBLE)
+        assert not scored.feasible[uniform].any()
+        assert scored.feasible.any()
 
     @pytest.mark.parametrize("seed", [7, 91])
     def test_pruned_pool_matches_unpruned_optimum(self, seed):
@@ -419,36 +496,71 @@ class TestPruningSoundness:
 
 class TestPruningBounds:
     def test_admissibility_is_conservative(self, small_objects, box1_system,
-                                           small_catalog, small_workload):
+                                           small_catalog, small_workload, monkeypatch):
+        """Every bound the engine prunes with holds for every candidate it
+        covers, on a warmed, capacity-limited DSS space with response-time
+        caps: a capacity-pruned subtree holds no capacity-feasible row, and
+        each subtree's and chunk's TOC bound is at most the TOC of every
+        feasible row inside it.  The second pass caps the floor tables at
+        9 prefixes (depth 2), so deeper ranges read a shallower floor."""
         total = sum(obj.size_gb for obj in small_objects)
         limited = box1_system.with_capacity_limits({"H-SSD": total * 0.3})
-        evaluator = BatchLayoutEvaluator(
-            small_objects, limited, fresh_estimator(small_catalog), small_workload
-        )
-        prefix_depth = max(1, len(small_objects) - 2)
-        bounds = _PruningBounds(evaluator, prefix_depth)
-        num_classes = evaluator.num_classes
-        subtree_size = num_classes ** (len(small_objects) - prefix_depth)
-        _, prefixes = next(iter_assignment_chunks(
-            prefix_depth, num_classes, chunk_size=num_classes**prefix_depth
-        ))
-        keep, cost_lb = bounds.admissible(prefixes)
-        for position in range(prefixes.shape[0]):
-            lo, hi = position * subtree_size, (position + 1) * subtree_size
-            chunk = np.concatenate([
-                c for _, c in iter_assignment_chunks(
-                    len(small_objects), num_classes, subtree_size, start=lo, stop=hi
-                )
-            ])
-            evaluation = evaluator.evaluate_chunk(chunk)
-            if not keep[position]:
-                # A pruned subtree must contain no capacity-feasible candidate.
-                assert not evaluation.capacity_ok.any()
-            # The cost bound must under-estimate every candidate's TOC/cost.
-            finite = np.isfinite(evaluation.toc_cents)
-            if finite.any() and evaluator.toc_floor_factor() > 0:
-                floor = cost_lb[position] * evaluator.toc_floor_factor()
-                assert (evaluation.toc_cents[finite] >= floor).all()
+        estimator = fresh_estimator(small_catalog)
+        constraint = EvaluationContext(
+            small_objects, limited, estimator, small_workload
+        ).resolve_constraint(RelativeSLA(0.02))
+        evaluator = BatchLayoutEvaluator(small_objects, limited, estimator, small_workload,
+                                         constraint=constraint)
+        assert evaluator.warm_signatures()
+        num_objects, num_classes = len(small_objects), evaluator.num_classes
+        scored = evaluator.evaluate_chunk(all_rows(small_objects, limited))
+        assert scored.feasible.any() and not scored.capacity_ok.all()
+        assert not (scored.feasible == scored.capacity_ok).all()  # the caps bind
+        feasible_toc = np.where(scored.feasible, scored.toc_cents, np.inf)
+
+        for max_prefixes, floor_depth in ((ps.FLOOR_TABLE_MAX_PREFIXES, num_objects), (9, 2)):
+            monkeypatch.setattr(ps, "FLOOR_TABLE_MAX_PREFIXES", max_prefixes)
+            for prefix_depth in range(1, num_objects):
+                bounds = _PruningBounds(evaluator, prefix_depth)
+                assert bounds.floor_depth == floor_depth
+                for depth, floors in enumerate(bounds.time_floors):
+                    assert (floors >= evaluator.time_floor_factors(depth)).all()
+                subtree_size = num_classes ** (num_objects - prefix_depth)
+                _, prefixes = next(iter_assignment_chunks(
+                    prefix_depth, num_classes, chunk_size=num_classes**prefix_depth
+                ))
+                keep, toc_lb = bounds.admissible(prefixes)
+                assert (toc_lb > 0.0).all()
+                for subtree in range(prefixes.shape[0]):
+                    lo, hi = subtree * subtree_size, (subtree + 1) * subtree_size
+                    if not keep[subtree]:
+                        assert not scored.capacity_ok[lo:hi].any()
+                    assert (feasible_toc[lo:hi] >= toc_lb[subtree]).all()
+                    for chunk_size in (1, 2, 5, 7):
+                        for start in range(lo, hi, chunk_size):
+                            last = min(start + chunk_size, hi) - 1
+                            bound = bounds.chunk_toc_lb(start, last)
+                            assert bound > 0.0
+                            assert (feasible_toc[start:last + 1] >= bound).all()
+
+    def test_per_prefix_floor_refines_the_global_factor(
+            self, small_objects, box1_system, small_catalog, small_workload):
+        """Depth 0 is the global factor, a deeper floor is never below its
+        parent prefix's, and fixed columns lift some floors above the
+        global one (the time factor no longer depends on one minimum)."""
+        evaluator = make_evaluator(small_objects, box1_system, small_catalog,
+                                   small_workload)
+        assert evaluator.time_floor_factors(0) is None  # not warmed yet
+        assert evaluator.warm_signatures()
+        num_objects, num_classes = len(small_objects), evaluator.num_classes
+        assert evaluator.time_floor_factors(0).tolist() == [evaluator.toc_floor_factor()]
+        for depth in range(1, num_objects + 1):
+            floors = evaluator.time_floor_factors(depth)
+            parents = evaluator.time_floor_factors(depth - 1)
+            assert floors.shape == (num_classes**depth,)
+            assert (floors >= np.repeat(parents, num_classes)).all()
+        assert (evaluator.time_floor_factors(num_objects)
+                > evaluator.toc_floor_factor()).any()
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +582,7 @@ class TestResume:
         for shard_id, lo, hi in shards[: len(shards) // 2]:
             partial.record(_process_shard(
                 engine.evaluator, bounds, incumbent, shard_id, lo, hi,
-                engine.chunk_size, engine.toc_floor_factor, True,
+                engine.chunk_size, True,
             ))
         assert not partial.finished
 
@@ -641,7 +753,7 @@ class TestDiskCheckpoint:
         for shard_id, lo, hi in shards[: len(shards) // 2]:
             partial.record(_process_shard(
                 engine.evaluator, bounds, incumbent, shard_id, lo, hi,
-                engine.chunk_size, engine.toc_floor_factor, True,
+                engine.chunk_size, True,
             ))
         assert not partial.finished
         evaluated_before = partial.evaluated
@@ -828,6 +940,8 @@ class TestDenseTables:
         # in code order, so warming them keeps the slot path.
         assert lazy.warm_signatures()
         assert not any(table.dense for table in lazy._template_order)
+        for depth in range(len(small_objects) + 1):
+            assert (lazy.time_floor_factors(depth) == warmed.time_floor_factors(depth)).all()
         again = lazy.evaluate_chunk(rows)
         assert (again.toc_cents == reference.toc_cents).all()
 

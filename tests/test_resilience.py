@@ -17,6 +17,7 @@ Three families of tests mirror the three layers of the recovery machinery:
   failures retry then hold -- all recorded per :class:`EpochRecord`.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -236,9 +237,24 @@ class TestChaosIdentity:
         )
         with pytest.raises(SolverTimeoutError) as excinfo:
             engine.run()
-        assert excinfo.value.progress is not None
-        assert not excinfo.value.progress.finished
-        assert any("deadline" in incident for incident in excinfo.value.progress.incidents)
+        progress = excinfo.value.progress
+        assert progress is not None
+        assert not progress.finished
+        assert any("deadline" in incident for incident in progress.incidents)
+        # No shard ran, yet the progress holds the seed: the best feasible
+        # all-on-one-class layout, at its enumeration index.
+        num_classes, num_objects = len(box1_system), len(small_objects)
+        uniform = make_engine(
+            small_objects, box1_system, small_catalog, small_workload, prune=False
+        ).evaluator.evaluate_chunk(
+            np.repeat(np.arange(num_classes)[:, None], num_objects, axis=1)
+        )
+        best = uniform.best_index
+        assert best is not None
+        assert progress.evaluated == 0
+        assert progress.best_row == (best,) * num_objects
+        assert progress.best_toc == uniform.toc_cents[best]
+        assert progress.best_index == best * (num_classes**num_objects - 1) // (num_classes - 1)
 
 
 # ---------------------------------------------------------------------------
