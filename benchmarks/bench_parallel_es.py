@@ -4,9 +4,11 @@ Not a paper figure -- this benchmark tracks ``repro.core.parallel_search``,
 the engine that lifts the ES enumeration ceiling toward the paper's full
 ``3^19`` TPC-C space.  It runs the exhaustive search over a synthetic
 multi-table scenario (capacity-limited so the branch-and-bound pruning has
-work to do) through the serial batch path and through the parallel engine at
-growing worker counts, asserts the results are bitwise identical, and
-records elapsed times, speedups and pruning rates.
+work to do) through the unpruned in-process engine (the reference row, which
+scores every layout), the pruned in-process engine
+(``ExhaustiveSolver(workers=1)``) and the pool at growing worker counts,
+asserts the results are bitwise identical, and records elapsed times,
+speedups against the reference row and pruning rates.
 
 Environment knobs (all optional):
 
@@ -24,8 +26,13 @@ CPUs.
 from __future__ import annotations
 
 import os
+import time
+
+import numpy as np
 
 from repro import scenarios
+from repro.core.layout import Layout
+from repro.core.parallel_search import ParallelEnumerationEngine
 from repro.core.solver import ExhaustiveSolver
 
 from conftest import run_once, write_bench_json
@@ -67,37 +74,46 @@ def parallel_es_run(num_tables, worker_counts):
     objects, system = bundle.objects, bundle.system
     space = len(system) ** len(objects)
 
-    def run_search(**kwargs):
-        # A fresh estimator per arm keeps the serial-vs-parallel comparison
-        # free of shared plan-cache warm-up effects.
-        context = bundle.context(estimator=bundle.fresh_estimator())
-        return ExhaustiveSolver(max_layouts=space, **kwargs).solve(context)
-
-    serial = run_search()
-    serial_stats = serial.stats.batch
+    # A fresh estimator per arm keeps the comparison free of shared
+    # plan-cache warm-up effects.
+    context = bundle.context(estimator=bundle.fresh_estimator())
+    started = time.perf_counter()
+    evaluator = context.batch_evaluator()
+    build_s = time.perf_counter() - started
+    engine = ParallelEnumerationEngine(evaluator, workers=1, prune=False)
+    warm_s = time.perf_counter() - started - build_s
+    started = time.perf_counter()
+    reference = engine.run()
+    reference_s = time.perf_counter() - started
+    reference_layout = Layout(objects, system, evaluator.assignment_for_row(
+        np.array(reference.best_row, dtype=np.int64)), name="ES")
+    stats = reference.stats
     rows = [
         {
             "workers": 1,
-            "elapsed_s": serial.elapsed_s,
-            "build_s": serial_stats.build_s,
-            "warm_s": serial_stats.warm_s,
-            "attach_s": serial_stats.attach_s,
+            "prune": False,
+            "elapsed_s": reference_s,
+            "build_s": build_s,
+            "warm_s": warm_s,
+            "attach_s": 0.0,
             "steals": 0,
-            "evaluated": serial.evaluated_layouts,
-            "pruned_layouts": 0,
-            "pruned_subtrees": 0,
-            "pruned_chunks": 0,
+            "evaluated": reference.evaluated,
+            "pruned_layouts": stats.pruned_layouts,
+            "pruned_subtrees": stats.pruned_subtrees,
+            "pruned_chunks": stats.pruned_chunks,
             "speedup": 1.0,
         }
     ]
-    for workers in worker_counts:
-        result = run_search(workers=workers)
-        assert result.layout == serial.layout, f"layout mismatch at {workers} workers"
-        assert result.toc_cents == serial.toc_cents, f"TOC mismatch at {workers} workers"
+    for workers in [1] + list(worker_counts):
+        context = bundle.context(estimator=bundle.fresh_estimator())
+        result = ExhaustiveSolver(max_layouts=space, workers=workers).solve(context)
+        assert result.layout == reference_layout, f"layout mismatch at {workers} workers"
+        assert result.toc_cents == reference.best_toc, f"TOC mismatch at {workers} workers"
         stats = result.stats.batch
         rows.append(
             {
                 "workers": workers,
+                "prune": True,
                 "elapsed_s": result.elapsed_s,
                 "build_s": stats.build_s,
                 "warm_s": stats.warm_s,
@@ -107,14 +123,14 @@ def parallel_es_run(num_tables, worker_counts):
                 "pruned_layouts": stats.pruned_layouts,
                 "pruned_subtrees": stats.pruned_subtrees,
                 "pruned_chunks": stats.pruned_chunks,
-                "speedup": serial.elapsed_s / result.elapsed_s,
+                "speedup": reference_s / result.elapsed_s,
             }
         )
     return {
         "space": space,
         "objects": len(objects),
         "classes": len(system),
-        "toc_cents": serial.toc_cents,
+        "toc_cents": reference.best_toc,
         "rows": rows,
     }
 
@@ -125,14 +141,15 @@ def test_parallel_es_scaling(benchmark):
     outcome = run_once(benchmark, parallel_es_run, num_tables, worker_counts)
 
     rows = outcome["rows"]
-    header = (f"{'workers':>7s} {'elapsed':>9s} {'build':>8s} {'warm':>8s} "
+    header = (f"{'workers':>7s} {'prune':>5s} {'elapsed':>9s} {'build':>8s} {'warm':>8s} "
               f"{'attach':>8s} {'steals':>6s} {'evaluated':>10s} "
               f"{'pruned':>10s} {'prune %':>8s} {'speedup':>8s}")
     lines = [header]
     for row in rows:
         prune_pct = 100.0 * row["pruned_layouts"] / outcome["space"]
         lines.append(
-            f"{row['workers']:>7d} {row['elapsed_s']:>8.2f}s {row['build_s']:>7.2f}s "
+            f"{row['workers']:>7d} {'yes' if row['prune'] else 'no':>5s} "
+            f"{row['elapsed_s']:>8.2f}s {row['build_s']:>7.2f}s "
             f"{row['warm_s']:>7.3f}s {row['attach_s']:>7.3f}s {row['steals']:>6d} "
             f"{row['evaluated']:>10d} {row['pruned_layouts']:>10d} {prune_pct:>7.1f}% "
             f"{row['speedup']:>7.2f}x"
@@ -155,14 +172,17 @@ def test_parallel_es_scaling(benchmark):
         },
     )
 
-    # The smoke bar: a >= 3^12 space, every worker count bitwise-equal to the
-    # serial path (asserted inside the run), and live pruning counters.
+    # The smoke bar: a >= 3^12 space, every row bitwise-equal to the
+    # unpruned reference (asserted inside the run), the reference scoring
+    # every layout, and live pruning counters in-process and on the pool.
     assert outcome["space"] >= 3**12
+    assert rows[0]["evaluated"] == outcome["space"]
     parallel_rows = [row for row in rows if row["workers"] > 1]
     assert parallel_rows, "no parallel configuration ran"
     assert all(row["evaluated"] + row["pruned_layouts"] == outcome["space"]
-               for row in parallel_rows)
+               for row in rows)
     assert any(row["pruned_layouts"] > 0 for row in parallel_rows)
+    assert rows[1]["pruned_layouts"] > 0
 
     # The scaling bar: >= 2.5x at 4 workers, asserted when the machine can
     # meaningfully run it (4+ CPUs); pruning plus sharding clear it with

@@ -8,12 +8,13 @@ Run with::
 
 The paper uses exhaustive search (ES) as the quality yardstick for DOT but
 only on reduced object sets, because ``M^N`` enumeration is exponential.
-This example runs ES over a TPC-H object set through both the serial batch
-path and the sharded, pruned parallel engine
-(:mod:`repro.core.parallel_search`), verifies the results are bitwise
-identical, and prints the pruning statistics.  Scaling ``--objects`` to 19
-with enough ``--workers`` reproduces the full ``3^19`` TPC-H space of
-Section 4.4.3 (see EXPERIMENTS.md for wall-clock expectations).
+This example runs ES over a TPC-H object set through the sharded, pruned
+engine (:mod:`repro.core.parallel_search`) twice -- in-process
+(``workers=1``) and on a pool of ``--workers`` processes -- verifies the
+results are bitwise identical, and prints the pruning statistics.  Scaling
+``--objects`` to 16 with enough ``--workers`` reproduces the full ``3^16``
+TPC-H space of Section 4.4.3 (see EXPERIMENTS.md for wall-clock
+expectations).
 
 With ``--checkpoint PATH`` the parallel run goes through the engine's
 JSON-persisted :class:`~repro.core.parallel_search.SearchProgress`: an
@@ -71,12 +72,12 @@ def run_checkpointed(bundle, objects, pinned, system, workers: int, path: Path):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--objects", type=int, default=12,
-                        help="objects to enumerate (19 = the full TPC-H set)")
+                        help="objects to enumerate (16 = the full TPC-H set)")
     parser.add_argument("--workers", type=int, default=2,
                         help="parallel worker processes")
     parser.add_argument("--scale-factor", type=float, default=4.0)
     parser.add_argument("--skip-serial", action="store_true",
-                        help="skip the serial reference run (for huge spaces)")
+                        help="skip the in-process reference run (for huge spaces)")
     parser.add_argument("--checkpoint", type=Path, default=None,
                         help="JSON checkpoint path: save progress there and "
                              "resume from it when it exists")
@@ -118,7 +119,7 @@ def main() -> None:
     serial = None
     if not args.skip_serial:
         serial = solve(build_solver())
-        log.info(f"\nSerial batch ES:   {serial.elapsed_s:8.2f} s, "
+        log.info(f"\nIn-process ES:     {serial.elapsed_s:8.2f} s, "
               f"{serial.evaluated_layouts:,} layouts evaluated, "
               f"TOC {serial.toc_cents:.6g} cents")
 
@@ -138,11 +139,11 @@ def main() -> None:
     if serial is not None:
         identical = (parallel.layout == serial.layout
                      and parallel.toc_cents == serial.toc_cents)
-        log.info(f"\nBitwise-identical to the serial search: {identical}")
+        log.info(f"\nBitwise-identical to the in-process search: {identical}")
         if not identical:
-            raise SystemExit("parallel ES diverged from the serial reference")
+            raise SystemExit("parallel ES diverged from the in-process reference")
         if serial.elapsed_s > 0:
-            log.info(f"Speedup vs serial enumeration: "
+            log.info(f"Speedup vs in-process enumeration: "
                   f"{serial.elapsed_s / parallel.elapsed_s:.2f}x")
 
 

@@ -51,6 +51,11 @@ from repro.storage.storage_class import StorageClass, StorageSystem
 from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR
 
 
+#: Signatures :meth:`BatchLayoutEvaluator.warm_signatures` estimates between
+#: two deadline checks (an estimate costs up to ~0.3 ms on TPC-H).
+WARM_SLICE = 64
+
+
 class UnsupportedBatchEvaluation(Exception):
     """Raised when a configuration cannot take the vectorized fast path.
 
@@ -102,12 +107,16 @@ def iter_assignment_chunks(
         raise ValueError(f"invalid enumeration range [{start}, {stop}) for {total} assignments")
     for chunk_start in range(start, stop, chunk_size):
         chunk_stop = min(chunk_start + chunk_size, stop)
-        indices = np.arange(chunk_start, chunk_stop, dtype=np.int64)
-        matrix = np.empty((chunk_stop - chunk_start, num_objects), dtype=np.int64)
-        for column in range(num_objects - 1, -1, -1):
-            matrix[:, column] = indices % num_classes
-            indices //= num_classes
-        yield chunk_start, matrix
+        yield chunk_start, decode_assignments(
+            np.arange(chunk_start, chunk_stop, dtype=np.int64), num_objects, num_classes
+        )
+
+
+def decode_assignments(indices: np.ndarray, num_objects: int, num_classes: int) -> np.ndarray:
+    """The class-index rows of the mixed-radix assignment ``indices``
+    (column 0 most significant, as in :func:`iter_assignment_chunks`)."""
+    digits = np.unravel_index(indices, (num_classes,) * num_objects)
+    return np.stack(digits, axis=1).astype(np.int64, copy=False)
 
 
 def accumulate_space_used(
@@ -635,7 +644,8 @@ class BatchLayoutEvaluator:
     # ------------------------------------------------------------------
     # Estimate-table warm-up and TOC lower bounds (parallel engine support)
     # ------------------------------------------------------------------
-    def warm_signatures(self, max_signatures_per_query: int = 262_144) -> bool:
+    def warm_signatures(self, max_signatures_per_query: int = 262_144,
+                        deadline: Optional[float] = None) -> bool:
         """Pre-populate every query's estimate table over its full signature
         subspace.
 
@@ -655,8 +665,11 @@ class BatchLayoutEvaluator:
         their aggregation reads full executions, not just response times.
 
         Queries whose subspace exceeds ``max_signatures_per_query`` are left
-        to lazy on-demand estimation (correct, just not pre-warmed).  Returns
-        True when every table was fully warmed.
+        to lazy on-demand estimation (correct, just not pre-warmed).  Once
+        ``deadline`` (a ``time.monotonic`` instant, checked every
+        :data:`WARM_SLICE` signatures) passes, the warm-up stops; a table cut
+        short stays on the lazy slot path.  Returns True when every table was
+        fully warmed.
         """
         fully = True
         for table in self._template_order:
@@ -668,13 +681,20 @@ class BatchLayoutEvaluator:
             if table.dense:
                 continue
             was_empty = not table.response_ms
-            rows = np.zeros((subspace, len(self.var_names)), dtype=np.int64)
-            if positions:
-                _, combos = next(
-                    iter_assignment_chunks(positions, self.num_classes, chunk_size=subspace)
-                )
-                rows[:, table.var_columns] = combos
-            self._slots_for(table, rows)
+            # Code order keeps slot == code on a table filled from empty.
+            for start in range(0, subspace, WARM_SLICE):
+                if deadline is not None and time.monotonic() >= deadline:
+                    self._fully_warmed = False
+                    return False
+                codes = np.arange(start, min(start + WARM_SLICE, subspace))
+                rows = np.zeros((codes.size, len(self.var_names)), dtype=np.int64)
+                if positions:
+                    rows[:, table.var_columns] = decode_assignments(
+                        codes, positions, self.num_classes
+                    )
+                for code, row in zip(codes.tolist(), rows):
+                    if code not in table.code_to_slot:
+                        self._add_slot(table, code, row)
             if self.kind == "dss" and was_empty:
                 table.dense = True
         self._fully_warmed = fully
@@ -791,8 +811,7 @@ class BatchLayoutEvaluator:
     def _placement_for_row(self, row: np.ndarray) -> Dict[str, StorageClass]:
         placement = {name: self.classes[class_index]
                      for name, class_index, _ in self.pinned}
-        for column, name in enumerate(self.var_names):
-            placement[name] = self.classes[int(row[column])]
+        placement.update(zip(self.var_names, map(self.classes.__getitem__, row.tolist())))
         return placement
 
     # ------------------------------------------------------------------
@@ -842,29 +861,30 @@ class BatchLayoutEvaluator:
         )
         missing = [position for position, code in enumerate(unique_codes)
                    if int(code) not in table.code_to_slot]
-        if missing:
-            for position in sorted(missing, key=lambda p: first_rows[p]):
-                code = int(unique_codes[position])
-                row = sub_assign[first_rows[position]]
-                placement = self._placement_for_row(row)
-                misses_before = self.cache.misses
-                execution = self.cache.get(table.query, placement)
-                self.stats.estimator_calls += self.cache.misses - misses_before
-                slot = len(table.response_ms)
-                table.code_to_slot[code] = slot
-                table.response_ms.append(execution.response_time_ms)
-                table.executions.append(execution)
-                table.touched_classes.append(
-                    {
-                        name: placement[name].name
-                        for name in self.cache.signature_objects(table.query)
-                        if name in placement
-                    }
-                )
+        for position in sorted(missing, key=lambda p: first_rows[p]):
+            self._add_slot(table, int(unique_codes[position]), sub_assign[first_rows[position]])
         slot_of_unique = np.array(
             [table.code_to_slot[int(code)] for code in unique_codes], dtype=np.intp
         )
         return slot_of_unique[inverse]
+
+    def _add_slot(self, table: _QueryTable, code: int, row: np.ndarray) -> None:
+        """Estimate signature ``code``, placed as candidate ``row``, into a
+        new slot of ``table``."""
+        placement = self._placement_for_row(row)
+        misses_before = self.cache.misses
+        execution = self.cache.get(table.query, placement)
+        self.stats.estimator_calls += self.cache.misses - misses_before
+        table.code_to_slot[code] = len(table.response_ms)
+        table.response_ms.append(execution.response_time_ms)
+        table.executions.append(execution)
+        table.touched_classes.append(
+            {
+                name: placement[name].name
+                for name in self.cache.signature_objects(table.query)
+                if name in placement
+            }
+        )
 
     # ------------------------------------------------------------------
     # OLTP aggregation (per unique per-query slot tuple)

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batch_eval import iter_assignment_chunks
 from repro.core.context import EvaluationContext, SolveResult, SolveStats
 from repro.core.layout import Layout
 from repro.core.toc import TOCReport
@@ -30,18 +29,22 @@ from repro.obs.instrument import instrument_solver
 class ExhaustiveSolver:
     """Enumerates and evaluates every possible layout.
 
-    Three execution paths return bitwise-identical results: the vectorized
-    serial batch path (default), the sharded parallel engine
-    (``workers > 1``) and the per-layout scalar loop (``batch=False``, the
-    test oracle, also the automatic fallback for configurations the batch
-    evaluator cannot vectorize: cost overrides, exotic constraint types).
+    Two execution paths return bitwise-identical results.  The batch path
+    (default) runs the pruning
+    :class:`~repro.core.parallel_search.ParallelEnumerationEngine`:
+    in-process at ``workers=1``, on a pool of ``workers`` processes
+    otherwise.  The per-layout scalar loop (``batch=False``) is the test
+    oracle and the automatic fallback for configurations the batch evaluator
+    cannot vectorize (cost overrides, exotic constraint types).
     ``stats.batch`` is ``None`` exactly when the scalar path ran.
 
-    The solve-time ``budget`` is a hard wall-clock deadline in seconds that
-    all three paths honour: the parallel engine aborts with a checkpointed
-    partial result, the serial loops stop at the next chunk/layout boundary.
-    The result is then the exact best of what was enumerated, marked
-    degraded.
+    The solve-time ``budget`` is a hard wall-clock deadline in seconds,
+    taken when ``solve`` is entered, that both paths honour: the engine
+    stops its warm-up, starts no shard or pool once it has passed and
+    aborts with a partial result at the next chunk; the scalar loop stops
+    at the next layout.  The result is then the exact best of what was
+    enumerated (for the engine, at least the best feasible all-on-one-class
+    layout), marked degraded.
 
     Parameters
     ----------
@@ -58,29 +61,27 @@ class ExhaustiveSolver:
         objects of a database whose remaining objects still need a placement
         for the workload to be estimable (the Figure 9 study).
     max_layouts:
-        Guard on the number of enumerated layouts.  The serial paths treat it
-        as a hard limit (exceeding it raises :class:`ConfigurationError`
-        instead of silently running forever); with ``workers > 1`` it becomes
-        a soft guard the parallel engine may exceed, because sharding plus
-        pruning make full-paper spaces (e.g. the TPC-C study's ``3^19``)
-        practical.
+        Guard on the number of enumerated layouts.  In-process searches
+        (``workers=1`` and the scalar loop) treat it as a hard limit
+        (exceeding it raises :class:`ConfigurationError` instead of silently
+        running forever); with ``workers > 1`` it becomes a soft guard the
+        pool may exceed, because sharding plus pruning make full-paper
+        spaces (e.g. the TPC-C study's ``3^19``) practical.
     batch:
         Evaluate candidates through the vectorized
         :class:`~repro.core.batch_eval.BatchLayoutEvaluator` (default).
     workers:
-        With ``workers > 1`` the search runs on the sharded, pruned
-        :class:`~repro.core.parallel_search.ParallelEnumerationEngine`
-        (multiprocessing over the mixed-radix index range, branch-and-bound
-        capacity/incumbent pruning).
+        Processes the engine shards the mixed-radix index range over;
+        ``1`` runs the same sharded, pruned enumeration in-process.
     retry_backoff_s, shard_timeout_s, fault_plan:
-        Fault-tolerance knobs forwarded to the parallel engine (retry
-        backoff, dead-worker watchdog, chaos injection).
+        Fault-tolerance knobs forwarded to the engine (retry backoff,
+        dead-worker watchdog, chaos injection).
     checkpoint_path:
-        Persist the parallel engine's :class:`~repro.core.parallel_search.
+        Persist the engine's :class:`~repro.core.parallel_search.
         SearchProgress` to this file after every completed shard, and resume
         from it when the file already holds a valid checkpoint (a corrupt
-        file is quarantined aside and the search starts over).  Only the
-        ``workers > 1`` path checkpoints.
+        file is quarantined aside and the search starts over).  Works at any
+        worker count; the scalar loop does not checkpoint.
     """
 
     name = "es"
@@ -149,24 +150,25 @@ class ExhaustiveSolver:
         budget: Optional[float] = None,
     ) -> SolveResult:
         """Enumerate all layouts and return the cheapest feasible one."""
+        deadline = time.monotonic() + budget if budget is not None else None
         space = self.search_space_size(context)
-        if self.batch and self.workers > 1:
-            # The parallel engine treats max_layouts as a soft guard: sharding
-            # plus pruning lift the enumeration ceiling to full-paper spaces.
-            result = self._solve_parallel(context, budget)
-            if result is not None:
-                return result
-        if space > self.max_layouts:
-            raise ConfigurationError(
-                f"exhaustive search space has {space} layouts, exceeding the limit of "
-                f"{self.max_layouts}; reduce the object set, raise max_layouts, or "
-                f"use workers > 1"
-            )
+
+        def check_space() -> None:
+            if space > self.max_layouts:
+                raise ConfigurationError(
+                    f"exhaustive search space has {space} layouts, exceeding the limit "
+                    f"of {self.max_layouts}; reduce the object set, raise max_layouts, "
+                    f"or use workers > 1"
+                )
+
         if self.batch:
-            result = self._solve_batch(context, budget)
+            if self.workers == 1:
+                check_space()
+            result = self._solve_engine(context, budget, deadline)
             if result is not None:
                 return result
-        return self._solve_scalar(context, budget)
+        check_space()
+        return self._solve_scalar(context, budget, deadline)
 
     def _result(self, context, layout, report, evaluated, elapsed, budget,
                 timed_out=False, incidents=(), batch=None) -> SolveResult:
@@ -196,14 +198,20 @@ class ExhaustiveSolver:
                 "returning best-so-far")
 
     # ------------------------------------------------------------------
-    def _build_evaluator(self, context: EvaluationContext):
-        """Timed construction of the batch evaluator (None when unsupported).
+    def _solve_engine(self, context: EvaluationContext, budget: Optional[float],
+                      deadline: Optional[float]) -> Optional[SolveResult]:
+        """Sharded, pruned enumeration; None when the batch evaluator does
+        not apply.
 
-        Construction (and any estimate-table warm-up the parallel path adds on
-        top) is timed separately from the enumeration: the build cost depends
-        on how warm a shared estimate cache already is, which would otherwise
-        skew ES-vs-DOT search-time comparisons.
+        The coordinator builds the evaluator (timed as build cost), and the
+        engine warms it fully and scores the uniform seed (timed as warm-up
+        cost), then enumerates in-process or hands the evaluator itself to
+        its worker pool.  Reducing the shards' ``(TOC, enumeration index)``
+        bests reproduces the scalar loop's result bit for bit.
         """
+        from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
+
+        tracer = trace.get_tracer()
         build_started = time.perf_counter()
         pinned_class = self._pinned_class(context)
         with trace.span("es.build") as span:
@@ -216,84 +224,28 @@ class ExhaustiveSolver:
                 return None
             evaluator.stats.build_s = time.perf_counter() - build_started
             span.set(build_s=evaluator.stats.build_s)
-        return evaluator
 
-    def _solve_batch(self, context: EvaluationContext,
-                     budget: Optional[float]) -> Optional[SolveResult]:
-        """Vectorized enumeration; returns None when unsupported."""
-        evaluator = self._build_evaluator(context)
-        if evaluator is None:
-            return None
-        tracer = trace.get_tracer()
-        span = tracer.start_span("es.enumerate", path="batch")
-        started = time.perf_counter()
-        deadline = time.monotonic() + budget if budget is not None else None
-
-        best_toc = float("inf")
-        best_row = None
-        evaluated = 0
-        timed_out = False
-        incidents: List[str] = []
-        for _, chunk in iter_assignment_chunks(len(evaluator.variable_objects),
-                                               len(context.system)):
-            if deadline is not None and time.monotonic() >= deadline:
-                timed_out = True
-                incidents.append(self._deadline_incident(budget, evaluated))
-                break
-            evaluation = evaluator.evaluate_chunk(chunk)
-            evaluated += chunk.shape[0]
-            index = evaluation.best_index
-            if index is not None and evaluation.toc_cents[index] < best_toc:
-                best_toc = float(evaluation.toc_cents[index])
-                best_row = chunk[index].copy()
-
-        best_layout: Optional[Layout] = None
-        best_report: Optional[TOCReport] = None
-        if best_row is not None:
-            best_layout = self._layout(context, evaluator.assignment_for_row(best_row), "ES")
-            best_report = context.evaluate(best_layout)
-        elapsed = time.perf_counter() - started
-        tracer.end_span(span, evaluated=evaluated, timed_out=timed_out)
-        return self._result(context, best_layout, best_report, evaluated, elapsed, budget,
-                            timed_out, incidents, evaluator.stats)
-
-    # ------------------------------------------------------------------
-    def _solve_parallel(self, context: EvaluationContext,
-                        budget: Optional[float]) -> Optional[SolveResult]:
-        """Sharded, pruned multiprocessing enumeration; None when unsupported.
-
-        The parent builds and fully warms one evaluator (timed as build and
-        warm-up cost), hands that evaluator itself to the worker pool, and
-        reduces the shards' ``(TOC, enumeration index)`` bests, which
-        reproduces the serial batch result bit for bit.
-        """
-        from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
-
-        evaluator = self._build_evaluator(context)
-        if evaluator is None:
-            return None
-        tracer = trace.get_tracer()
         warm_span = tracer.start_span("es.warm", workers=self.workers)
         warm_started = time.perf_counter()
         engine = ParallelEnumerationEngine(
             evaluator,
             workers=self.workers,
-            deadline_s=budget,
+            deadline_s=None if deadline is None else max(0.0, deadline - time.monotonic()),
             retry_backoff_s=self.retry_backoff_s,
             shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
         )
-        # Coordinator warm-up (the engine pre-estimates every signature) is
-        # its own stats slice -- per-worker initializer time (attach_s)
-        # arrives later through the shard outcomes; the stats object is
-        # snapshotted before shard deltas replace it.
+        # Coordinator warm-up (the engine pre-estimates every signature and
+        # scores the seed) is its own stats slice -- per-worker initializer
+        # time (attach_s) arrives later through the shard outcomes; the
+        # stats object is snapshotted before shard deltas replace it.
         stats = evaluator.stats
         stats.warm_s += time.perf_counter() - warm_started
         stats.workers = self.workers
         tracer.end_span(warm_span, build_s=stats.build_s, warm_s=stats.warm_s)
 
         span = tracer.start_span(
-            "es.enumerate", path="parallel", workers=self.workers,
+            "es.enumerate", path="engine", workers=self.workers,
             shards=len(engine.shard_ranges()), prefix_depth=engine.prefix_depth,
         )
         started = time.perf_counter()
@@ -308,13 +260,16 @@ class ExhaustiveSolver:
                 progress = engine.run(resumed, checkpoint_path=self.checkpoint_path)
             except SolverTimeoutError as exc:
                 # Deadline abort: the partial progress travels with the
-                # exception and its incumbent is the exact best of the
-                # completed shards -- a degraded but honest result.
+                # exception and its incumbent is the exact best of the seed
+                # and the completed shards -- a degraded but honest result.
                 if exc.progress is None:
                     raise
                 progress = exc.progress
                 timed_out = True
         stats.merge(progress.stats)
+        incidents = list(progress.incidents)
+        if timed_out:
+            incidents.insert(0, self._deadline_incident(budget, progress.evaluated))
 
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None
@@ -325,11 +280,11 @@ class ExhaustiveSolver:
         elapsed = time.perf_counter() - started
         tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out)
         return self._result(context, best_layout, best_report, progress.evaluated, elapsed,
-                            budget, timed_out, progress.incidents, stats)
+                            budget, timed_out, incidents, stats)
 
     # ------------------------------------------------------------------
     def _layouts(self, context: EvaluationContext):
-        """Every candidate layout, in the batch paths' enumeration order."""
+        """Every candidate layout, in the engine's enumeration order."""
         all_objects = self._objects(context) + self.pinned_objects
         pinned_class = self._pinned_class(context)
         pinned_assignment = {obj.name: pinned_class for obj in self.pinned_objects}
@@ -339,14 +294,13 @@ class ExhaustiveSolver:
             assignment.update(zip(names, combo))
             yield Layout(all_objects, context.system, assignment, name="ES candidate")
 
-    def _solve_scalar(self, context: EvaluationContext,
-                      budget: Optional[float]) -> SolveResult:
+    def _solve_scalar(self, context: EvaluationContext, budget: Optional[float],
+                      deadline: Optional[float]) -> SolveResult:
         """The original per-layout evaluation loop (reference path)."""
         checker = context.checker()
         tracer = trace.get_tracer()
         span = tracer.start_span("es.enumerate", path="scalar")
         started = time.perf_counter()
-        deadline = time.monotonic() + budget if budget is not None else None
 
         best_layout: Optional[Layout] = None
         best_report: Optional[TOCReport] = None

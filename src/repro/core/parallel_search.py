@@ -1,39 +1,40 @@
-"""Sharded, pruned, resumable parallel enumeration over layout spaces.
+"""Sharded, pruned, resumable enumeration over layout spaces.
 
 The paper's exhaustive search (Sections 4.4.3 and 4.5.3) is the quality
 yardstick for DOT, but a literal ``M^N`` enumeration caps the object count:
 the TPC-C study restricts ES to three hot tables because the full 19-object
-x 3-class space has ``3^19 ~ 1.16e9`` layouts.  The batch engine
-(:mod:`repro.core.batch_eval`) made one core fast; this module removes the
-single-core ceiling:
+x 3-class space has ``3^19 ~ 1.16e9`` layouts.  This module is the one batch
+enumerator of :class:`~repro.core.exhaustive.ExhaustiveSolver`: it runs
+in-process at ``workers=1`` and on a ``multiprocessing`` pool otherwise,
+with the same shards, bounds, seed, checkpoints and deadline either way.
 
 * **Sharding** -- the mixed-radix assignment index range ``[0, M^N)`` is cut
-  into contiguous shards of whole enumeration subtrees and distributed over a
-  ``multiprocessing`` pool.  Each worker adopts the coordinator's fully
-  warmed :class:`~repro.core.batch_eval.BatchLayoutEvaluator` itself, passed
+  into contiguous shards of whole enumeration subtrees.  Pool workers adopt
+  the coordinator's fully warmed
+  :class:`~repro.core.batch_eval.BatchLayoutEvaluator` itself, passed
   through the pool initializer (inherited copy-on-write under ``fork``,
-  pickled once per worker under ``spawn``/``forkserver``), then streams
-  :func:`~repro.core.batch_eval.iter_assignment_chunks` over its own index
-  sub-ranges -- workers never call the optimizer.
-* **Branch-and-bound pruning** -- a per-prefix *capacity* bound skips whole
+  pickled once per worker under ``spawn``/``forkserver``), so workers never
+  call the optimizer.
+* **Branch-and-bound pruning** -- a per-prefix *capacity* bound kills
   subtrees whose cheapest completion already violates capacity (the prefix
   space usage is an exact intermediate of the evaluator's accumulation, and
   object sizes only ever add, so the bound is sound bit for bit), and an
-  *incumbent-TOC* bound discards subtrees and chunks whose TOC lower bound
+  *incumbent-TOC* bound kills subtrees and chunks whose TOC lower bound
   already exceeds the best TOC seen by any worker (shared through a
-  ``multiprocessing.Value``).  The bound is the storage-cost floor of the
-  fixed leading columns (cheapest class for the rest) times the
-  workload-time floor *of those same columns*: each query instance at the
-  minimum of its warmed response table over the signatures that agree with
-  the fixed prefix
+  ``multiprocessing.Value``).  A shard is one loop over chunks of its index
+  range (see :func:`_process_shard`); a chunk may span subtrees, and dead
+  ones drop out of it through a row mask.  The bound is the storage-cost
+  floor of the fixed leading columns (cheapest class for the rest) times
+  the workload-time floor *of those same columns*: each query instance at
+  the minimum of its warmed response table over the signatures that agree
+  with the fixed prefix
   (:meth:`~repro.core.batch_eval.BatchLayoutEvaluator.time_floor_factors`;
   DSS only -- OLTP keeps the global population-bound factor).
 * **Seeded incumbent** -- before enumerating, a pruning engine scores the
   ``M`` all-on-one-class layouts (the paper's uniform baselines) and starts
   the incumbent from the best feasible one, so the TOC bound prunes from the
-  first chunk instead of waiting for enumeration order to reach a good
-  layout.  A deadline-aborted run therefore still returns at least that
-  layout.
+  first chunk.  The deadline covers warm-up, but the seed is scored even
+  after it expired, so a deadline-aborted run still returns that layout.
 * **Resumability** -- progress is tracked per shard in a picklable
   :class:`SearchProgress`; feeding a partial progress object back into
   :meth:`ParallelEnumerationEngine.run` skips completed shards and continues
@@ -45,12 +46,13 @@ single-core ceiling:
   shard exceeds ``shard_timeout_s``) has the shard re-queued on the
   replenished pool, and duplicate completions are ignored
   (:meth:`SearchProgress.record` is keyed by shard id).  A hard wall-clock
-  ``deadline_s`` bounds the whole run: on expiry the pool is torn down, the
+  ``deadline_s`` bounds the whole search: on expiry the pool is torn down, the
   checkpoint is flushed and :class:`~repro.exceptions.SolverTimeoutError` is
   raised carrying the partial progress (whose incumbent is the exact best of
-  the completed shards).  The engine is a context manager and always
-  terminates/joins its pool -- on success, error and ``KeyboardInterrupt``
-  alike.  Every recovery action is recorded in ``SearchProgress.incidents``.
+  the seed and the completed shards).  The engine is a context manager and
+  always terminates/joins its pool -- on success, error and
+  ``KeyboardInterrupt`` alike.  Every recovery action is recorded in
+  ``SearchProgress.incidents``.
   Checkpoints are written, sealed, read and quarantined through
   :mod:`repro.durable`: a damaged file raises
   :class:`~repro.exceptions.CheckpointCorruptionError` naming the path
@@ -60,15 +62,15 @@ single-core ceiling:
 
 Exactness contract
 ------------------
-The scalar/batch exhaustive search returns the *first* candidate (in
-enumeration order) achieving the minimum TOC.  Every shard therefore reports
+The scalar exhaustive search returns the *first* candidate (in enumeration
+order) achieving the minimum TOC.  Every shard therefore reports
 ``(toc, global_index)`` of its best candidate and the reduction is
 lexicographic, which reproduces "minimum TOC, smallest index" regardless of
 shard completion order.  Pruning is strict: a subtree is only skipped when
-*every* completion is capacity-infeasible (TOC ``inf`` on the serial path),
+*every* completion is capacity-infeasible (TOC ``inf`` on the scalar path),
 and a subtree or chunk only when its TOC lower bound is *strictly* above the
 incumbent -- equal-TOC candidates are never discarded, so tie-breaking
-matches the serial path exactly and the returned layout and TOC are bitwise
+matches the scalar path exactly and the returned layout and TOC are bitwise
 identical.  The seed folds in through the same lexicographic rule as a shard
 outcome, with the TOC its own chunk would score and its true mixed-radix
 index; since the optimum's chunk can never be cut, the seed changes what is
@@ -94,7 +96,7 @@ from repro.core.batch_eval import (
     BatchLayoutEvaluator,
     _mixed_radix_weights,
     accumulate_space_used,
-    iter_assignment_chunks,
+    decode_assignments,
 )
 from repro.durable import atomic_write, check_seal, quarantine, read_document, seal
 from repro.exceptions import (
@@ -116,6 +118,9 @@ SHARD_MAX_RETRIES = 2
 #: Most prefixes (``M**depth``) one per-depth workload-time floor table
 #: holds; see :class:`_PruningBounds`.
 FLOOR_TABLE_MAX_PREFIXES = 8192
+#: Subtrees whose prefix bounds :meth:`_PruningBounds.subtrees` computes and
+#: keeps at a time (the default geometry has at most ``24 * workers``).
+SUBTREE_WINDOW = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +360,9 @@ class _PruningBounds:
     def __init__(self, evaluator: BatchLayoutEvaluator, prefix_depth: int):
         self.prefix_depth = prefix_depth
         self.num_classes = evaluator.num_classes
+        self.num_subtrees = self.num_classes**prefix_depth
+        # (first subtree, keep, toc_lb) of the window subtrees() last computed.
+        self._window = (0, np.zeros(0, dtype=bool), np.zeros(0))
         self.capacities = evaluator.capacities.astype(float)
         self.prices = np.array(evaluator.prices, dtype=float)
         self.pinned = [(class_index, size_gb) for _, class_index, size_gb in evaluator.pinned]
@@ -420,6 +428,20 @@ class _PruningBounds:
         codes = prefix_matrix[:, :depth] @ _mixed_radix_weights(depth, self.num_classes)
         return keep, cost_lb * self.time_floors[depth][codes]
 
+    def subtrees(self, first: int, last: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`admissible` for the subtrees ``first..last`` (inclusive),
+        sliced from a kept window of up to :data:`SUBTREE_WINDOW` subtrees
+        (the bounds do not depend on the incumbent)."""
+        lo, keep, toc_lb = self._window
+        if not lo <= first <= last < lo + keep.size:
+            lo = first
+            hi = min(self.num_subtrees, max(last + 1, first + SUBTREE_WINDOW))
+            keep, toc_lb = self.admissible(
+                decode_assignments(np.arange(lo, hi), self.prefix_depth, self.num_classes)
+            )
+            self._window = (lo, keep, toc_lb)
+        return keep[first - lo:last + 1 - lo], toc_lb[first - lo:last + 1 - lo]
+
     def chunk_toc_lb(self, chunk_start: int, chunk_last: int) -> float:
         """TOC lower bound over the index range ``[chunk_start, chunk_last]``
         (inclusive).
@@ -455,11 +477,11 @@ class _PruningBounds:
 
 
 # ---------------------------------------------------------------------------
-# Shard processing (runs in workers and in the in-process fallback)
+# Shard processing (runs in pool workers and in-process)
 # ---------------------------------------------------------------------------
 
 class _Incumbent:
-    """Best-so-far TOC holder; process-local fallback for serial runs."""
+    """Best-so-far TOC holder of an in-process run."""
 
     def __init__(self, initial: float = float("inf")):
         self.value = initial
@@ -506,12 +528,21 @@ def _process_shard(
 ) -> _ShardOutcome:
     """Enumerate and score the subtrees ``[subtree_lo, subtree_hi)``.
 
+    One loop walks the shard's index range a chunk of up to ``chunk_size``
+    rows at a time.  A chunk may span consecutive subtrees, but never
+    crosses a subtree boundary when subtrees are at least a chunk long.
+    With ``prune``, the rows of dead subtrees (capacity broken, or TOC bound
+    above the incumbent) drop out of the chunk through a row mask; a chunk
+    with no live subtree runs on to the end of its last one, so a dead
+    subtree is skipped whole.  The chunk's own TOC bound can then drop the
+    rest.
+
     ``deadline`` is an absolute ``time.monotonic`` instant (comparable
     across processes on Linux); crossing it raises
-    :class:`SolverTimeoutError` between prefix batches.  ``injector`` fires
+    :class:`SolverTimeoutError` before the next chunk.  ``injector`` fires
     any fault scheduled for ``(shard_id, attempt)`` before work starts --
-    ``allow_process_kill`` is False on the in-process serial path, where a
-    hard worker kill is demoted to :class:`ShardFailureError`.
+    ``allow_process_kill`` is False on the in-process path, where a hard
+    worker kill is demoted to :class:`ShardFailureError`.
     ``trace_enabled`` records the shard into a worker-local span buffer
     (:attr:`_ShardOutcome.span`) the coordinator merges into its tree; a
     shard that dies mid-flight loses its buffer, and the retry's span plus
@@ -529,8 +560,7 @@ def _process_shard(
     )
     num_objects = len(evaluator.var_names)
     num_classes = evaluator.num_classes
-    prefix_depth = bounds.prefix_depth
-    subtree_size = num_classes ** (num_objects - prefix_depth)
+    subtree_size = num_classes ** (num_objects - bounds.prefix_depth)
 
     stats = BatchEvalStats(shards=1)
     evaluator.stats = stats  # chunk evaluations accumulate into the shard delta
@@ -539,69 +569,66 @@ def _process_shard(
     best_row: Optional[np.ndarray] = None
     evaluated = 0
 
-    prefix_batch = max(1, chunk_size // 8)
-    for prefix_start, prefix_matrix in iter_assignment_chunks(
-        prefix_depth, num_classes, prefix_batch, start=subtree_lo, stop=subtree_hi
-    ):
+    position = subtree_lo * subtree_size
+    stop = subtree_hi * subtree_size
+    while position < stop:
         if deadline is not None and time.monotonic() >= deadline:
             raise SolverTimeoutError(
                 f"shard {shard_id} crossed the enumeration deadline "
-                f"at subtree {prefix_start}/{subtree_hi}"
+                f"at index {position}/{stop}"
             )
+        first = position // subtree_size
+        chunk_stop = min(position + chunk_size, stop)
+        if subtree_size >= chunk_size:
+            chunk_stop = min(chunk_stop, (first + 1) * subtree_size)
+        last = (chunk_stop - 1) // subtree_size
+        live = None  # every row of the chunk is scored
         if prune:
-            keep, toc_lb = bounds.admissible(prefix_matrix)
-        else:
-            keep = np.ones(prefix_matrix.shape[0], dtype=bool)
-            toc_lb = np.zeros(prefix_matrix.shape[0])
-        pruned = int((~keep).sum())
-        stats.pruned_subtrees += pruned
-        stats.pruned_subtree_layouts += pruned * subtree_size
-        for offset in np.flatnonzero(keep):
-            subtree = prefix_start + int(offset)
-            toc_lower_bound = float(toc_lb[offset])
-            subtree_stop = (subtree + 1) * subtree_size
-            chunk_start = subtree * subtree_size
-            while chunk_start < subtree_stop:
-                chunk_stop = min(chunk_start + chunk_size, subtree_stop)
-                if prune:
-                    current_best = incumbent.get()
-                    if toc_lower_bound > current_best:
-                        # The incumbent only ever decreases and the bound is
-                        # constant per subtree, so no remaining chunk of this
-                        # subtree can win: count the rest pruned without
-                        # decoding a single row.
-                        remaining = subtree_stop - chunk_start
-                        stats.pruned_chunks += -(-remaining // chunk_size)
-                        stats.pruned_chunk_layouts += remaining
-                        break
-                    # Chunk-level bound: the chunk's endpoints share more
-                    # fixed digits than the subtree prefix, so its cost and
-                    # time floors are tighter -- skip just this chunk when
-                    # even that bound cannot beat the incumbent.
-                    if bounds.chunk_toc_lb(chunk_start, chunk_stop - 1) > current_best:
+            fits, toc_lb = bounds.subtrees(first, last)
+            current_best = incumbent.get()
+            # The incumbent only ever decreases and a subtree's bound is
+            # fixed, so a subtree that dies here stays dead.
+            live = fits & ~(toc_lb > current_best)
+            if not live.any():
+                chunk_stop = min((last + 1) * subtree_size, stop)
+            elif bounds.chunk_toc_lb(position, chunk_stop - 1) > current_best:
+                # Chunk-level bound: the chunk's endpoints can share more
+                # fixed digits than the subtree prefix, so its cost and time
+                # floors are tighter.
+                live[:] = False
+            if live.all():
+                live = None
+            else:
+                starts = np.arange(first, last + 1) * subtree_size
+                rows = (np.minimum(starts + subtree_size, chunk_stop)
+                        - np.maximum(starts, position))
+                stats.pruned_subtrees += int((~fits & (starts >= position)).sum())
+                stats.pruned_subtree_layouts += int(rows[~fits].sum())
+                cut = int(rows[fits & ~live].sum())
+                stats.pruned_chunk_layouts += cut
+                if not live.any():
+                    if cut:
                         stats.pruned_chunks += 1
-                        stats.pruned_chunk_layouts += chunk_stop - chunk_start
-                        chunk_start = chunk_stop
-                        continue
-                _, chunk = next(iter_assignment_chunks(
-                    num_objects, num_classes, chunk_stop - chunk_start,
-                    start=chunk_start, stop=chunk_stop,
-                ))
-                evaluation = evaluator.evaluate_chunk(chunk)
-                evaluated += chunk.shape[0]
-                index = evaluation.best_index
-                if index is not None:
-                    toc = float(evaluation.toc_cents[index])
-                    global_index = chunk_start + index
-                    # Strict-improvement semantics of the serial loop: an
-                    # infinite TOC is never adopted, and ties keep the
-                    # earlier enumeration index.
-                    if toc < best_toc or (toc == best_toc and global_index < best_index):
-                        best_toc = toc
-                        best_index = global_index
-                        best_row = chunk[index].copy()
-                        incumbent.offer(toc)
-                chunk_start = chunk_stop
+                    position = chunk_stop
+                    continue
+        indices = np.arange(position, chunk_stop, dtype=np.int64)
+        if live is not None:
+            indices = indices[np.repeat(live, rows)]
+        chunk = decode_assignments(indices, num_objects, num_classes)
+        evaluation = evaluator.evaluate_chunk(chunk)
+        evaluated += chunk.shape[0]
+        index = evaluation.best_index
+        if index is not None:
+            toc = float(evaluation.toc_cents[index])
+            global_index = int(indices[index])
+            # Strict-improvement semantics of the scalar loop: an infinite
+            # TOC is never adopted, and ties keep the earlier index.
+            if toc < best_toc or (toc == best_toc and global_index < best_index):
+                best_toc = toc
+                best_index = global_index
+                best_row = chunk[index].copy()
+                incumbent.offer(toc)
+        position = chunk_stop
     shard_tracer.end_span(
         shard_span, evaluated=evaluated,
         pruned_subtrees=stats.pruned_subtrees, pruned_chunks=stats.pruned_chunks,
@@ -705,10 +732,10 @@ class ParallelEnumerationEngine:
         to seed the incumbent.
     workers:
         Process count.  ``workers <= 1`` runs the identical sharded/pruned
-        algorithm in-process (no pool) -- useful for tests and for machines
-        without spare cores.
+        algorithm in-process (no pool), as ``ExhaustiveSolver`` does by
+        default.
     chunk_size:
-        Candidate rows scored per ``evaluate_chunk`` call.
+        Most candidate rows scored per ``evaluate_chunk`` call.
     prefix_depth:
         Number of leading mixed-radix columns that define a prunable subtree.
         Defaults to a depth that yields at least ``8 * workers *
@@ -726,9 +753,11 @@ class ParallelEnumerationEngine:
         but silently drops its task) and is re-queued.  ``None`` disables
         the watchdog; set it when workers can die or straggle.
     deadline_s:
-        Hard wall-clock budget for the whole run.  On expiry the pool is
-        torn down, the checkpoint flushed, and :class:`SolverTimeoutError`
-        raised carrying the partial :class:`SearchProgress`.
+        Hard wall-clock budget counted from construction, so it covers the
+        warm-up (which stops once it expires; the seed is still scored).
+        On expiry ``run`` starts no shard and no pool, or tears the pool
+        down, flushes the checkpoint and raises :class:`SolverTimeoutError`
+        carrying the partial :class:`SearchProgress`.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` injected into shard
         processing for deterministic chaos tests.
@@ -782,7 +811,8 @@ class ParallelEnumerationEngine:
             )
         self.prefix_depth = prefix_depth
         self.num_subtrees = self.num_classes**self.prefix_depth
-        evaluator.warm_signatures()
+        self._deadline = time.monotonic() + deadline_s if deadline_s is not None else None
+        evaluator.warm_signatures(deadline=self._deadline)
         self._bounds = _PruningBounds(self.evaluator, self.prefix_depth)
         self._seed = self._uniform_seed() if prune else None
 
@@ -871,20 +901,19 @@ class ParallelEnumerationEngine:
             progress.space = self.space
             progress.prefix_depth = self.prefix_depth
         if self._seed is not None:
-            # Both incumbents (serial and the pool's shared value) start
+            # Both incumbents (in-process and the pool's shared value) start
             # from progress.best_toc, so the seed prunes from the first chunk.
             progress.offer(*self._seed)
         pending = [task for task in shards if task[0] not in progress.completed]
         if not pending:
             return progress
         checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
-        deadline = (
-            time.monotonic() + self.deadline_s if self.deadline_s is not None else None
-        )
+        if self._deadline is not None and time.monotonic() >= self._deadline:
+            self._deadline_abort(progress, checkpoint)
         if self.workers <= 1:
-            self._run_serial(pending, progress, checkpoint, deadline)
+            self._run_serial(pending, progress, checkpoint)
         else:
-            self._run_pool(pending, progress, checkpoint, deadline)
+            self._run_pool(pending, progress, checkpoint)
         if checkpoint is not None:
             progress.save(checkpoint)
         return progress
@@ -900,7 +929,7 @@ class ParallelEnumerationEngine:
     def close(self) -> None:
         """Terminate and join the worker pool, if one is live.
 
-        Safe to call repeatedly; a no-op for serial engines.  Runs from
+        Safe to call repeatedly; a no-op for in-process engines.  Runs from
         ``__exit__`` and from ``run``'s ``finally``, so no code path --
         success, exception or ``KeyboardInterrupt`` -- leaks orphaned
         workers.
@@ -915,7 +944,7 @@ class ParallelEnumerationEngine:
                         checkpoint: Optional[Path]) -> None:
         """Flush the checkpoint and raise the deadline timeout."""
         progress.incidents.append(
-            f"deadline of {self.deadline_s}s expired with "
+            f"deadline expired with "
             f"{len(progress.completed)}/{progress.total_shards} shards complete"
         )
         trace.current_span().event(
@@ -963,8 +992,7 @@ class ParallelEnumerationEngine:
 
     # -- execution paths -----------------------------------------------
     def _run_serial(self, pending, progress: SearchProgress,
-                    checkpoint: Optional[Path] = None,
-                    deadline: Optional[float] = None) -> None:
+                    checkpoint: Optional[Path] = None) -> None:
         incumbent = _Incumbent(progress.best_toc)
         injector = FaultInjector(self.fault_plan) if self.fault_plan is not None else None
         tracer = trace.get_tracer()
@@ -972,22 +1000,11 @@ class ParallelEnumerationEngine:
         while queue:
             task, attempt = queue.popleft()
             shard_id, lo, hi = task
-            if deadline is not None and time.monotonic() >= deadline:
-                self._deadline_abort(progress, checkpoint)
             try:
                 outcome = _process_shard(
-                    self.evaluator,
-                    self._bounds,
-                    incumbent,
-                    shard_id,
-                    lo,
-                    hi,
-                    self.chunk_size,
-                    self.prune,
-                    deadline=deadline,
-                    injector=injector,
-                    attempt=attempt,
-                    allow_process_kill=False,
+                    self.evaluator, self._bounds, incumbent, shard_id, lo, hi,
+                    self.chunk_size, self.prune, deadline=self._deadline,
+                    injector=injector, attempt=attempt, allow_process_kill=False,
                     trace_enabled=tracer.enabled,
                 )
             except SolverTimeoutError:
@@ -1002,8 +1019,7 @@ class ParallelEnumerationEngine:
                 progress.save(checkpoint)
 
     def _run_pool(self, pending, progress: SearchProgress,
-                  checkpoint: Optional[Path] = None,
-                  deadline: Optional[float] = None) -> None:
+                  checkpoint: Optional[Path] = None) -> None:
         tracer = trace.get_tracer()
         context = multiprocessing.get_context()
         shared_value = context.Value("d", progress.best_toc)
@@ -1013,7 +1029,7 @@ class ParallelEnumerationEngine:
             processes=self.workers,
             initializer=_worker_init,
             initargs=(self.evaluator, self._bounds, shared_value, self.chunk_size,
-                      self.prune, self.fault_plan, deadline, tracer.enabled),
+                      self.prune, self.fault_plan, self._deadline, tracer.enabled),
         )
         self._pool = pool
         dispatched = 0
@@ -1037,7 +1053,7 @@ class ParallelEnumerationEngine:
                         # demand-driven: the next range goes to whichever
                         # worker frees up first.
                         progress.stats.steals += 1
-                if deadline is not None and time.monotonic() >= deadline:
+                if self._deadline is not None and time.monotonic() >= self._deadline:
                     self._deadline_abort(progress, checkpoint)
                 advanced = False
                 now = time.monotonic()

@@ -121,7 +121,9 @@ class TestBatchExhaustiveIdentity:
         )
         assert batch.layout == scalar.layout
         assert batch.toc_cents == scalar.toc_cents
-        assert batch.evaluated_layouts == scalar.evaluated_layouts
+        # The engine prunes; what it scores and what it cuts cover the space.
+        assert (batch.evaluated_layouts + batch.stats.pruned_layouts
+                == scalar.evaluated_layouts)
 
     @pytest.mark.parametrize("per_group", [False, True])
     def test_with_response_time_sla(self, small_objects, box1_system, small_catalog,
@@ -185,9 +187,10 @@ class TestBatchExhaustiveIdentity:
                           small_workload, batch=True)
         stats = result.stats.batch
         assert stats is not None
-        assert stats.candidates == len(box1_system) ** len(small_objects)
-        # Signature dedup: far fewer optimizer estimates than candidates x queries.
-        assert 0 < stats.estimator_calls < stats.candidates
+        space = len(box1_system) ** len(small_objects)
+        assert stats.candidates + stats.pruned_layouts == space
+        # Signature dedup: far fewer optimizer estimates than layouts x queries.
+        assert 0 < stats.estimator_calls < space
 
     def test_cost_override_falls_back_to_scalar(self, small_objects, box1_system,
                                                 small_catalog, small_workload):
@@ -417,7 +420,8 @@ class TestFigure9Configuration:
         assert scalar.feasible and batch.feasible
         assert batch.layout == scalar.layout
         assert batch.toc_cents == scalar.toc_cents
-        assert batch.evaluated_layouts == scalar.evaluated_layouts
+        assert (batch.evaluated_layouts + batch.stats.pruned_layouts
+                == scalar.evaluated_layouts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -398,8 +399,9 @@ def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=
 
 
 def assert_identity_under_pruning(seed, kind, ratio, workers):
-    """The seeded, floored engine, the unpruned engine and the serial batch
-    search agree bit for bit on one generated space."""
+    """The seeded, floored engine, the unpruned engine and the scalar
+    exhaustive search (which prunes nothing) agree bit for bit on one
+    generated space."""
     catalog, workload, objects, system = random_scenario(seed, kind)
     constraint = random_constraint(catalog, workload, objects, system, ratio)
     space = len(system) ** len(objects)
@@ -416,9 +418,10 @@ def assert_identity_under_pruning(seed, kind, ratio, workers):
     assert pruned_layout == unpruned_layout
     assert pruned.evaluated + pruned.stats.pruned_layouts == space
 
-    # And the reference: the serial batch exhaustive search.
+    # And the reference: the scalar exhaustive search.
     serial = solve_es(objects, system, fresh_estimator(catalog), workload,
-                      constraint=constraint, max_layouts=space)
+                      constraint=constraint, max_layouts=space, batch=False)
+    assert serial.evaluated_layouts == space
     if serial.feasible:
         assert pruned.best_toc == serial.toc_cents
         assert pruned_layout == serial.layout
@@ -702,6 +705,45 @@ class TestFigure9Parallel:
 
 
 # ---------------------------------------------------------------------------
+# The solve budget covers warm-up
+# ---------------------------------------------------------------------------
+
+class TestBudgetCoversWarmUp:
+    """The deadline starts when ``solve`` is entered.  Warming all 16 TPC-H
+    objects (SF2, Box 2) takes ~30 s of estimates, so a 0.05 s budget must
+    stop the warm-up, start no pool, and still return the best feasible
+    all-on-one-class layout, degraded, with the deadline incident."""
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_budget_below_warm_up_returns_the_seed(self, workers):
+        bundle = scenarios.build("tpch_original", scale_factor=2.0)
+        context = bundle.context(estimator=bundle.fresh_estimator(), box="Box 2")
+        space = len(context.system) ** len(context.objects)
+        solver = ExhaustiveSolver(workers=workers, max_layouts=space)
+        started = time.monotonic()
+        result = solver.solve(context, budget=0.05)
+        elapsed = time.monotonic() - started
+        assert elapsed < 5.0
+        assert result.stats.degraded and result.stats.deadline_s == 0.05
+        assert any("deadline of" in incident and "expired" in incident
+                   for incident in result.stats.incidents)
+        assert result.evaluated_layouts == 0
+
+        checker = context.checker()
+        uniform = []
+        for name in context.system.class_names:
+            layout = Layout.uniform(context.objects, context.system, name)
+            report = context.evaluate(layout)
+            if (layout.satisfies_capacity()
+                    and checker.check(layout, report.run_result).feasible):
+                uniform.append((report.toc_cents, layout))
+        toc, layout = min(uniform, key=lambda entry: entry[0])
+        assert result.feasible
+        assert result.layout == layout
+        assert result.toc_cents == toc
+
+
+# ---------------------------------------------------------------------------
 # Persisted checkpoints (JSON save/load)
 # ---------------------------------------------------------------------------
 
@@ -886,6 +928,20 @@ class TestDiskCheckpoint:
         assert resumed.best_toc == reference.toc_cents
         # The final state also landed on disk.
         assert SearchProgress.load(path).finished
+
+    def test_in_process_solver_checkpoints_and_resumes(
+            self, small_objects, box1_system, small_catalog, small_workload, tmp_path):
+        """``checkpoint_path`` works at ``workers=1`` too: the solve leaves a
+        finished checkpoint, and a second solve resumes it to the same
+        answer."""
+        path = tmp_path / "es.json"
+        first = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                         small_workload, checkpoint_path=path)
+        saved = SearchProgress.load(path)
+        assert saved.finished and saved.best_toc == first.toc_cents
+        again = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                         small_workload, checkpoint_path=path)
+        assert again.layout == first.layout and again.toc_cents == first.toc_cents
 
     def test_save_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
             self, tmp_path, durable_calls):
