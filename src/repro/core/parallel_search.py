@@ -944,8 +944,8 @@ class ParallelEnumerationEngine:
                         checkpoint: Optional[Path]) -> None:
         """Flush the checkpoint and raise the deadline timeout."""
         progress.incidents.append(
-            f"deadline expired with "
-            f"{len(progress.completed)}/{progress.total_shards} shards complete"
+            f"deadline expired with {len(progress.completed)}/{progress.total_shards} "
+            "shards complete"
         )
         trace.current_span().event(
             "deadline_abort", deadline_s=self.deadline_s,

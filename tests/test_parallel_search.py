@@ -383,12 +383,13 @@ def random_constraint(catalog, workload, objects, system, ratio):
     return context.resolve_constraint(RelativeSLA(ratio, metric=metric))
 
 
-def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=None):
+def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=None,
+               chunk_size=64):
     """Run the enumeration engine directly (in-process unless workers > 1)."""
     evaluator = BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload,
                                      constraint=constraint)
     engine = ParallelEnumerationEngine(
-        evaluator, workers=workers, chunk_size=64, prune=prune
+        evaluator, workers=workers, chunk_size=chunk_size, prune=prune
     )
     progress = engine.run()
     layout = None
@@ -398,10 +399,11 @@ def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=
     return progress, layout, engine
 
 
-def assert_identity_under_pruning(seed, kind, ratio, workers):
+def assert_identity_under_pruning(seed, kind, ratio, workers, chunk_size=64):
     """The seeded, floored engine, the unpruned engine and the scalar
     exhaustive search (which prunes nothing) agree bit for bit on one
-    generated space."""
+    generated space.  A ``chunk_size`` below the subtree size keeps every
+    chunk inside one subtree; 64 makes chunks span subtrees."""
     catalog, workload, objects, system = random_scenario(seed, kind)
     constraint = random_constraint(catalog, workload, objects, system, ratio)
     space = len(system) ** len(objects)
@@ -409,7 +411,8 @@ def assert_identity_under_pruning(seed, kind, ratio, workers):
     unpruned, unpruned_layout, _ = engine_run(objects, system, catalog, workload,
                                               prune=False, constraint=constraint)
     pruned, pruned_layout, _ = engine_run(objects, system, catalog, workload, prune=True,
-                                          workers=workers, constraint=constraint)
+                                          workers=workers, constraint=constraint,
+                                          chunk_size=chunk_size)
     assert unpruned.evaluated == space
     assert unpruned.stats.pruned_layouts == 0
     assert pruned.best_toc == unpruned.best_toc
@@ -449,13 +452,13 @@ class TestPruningSoundness:
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["dss", "oltp"]),
            ratio=st.one_of(st.none(), st.floats(0.01, 0.5)),
-           workers=st.sampled_from([1, 1, 1, WORKERS]))
-    @example(**CHEAPEST_BREAKS_CAP, workers=1)
-    @example(**NO_UNIFORM_FEASIBLE, workers=1)
-    @example(**OLTP_MIX, workers=1)
-    @example(**CHEAPEST_BREAKS_CAP, workers=WORKERS)
-    def test_identity_holds_on_generated_spaces(self, seed, kind, ratio, workers):
-        assert_identity_under_pruning(seed, kind, ratio, workers)
+           workers=st.sampled_from([1, 1, 1, WORKERS]), chunk_size=st.sampled_from([2, 64]))
+    @example(**CHEAPEST_BREAKS_CAP, workers=1, chunk_size=64)
+    @example(**NO_UNIFORM_FEASIBLE, workers=1, chunk_size=2)
+    @example(**OLTP_MIX, workers=1, chunk_size=64)
+    @example(**CHEAPEST_BREAKS_CAP, workers=WORKERS, chunk_size=2)
+    def test_identity_holds_on_generated_spaces(self, seed, kind, ratio, workers, chunk_size):
+        assert_identity_under_pruning(seed, kind, ratio, workers, chunk_size)
 
     def test_hard_cases_are_what_they_claim(self):
         """The pinned draws keep covering the cases they are named for: the
