@@ -187,12 +187,28 @@ class TestRangeEnumeration:
 # ---------------------------------------------------------------------------
 
 def run_three_paths(objects, system, catalog, workload, **kwargs):
+    """The scalar loop and the engine in-process and on a pool; the unpruned
+    engine, over the solver's own columns, must match the in-process one."""
     scalar = solve_es(objects, system, fresh_estimator(catalog), workload, batch=False,
                       **kwargs)
     batch = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
                      **kwargs)
     parallel = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
                         workers=WORKERS, **kwargs)
+    knobs = dict(kwargs)
+    context = EvaluationContext(objects, system, fresh_estimator(catalog), workload,
+                                constraint=knobs.pop("constraint", None))
+    solver = ExhaustiveSolver(**knobs)
+    evaluator = context.batch_evaluator(
+        solver._variable_objects(context),
+        pinned=[(obj, solver._pinned_class(context)) for obj in solver.pinned_objects],
+    )
+    unpruned = ParallelEnumerationEngine(evaluator, prune=False).run()
+    assert unpruned.evaluated == len(system) ** len(objects)
+    assert unpruned.best_toc == batch.toc_cents
+    if unpruned.best_row is not None:
+        row = np.array(unpruned.best_row, dtype=np.int64)
+        assert solver._layout(context, evaluator.assignment_for_row(row), "ES") == batch.layout
     return scalar, batch, parallel
 
 
