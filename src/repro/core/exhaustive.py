@@ -244,10 +244,7 @@ class ExhaustiveSolver:
         stats.workers = self.workers
         tracer.end_span(warm_span, build_s=stats.build_s, warm_s=stats.warm_s)
 
-        span = tracer.start_span(
-            "es.enumerate", path="engine", workers=self.workers,
-            shards=len(engine.shard_ranges()), prefix_depth=engine.prefix_depth,
-        )
+        span = tracer.start_span("es.enumerate", path="engine", workers=self.workers)
         started = time.perf_counter()
         timed_out = False
         resumed = (
@@ -278,7 +275,8 @@ class ExhaustiveSolver:
             best_layout = self._layout(context, evaluator.assignment_for_row(row), "ES")
             best_report = context.evaluate(best_layout)
         elapsed = time.perf_counter() - started
-        tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out)
+        tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out,
+                        shards=progress.total_shards, prefix_depth=engine.prefix_depth)
         return self._result(context, best_layout, best_report, progress.evaluated, elapsed,
                             budget, timed_out, incidents, stats)
 
