@@ -1,11 +1,11 @@
 """The sharded, pruned parallel enumeration engine.
 
-The contract under test mirrors the batch engine's: serial scalar, serial
-batch and parallel pruned enumeration must return *bitwise identical* best
-layouts and TOCs on every supported configuration (flat and per-group
-enumeration, pinned objects, SLAs, OLTP mixes, the Figure 9 TPC-C study),
-and the branch-and-bound pruning must be sound -- the pruned engine finds
-the same optimum as the unpruned enumeration on randomized spaces.
+The contract under test mirrors the batch engine's: the scalar loop, the
+engine in-process and on a pool, pruned or not, must return *bitwise
+identical* best layouts and TOCs on every supported configuration (flat and
+per-group enumeration, pinned objects, SLAs, OLTP mixes, the Figure 9 TPC-C
+study), and the branch-and-bound pruning must be sound -- the pruned engine
+finds the same optimum as the unpruned enumeration on randomized spaces.
 """
 
 import json
