@@ -811,7 +811,7 @@ class BatchLayoutEvaluator:
     def _placement_for_row(self, row: np.ndarray) -> Dict[str, StorageClass]:
         placement = {name: self.classes[class_index]
                      for name, class_index, _ in self.pinned}
-        placement.update(zip(self.var_names, map(self.classes.__getitem__, row.tolist())))
+        placement.update(zip(self.var_names, [self.classes[index] for index in row.tolist()]))
         return placement
 
     # ------------------------------------------------------------------
