@@ -1,9 +1,10 @@
-"""Durable writes: the one crash-safety primitive under every on-disk format.
+"""Durable writes: the one crash-safety primitive under every JSON file format.
 
-Parallel-search checkpoints (:class:`~repro.core.parallel_search.SearchProgress`),
-the service journal and snapshots (:mod:`repro.service.journal`) and the obs
-run store (:class:`~repro.obs.recorder.RunStore`) must each survive a crash
-at any write boundary.  Each keeps only its schema; the mechanics live here:
+Parallel-search checkpoints (:class:`~repro.core.parallel_search.SearchProgress`)
+and the service journal and snapshots (:mod:`repro.service.journal`) must
+each survive a crash at any write boundary.  Each keeps only its schema; the
+mechanics live here.  (The results store and the run records in it rely on
+SQLite's own atomic commits instead.)
 
 * **Seals** -- :func:`checksum` is SHA-256 over a record's canonical JSON
   (sorted keys, compact separators, the ``checksum`` key excluded).
@@ -16,13 +17,13 @@ at any write boundary.  Each keeps only its schema; the mechanics live here:
   invalid JSON, a non-object) into
   :class:`~repro.exceptions.CheckpointCorruptionError` naming the path, and
   :func:`quarantine` renames a damaged file aside to ``<name>.quarantined``.
-* **Append logs** -- :class:`AppendLog` is a JSONL file of sealed records.
-  A record is committed once its whole line, newline included, is on disk.
-  Only the final line may be torn (no newline, unparseable, or a failed
-  seal): the reader slices it off with a note, and the writer truncates
-  those same bytes before its first append, so a new record never joins a
-  partial line.  A bad line with any line after it was damaged at rest and
-  raises, naming the file and the line.
+* **Append logs** -- :class:`AppendLog` is a JSONL file of sealed records
+  (the service journal).  A record is committed once its whole line,
+  newline included, is on disk.  Only the final line may be torn (no
+  newline, unparseable, or a failed seal): the reader slices it off with a
+  note, and the writer truncates those same bytes before its first append,
+  so a new record never joins a partial line.  A bad line with any line
+  after it was damaged at rest and raises, naming the file and the line.
 
 ``os.fsync`` and ``os.replace`` are looked up on :mod:`os` at every call, so
 a crash harness or an fsync counter patched onto :mod:`os` sees each one.

@@ -1,10 +1,12 @@
 """CLI for the experiment orchestration layer.
 
-Three subcommands drive the whole sweep lifecycle against one SQLite store::
+Two subcommands drive the whole sweep lifecycle against one SQLite store::
 
     python -m repro.experiments run      # diff matrix vs store, run the rest
-    python -m repro.experiments report   # what the store holds
     python -m repro.experiments figures  # regenerate figures FROM the store
+
+``python -m repro.obs.report`` lists what the store holds: experiment rows
+and recorded runs alike.
 
 ``figures`` writes every assembled figure/table as JSON (and prints the
 rendered text tables with ``--text``); ``--check DIR`` compares the
@@ -20,12 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-#: Default store location; kept under benchmarks/out/ which is gitignored.
-DEFAULT_STORE = Path("benchmarks") / "out" / "experiments.sqlite"
+from repro.obs.recorder import DEFAULT_STORE
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,9 +57,6 @@ def _parser() -> argparse.ArgumentParser:
         "--dry-run", action="store_true",
         help="print the matrix diff without executing anything",
     )
-
-    report = sub.add_parser("report", help="list what the store holds")
-    common(report)
 
     figures = sub.add_parser(
         "figures", help="regenerate paper figures/tables from the store"
@@ -127,32 +124,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.complete else 1
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.store import ResultsStore
-
-    store = ResultsStore(args.store)
-    records = store.load_all()
-    print(f"store {store.path}: {len(records)} runs")
-    for record in records:
-        created = time.strftime(
-            "%Y-%m-%d %H:%M:%S", time.localtime(record.record.created_unix_s)
-        )
-        print(
-            f"  {record.signature[:12]}  {record.experiment:<10} "
-            f"{record.spec.scenario:<14} {record.spec.solver:<14} "
-            f"rev={record.record.git_rev or '-':<10} "
-            f"{record.record.elapsed_s:8.2f}s  {created}"
-        )
-    by_kind: dict = {}
-    for record in records:
-        by_kind[record.experiment] = by_kind.get(record.experiment, 0) + 1
-    if by_kind:
-        print("by experiment: " + ", ".join(
-            f"{kind}={count}" for kind, count in sorted(by_kind.items())
-        ))
-    return 0
-
-
 def _dump(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -161,6 +132,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments import orchestrator, specs
     from repro.experiments.store import ResultsStore
 
+    if not args.store.exists():
+        print(f"figures: no results store at {args.store} -- populate it with "
+              "`python -m repro.experiments run`", file=sys.stderr)
+        return 1
     store = ResultsStore(args.store)
     lookup = orchestrator.store_lookup(store)
     figures_wanted = _figure_list(args.figures)
@@ -233,8 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "report":
-        return _cmd_report(args)
     return _cmd_figures(args)
 
 

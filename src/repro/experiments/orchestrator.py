@@ -26,7 +26,9 @@ The orchestrator owns the loop between the declarative matrices
 
 Every recorded run carries a :class:`~repro.obs.recorder.RunRecord` --
 git revision, seed, executor wall time, attempt count, the process-wide
-metrics snapshot, and the span trees the run produced when tracing is on.
+metrics snapshot and, when tracing is on, one ``experiment:<kind>`` span
+over the spec's execution.  Each spec runs on one pool thread, which has
+its own span stack, so concurrent specs never share a tree.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.exceptions import ShardFailureError
 from repro.experiments import specs as spec_registry
 from repro.experiments.store import ExperimentSpec, ResultsStore
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import RunRecord, git_revision
+from repro.obs.recorder import RunRecord, new_record
 from repro.resilience.faults import FaultInjector, FaultPlan, fire_shard_fault
 
 
@@ -122,6 +123,22 @@ def _run_one(
     raise last_error
 
 
+def _run_traced(spec: ExperimentSpec, *args) -> Tuple[Dict[str, object], int, Optional[dict]]:
+    """:func:`_run_one` under an ``experiment:<kind>`` span.
+
+    Returns ``(payload, attempts, span)``: the span is the spec's serialized
+    tree (``None`` with tracing off), drained from the pool thread that ran
+    the spec.
+    """
+    tracer = obs_trace.get_tracer()
+    try:
+        with tracer.span(f"experiment:{spec.experiment}", signature=spec.signature[:12]):
+            payload, attempts = _run_one(spec, *args)
+    finally:
+        roots = tracer.drain_roots()
+    return payload, attempts, roots[-1] if roots else None
+
+
 def run_specs(
     specs: Sequence[ExperimentSpec],
     store: ResultsStore,
@@ -175,7 +192,7 @@ def run_specs(
                     break
                 queue.popleft()
                 future = pool.submit(
-                    _run_one,
+                    _run_traced,
                     head,
                     index_of[head.signature],
                     checkpoints,
@@ -193,12 +210,13 @@ def run_specs(
                 used_slots -= weight
                 wall_s = time.perf_counter() - spec_started
                 try:
-                    payload, attempts = future.result()
+                    payload, attempts, spans = future.result()
                 except Exception as exc:  # noqa: BLE001 -- reported, not raised
                     report.failed.append((spec, f"{type(exc).__name__}: {exc}"))
                     say(f"FAILED {spec.experiment} {spec.signature[:12]}: {exc}")
                     continue
-                store.record(spec, payload, _provenance(spec, payload, wall_s, attempts))
+                store.record(spec, payload,
+                             _provenance(spec, payload, wall_s, attempts, spans))
                 report.executed.append(spec)
                 say(f"recorded {spec.experiment} {spec.signature[:12]} "
                     f"({wall_s:.1f}s, attempt {attempts})")
@@ -208,24 +226,21 @@ def run_specs(
 
 
 def _provenance(
-    spec: ExperimentSpec, payload: Dict[str, object], wall_s: float, attempts: int
+    spec: ExperimentSpec, payload: Dict[str, object], wall_s: float, attempts: int,
+    spans: Optional[Dict[str, object]],
 ) -> RunRecord:
-    """The RunRecord-shaped provenance stored alongside a run's payload."""
+    """The run record stored alongside a spec's payload."""
     timing = payload.get("timing", {}) if isinstance(payload, dict) else {}
-    spans = obs_trace.get_tracer().drain_roots()
-    return RunRecord(
+    return new_record(
+        "experiment",
+        spec.solver,
         run_id=f"exp-{spec.signature[:12]}",
-        kind="experiment",
-        solver=spec.solver,
         scenario=spec.scenario or None,
-        git_rev=git_revision(),
         seed=spec.seed,
-        created_unix_s=time.time(),
         elapsed_s=float(timing.get("elapsed_s", 0.0) or 0.0),
-        wall_s=float(wall_s),
+        wall_s=wall_s,
         stats={"attempts": int(attempts), "weight": spec_registry.spec_weight(spec)},
-        metrics=obs_metrics.get_metrics().snapshot(),
-        spans={"roots": spans} if spans else None,
+        spans=spans,
     )
 
 

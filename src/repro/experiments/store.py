@@ -1,4 +1,4 @@
-"""The durable experiment results store: specs, signatures, and SQLite.
+"""The durable results store: specs, signatures, and SQLite.
 
 Every paper figure used to be produced by a per-figure benchmark script whose
 numbers lived only as transient CI artifacts.  This module is the substrate
@@ -7,19 +7,27 @@ that replaces that: an :class:`ExperimentSpec` names one experimental arm
 SHA-256 of its canonical JSON), and a :class:`ResultsStore` is a single
 SQLite file recording one row per executed spec -- the spec itself, the
 figure-data payload the run produced, and a :class:`~repro.obs.recorder.
-RunRecord`-shaped provenance blob (git revision, seed, solve stats, metrics
-snapshot, span coverage).  The orchestrator (:mod:`repro.experiments.
-orchestrator`) diffs a declarative matrix against the store and executes only
-the missing signatures; the ``figures`` CLI regenerates every paper figure
-*from the store* with no hand-transcribed numbers.
+RunRecord` of provenance (git revision, seed, run stats, metrics snapshot,
+span tree).  The orchestrator (:mod:`repro.experiments.orchestrator`) diffs
+a declarative matrix against the store and executes only the missing
+signatures; the ``figures`` CLI regenerates every paper figure *from the
+store* with no hand-transcribed numbers.
+
+It is also the one run store: every solve, online run and service session
+recorded by :mod:`repro.obs.recorder` is a row whose spec is
+``ExperimentSpec(experiment=<kind>, ..., knobs={"run_id": ...})`` and whose
+payload is ``{"record": <the RunRecord>}``, so the payload checksum covers
+the record (the row's record column keeps only its header: no stats,
+metrics or spans).  ``python -m repro.obs.report`` lists both kinds of row.
 
 Integrity rules, in the spirit of the checkpoint layer it mirrors:
 
 * the store refuses files that are not SQLite databases or that fail to read
-  (:class:`~repro.exceptions.CheckpointCorruptionError`), and healthy
-  databases written under a different ``SCHEMA_VERSION``
-  (:class:`~repro.exceptions.StoreSchemaError`) -- silently misreading a
-  tampered or stale store is how wrong numbers end up in a paper;
+  (:class:`~repro.exceptions.CheckpointCorruptionError`, on open and on
+  every read), and healthy databases written under a different
+  ``SCHEMA_VERSION`` (:class:`~repro.exceptions.StoreSchemaError`) --
+  silently misreading a tampered or stale store is how wrong numbers end up
+  in a paper;
 * every row carries the SHA-256 of its payload JSON, verified on read;
 * writes are idempotent: recording an already-present signature is a no-op
   (``INSERT OR IGNORE`` keyed by signature), so duplicate runs deduplicate
@@ -37,13 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import CheckpointCorruptionError, ConfigurationError, StoreSchemaError
-from repro.obs.recorder import RunRecord
+from repro.obs.recorder import RunRecord, new_record
 
 #: Version of the on-disk schema; bumped on any incompatible change.
 SCHEMA_VERSION = 1
@@ -171,7 +178,8 @@ class ExperimentRecord:
     spec: ExperimentSpec
     signature: str
     payload: Dict[str, object]
-    #: RunRecord-shaped provenance: git rev, seed, stats, metrics, spans.
+    #: Provenance (git rev, seed, stats, metrics, spans); for a recorded run,
+    #: the run's own record, read from the payload.
     record: RunRecord
 
     @property
@@ -287,14 +295,8 @@ class ResultsStore:
         signature = spec.signature
         payload_json = dump_payload(payload)
         if record is None:
-            record = RunRecord(
-                run_id=f"exp-{signature[:12]}",
-                kind="experiment",
-                solver=spec.solver,
-                scenario=spec.scenario or None,
-                seed=spec.seed,
-                created_unix_s=time.time(),
-            )
+            record = new_record("experiment", spec.solver, run_id=f"exp-{signature[:12]}",
+                                scenario=spec.scenario or None, seed=spec.seed)
         record_json = record.to_json_line()
         try:
             with self._connect() as conn:
@@ -327,6 +329,16 @@ class ResultsStore:
         return stored
 
     # -- reads ---------------------------------------------------------
+    def _read(self, sql: str, params: Sequence[object] = ()) -> List[tuple]:
+        """All rows of one query; a damaged file raises naming the store."""
+        try:
+            with self._connect() as conn:
+                return conn.execute(sql, params).fetchall()
+        except sqlite3.DatabaseError as exc:
+            raise CheckpointCorruptionError(
+                f"results store is unreadable: {exc}", path=self.path
+            ) from exc
+
     def _row_to_record(self, row) -> ExperimentRecord:
         signature, spec_json, payload_json, payload_sha, record_json = row
         if payload_checksum(payload_json) != payload_sha:
@@ -335,7 +347,17 @@ class ResultsStore:
                 "checksum (tampered or torn write)",
                 path=self.path,
             )
-        spec = ExperimentSpec.from_dict(json.loads(spec_json))
+        try:
+            spec = ExperimentSpec.from_dict(json.loads(spec_json))
+            payload = json.loads(payload_json)
+            record = RunRecord.from_dict(
+                payload["record"] if "record" in payload else json.loads(record_json)
+            )
+        except (ValueError, TypeError, ConfigurationError) as exc:
+            raise CheckpointCorruptionError(
+                f"results store row {signature[:12]}... is unreadable: {exc}",
+                path=self.path,
+            ) from exc
         if spec.signature != signature:
             raise CheckpointCorruptionError(
                 f"results store row {signature[:12]}... holds a spec whose "
@@ -343,10 +365,7 @@ class ResultsStore:
                 path=self.path,
             )
         return ExperimentRecord(
-            spec=spec,
-            signature=signature,
-            payload=json.loads(payload_json),
-            record=RunRecord.from_json_line(record_json),
+            spec=spec, signature=signature, payload=payload, record=record
         )
 
     _SELECT = (
@@ -363,16 +382,8 @@ class ResultsStore:
             if isinstance(spec_or_signature, ExperimentSpec)
             else str(spec_or_signature)
         )
-        try:
-            with self._connect() as conn:
-                row = conn.execute(
-                    f"{self._SELECT} WHERE signature = ?", (signature,)
-                ).fetchone()
-        except sqlite3.DatabaseError as exc:
-            raise CheckpointCorruptionError(
-                f"results store is unreadable: {exc}", path=self.path
-            ) from exc
-        return self._row_to_record(row) if row is not None else None
+        rows = self._read(f"{self._SELECT} WHERE signature = ?", (signature,))
+        return self._row_to_record(rows[0]) if rows else None
 
     def payload(self, spec: ExperimentSpec) -> Optional[Dict[str, object]]:
         """Shorthand: the stored payload for a spec, or ``None``."""
@@ -384,9 +395,7 @@ class ResultsStore:
 
     def signatures(self) -> List[str]:
         """Every recorded signature, in insertion (rowid) order."""
-        with self._connect() as conn:
-            rows = conn.execute("SELECT signature FROM runs ORDER BY rowid").fetchall()
-        return [row[0] for row in rows]
+        return [row[0] for row in self._read("SELECT signature FROM runs ORDER BY rowid")]
 
     def missing(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentSpec]:
         """The subset of ``specs`` not yet recorded, preserving order."""
@@ -394,9 +403,7 @@ class ResultsStore:
         return [spec for spec in specs if spec.signature not in present]
 
     def __iter__(self) -> Iterator[ExperimentRecord]:
-        with self._connect() as conn:
-            rows = conn.execute(f"{self._SELECT} ORDER BY rowid").fetchall()
-        for row in rows:
+        for row in self._read(f"{self._SELECT} ORDER BY rowid"):
             yield self._row_to_record(row)
 
     def load_all(self) -> List[ExperimentRecord]:
@@ -404,8 +411,7 @@ class ResultsStore:
         return list(self)
 
     def __len__(self) -> int:
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM runs").fetchone()
+        (count,) = self._read("SELECT COUNT(*) FROM runs")[0]
         return int(count)
 
 

@@ -1,19 +1,21 @@
-"""Glue between the solver/online layers and the observability primitives.
+"""Glue between the solver/online/service layers and the observability primitives.
 
-:func:`instrument_solver` is a class decorator applied to every solver
-class: it wraps ``solve()`` in a span, folds the run's ``SolveStats`` into
-the metrics registry at the solve boundary (never per layout -- the bitwise
-contracts and the disabled-path overhead bound depend on that), replays
-resilience incidents as span events, and persists a run record when
-recording is active.
+:class:`Scope` observes one run -- a solve, an online run, a service
+session -- as one span, and writes its run record when it is the outermost
+scope and recording is on.  :func:`instrument_solver` is a class decorator
+applied to every solver class: it runs ``solve()`` in a scope, folds the
+run's ``SolveStats`` into the metrics registry at the solve boundary (never
+per layout -- the bitwise contracts and the disabled-path overhead bound
+depend on that) and replays resilience incidents as span events.
 
-A module-level **scope depth** keeps nested observations honest: a
-``FallbackSolver`` chain or an ``OnlineAdvisor`` epoch loop drives inner
-solves through the same instrumented interface, and only the outermost
-scope writes a run record or folds the shared estimate-cache delta (inner
-folds would double-count a cache that outlives the solve).  The depth is
-process-local and needs no locking -- parallel search workers are separate
-processes with their own (disabled) instrumentation state.
+The **scope depth** keeps nested observations honest: a ``FallbackSolver``
+chain or an ``OnlineAdvisor`` epoch loop drives inner solves through the
+same instrumented interface, and only the outermost scope writes a run
+record or folds the shared estimate-cache delta (inner folds would
+double-count a cache that outlives the solve).  The depth is per thread,
+so specs running on the orchestrator's thread pool each have their own
+outermost solves; parallel search workers are separate processes with
+their own (disabled) instrumentation state.
 
 Everything here duck-types against ``SolveResult``/``SolveStats`` so that
 ``repro.obs`` stays importable without ``repro.core`` (no import cycles).
@@ -23,33 +25,53 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 import time
 
 from repro.obs import metrics, recorder, trace
 
-_DEPTH = 0
+_DEPTH = threading.local()
 
 
-def enter_scope() -> int:
-    """Open an observation scope; returns the new depth (1 = outermost)."""
-    global _DEPTH
-    _DEPTH += 1
-    return _DEPTH
+class Scope:
+    """One observed run: its span, its nesting depth and its run record.
 
+    ``with Scope(kind, span_name, **attrs) as run:`` opens the span; after
+    the block, :attr:`wall_s` and :attr:`outermost` are set and
+    :meth:`record` writes the run's record if this was the outermost scope
+    and recording is on.
+    """
 
-def exit_scope() -> bool:
-    """Close the innermost scope; True when the outermost one just closed."""
-    global _DEPTH
-    _DEPTH -= 1
-    if _DEPTH < 0:  # defensive: unbalanced exits must not corrupt the depth
-        _DEPTH = 0
-        return True
-    return _DEPTH == 0
+    __slots__ = ("kind", "span", "wall_s", "outermost", "_tracer", "_started")
 
+    def __init__(self, kind: str, span_name: str, **attrs):
+        self.kind = kind
+        self._tracer = trace.get_tracer()
+        self.span = self._tracer.start_span(span_name, **attrs)
+        self.outermost = False
+        _DEPTH.value = getattr(_DEPTH, "value", 0) + 1
+        self._started = time.perf_counter()
 
-def scope_depth() -> int:
-    """The current observation-scope depth (0 = not inside any run)."""
-    return _DEPTH
+    def __enter__(self) -> "Scope":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.wall_s = time.perf_counter() - self._started
+        if exc is not None:
+            self.span.set(error=True)
+        self._tracer.end_span(self.span)
+        _DEPTH.value -= 1
+        self.outermost = _DEPTH.value == 0
+        return False
+
+    def record(self, solver: str, stats, elapsed_s=None) -> None:
+        """Write the run's record (``stats()`` is its payload) when due."""
+        if self.outermost and recorder.store_path() is not None:
+            recorder.record_run(
+                self.kind, solver, stats=stats(), spans=self.span.to_dict(),
+                elapsed_s=self.wall_s if elapsed_s is None else elapsed_s,
+                wall_s=self.wall_s,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -119,42 +141,24 @@ def instrument_solver(cls):
 
     @functools.wraps(inner)
     def solve(self, context, *, initial_layout=None, budget=None):
-        tracer = trace.get_tracer()
         registry = metrics.get_metrics()
         cache = getattr(context, "estimate_cache", None)
         cache_before = (cache.hits, cache.misses) if cache is not None else None
-        enter_scope()
-        span = tracer.start_span(f"solve:{self.name}", solver=self.name,
-                                 budget_s=budget)
-        started = time.perf_counter()
-        result = None
         try:
-            result = inner(self, context, initial_layout=initial_layout,
-                           budget=budget)
-            return result
-        finally:
-            wall_s = time.perf_counter() - started
-            if result is not None:
-                _annotate_solve_span(span, result)
-            else:
-                span.set(error=True)
-                registry.counter("solver.errors").inc()
-                registry.counter(f"solver.{self.name}.errors").inc()
-            tracer.end_span(span)
-            outermost = exit_scope()
-            if result is not None:
-                _fold_solve_metrics(registry, self.name, result, wall_s,
-                                    cache, cache_before, outermost)
-                if outermost and recorder.active_store() is not None:
-                    recorder.maybe_record(
-                        "solve",
-                        result.solver,
-                        elapsed_s=result.stats.elapsed_s,
-                        wall_s=wall_s,
-                        stats=_stats_dict(result),
-                        metrics_snapshot=registry.snapshot(),
-                        spans=span.to_dict(),
-                    )
+            with Scope("solve", f"solve:{self.name}", solver=self.name,
+                       budget_s=budget) as run:
+                result = inner(self, context, initial_layout=initial_layout,
+                               budget=budget)
+                _annotate_solve_span(run.span, result)
+        except BaseException:
+            registry.counter("solver.errors").inc()
+            registry.counter(f"solver.{self.name}.errors").inc()
+            raise
+        _fold_solve_metrics(registry, self.name, result, run.wall_s,
+                            cache, cache_before, run.outermost)
+        run.record(result.solver, lambda: _stats_dict(result),
+                   elapsed_s=result.stats.elapsed_s)
+        return result
 
     cls.solve = solve
     return cls
@@ -170,8 +174,6 @@ def _stats_dict(result):
 
 
 __all__ = [
-    "enter_scope",
-    "exit_scope",
+    "Scope",
     "instrument_solver",
-    "scope_depth",
 ]

@@ -1,52 +1,57 @@
-"""Durable run records: an append-only JSONL store of solves and online runs.
+"""Run records: one row of the SQLite results store per observed run.
 
-Every instrumented ``Solver.solve`` and ``OnlineAdvisor.run`` can persist a
-:class:`RunRecord` -- scenario, solver, git revision, seed, the run's stats,
-a metrics-registry snapshot and (when tracing is on) the full span tree --
-to a :class:`RunStore`: one ``runs.jsonl`` file under ``benchmarks/runs/``
-by default, one JSON object per line, append-only.  JSONL keeps the store
-trivially mergeable across machines and greppable without tooling;
-``python -m repro.obs.report`` renders it.
+Every outermost ``Solver.solve``, ``OnlineAdvisor.run`` and
+``AdvisorService.run`` can persist a :class:`RunRecord` -- scenario, solver,
+git revision, seed, the run's stats, a metrics-registry snapshot and (when
+tracing is on) its span tree -- as one row of the
+:class:`~repro.experiments.store.ResultsStore`, the store
+``python -m repro.experiments`` fills with experiment rows.  A recorded
+run's row has the spec ``ExperimentSpec(experiment=<kind>, scenario,
+solver, seed, knobs={"run_id": ...})``, so it never matches a matrix
+signature, and the record as its payload, so the row's checksum covers it.
+``python -m repro.obs.report`` lists experiment rows and recorded runs
+alike.
 
-Recording is **opt-in** (the store is ``None`` by default): enable it for a
-block with :func:`recording`, persistently with :func:`set_store`, or for a
-whole process with the ``REPRO_OBS_RECORD`` environment variable (``1`` for
-the default ``benchmarks/runs`` directory, any other value is the target
-directory).  Only the *outermost* observed run records -- a fallback chain
-or an online loop yields one record, not one per nested solve (the nested
-spans are inside its tree).
+Recording is **opt-in**: enable it for a block with :func:`recording`, or
+for a whole process with the ``REPRO_OBS_RECORD`` environment variable
+(``1`` for :data:`DEFAULT_STORE`, any other value is the store file).  The
+store opens at the first record, so switching recording on creates no file
+and loads no ``sqlite3``.  Only the *outermost* observed run records -- a
+fallback chain or an online loop yields one record, not one per nested
+solve (the nested spans are inside its tree).
 
-Round-tripping is bitwise: floats serialize via ``repr`` (Python's shortest
-round-trip representation), so a loaded record compares equal to the one
-written -- enforced by ``tests/test_obs.py``.  The store file is a
-:class:`repro.durable.AppendLog`: every line is sealed and fsynced, a torn
-final append is cut before the next one, and a line damaged at rest raises
-naming the file.
+:func:`new_record` builds every record, experiment rows' included.  Its
+fields are JSON-native: values JSON cannot hold are coerced to floats or
+strings and non-finite floats become ``None`` (the store refuses NaN and
+infinity), so a record read back from the store compares equal to the one
+written, floats bitwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
-from repro.durable import AppendLog
+from repro.obs import metrics
 
-#: Default store location, relative to the current working directory.
-DEFAULT_STORE_DIR = Path("benchmarks") / "runs"
+#: The one default store of experiment rows and recorded runs alike.
+DEFAULT_STORE = Path("benchmarks") / "out" / "experiments.sqlite"
 
 
 @dataclass
 class RunRecord:
-    """One persisted observation of a solver or online-advisor run."""
+    """One persisted observation of a run: a solve, an online run, a service
+    session or an experiment spec."""
 
     run_id: str
-    #: ``"solve"`` or ``"online"``.
+    #: ``"solve"``, ``"online"``, ``"service"`` or ``"experiment"``.
     kind: str
     solver: str
     #: Scenario (or workload) label; ``None`` when the caller declared none.
@@ -71,21 +76,28 @@ class RunRecord:
 
     def to_json_line(self) -> str:
         """The record as one compact JSON line."""
-        return json.dumps(self.__dict__, sort_keys=True, default=_fallback_encoder)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
-        """Rebuild a record from one store line."""
+        """Rebuild a record from its JSON line."""
         return cls.from_dict(json.loads(line))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
         """Rebuild a record from its parsed JSON, ignoring unknown keys."""
         known = set(cls.__dataclass_fields__)
-        return cls(**{key: value for key, value in data.items() if key in known})
+        fields = {key: value for key, value in data.items() if key in known}
+        spans = fields.get("spans")
+        if isinstance(spans, dict) and "roots" in spans:
+            # Experiment rows of older stores hold their solves' bare roots.
+            fields["spans"] = {"name": "experiment", "attrs": {}, "status": "ok",
+                               "duration_s": fields.get("wall_s", 0.0),
+                               "events": [], "children": spans["roots"]}
+        return cls(**fields)
 
 
-def _fallback_encoder(value):
+def _coerce(value):
     """Last-resort JSON coercion for exotic values inside stats/extra."""
     for caster in (float, str):
         try:
@@ -95,82 +107,57 @@ def _fallback_encoder(value):
     return repr(value)
 
 
-class RunStore:
-    """Append-only JSONL store of sealed :class:`RunRecord` lines."""
-
-    def __init__(self, directory: os.PathLike = DEFAULT_STORE_DIR):
-        self.directory = Path(directory)
-        self.path = self.directory / "runs.jsonl"
-        self._log = AppendLog(self.path)
-
-    def append(self, record: RunRecord) -> Path:
-        """Durably append one record (creates the directory on first write)."""
-        self._log.append(json.loads(record.to_json_line()))
-        return self.path
-
-    def close(self) -> None:
-        """Close the store's file (a later append reopens it)."""
-        self._log.close()
-
-    def load(self) -> List[RunRecord]:
-        """Every record in the store, oldest first, without a torn final append.
-
-        A damaged line with lines after it raises
-        :class:`~repro.exceptions.CheckpointCorruptionError` naming the file
-        and the line.
-        """
-        records, _ = AppendLog.load(self.path)
-        return [RunRecord.from_dict(data) for data in records]
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return iter(self.load())
-
-    def __len__(self) -> int:
-        return len(self.load())
+def _native(value):
+    """``value`` as the store holds it: JSON-native, non-finite floats ``None``."""
+    return json.loads(json.dumps(value, default=_coerce), parse_constant=lambda _: None)
 
 
 # ---------------------------------------------------------------------------
 # Process-wide recording state
 # ---------------------------------------------------------------------------
 
-def _store_from_env() -> Optional[RunStore]:
+def _path_from_env() -> Optional[Path]:
     value = os.environ.get("REPRO_OBS_RECORD", "")
     if value in ("", "0", "false", "off"):
         return None
     if value in ("1", "true", "on"):
-        return RunStore(DEFAULT_STORE_DIR)
-    return RunStore(Path(value))
+        return DEFAULT_STORE
+    return Path(value)
 
 
-_STORE: Optional[RunStore] = _store_from_env()
+_PATH: Optional[Path] = _path_from_env()
+#: The store at ``_PATH``, opened at the first record.
+_STORE = None
 _CONTEXT: Dict[str, object] = {}
 _GIT_REV: Optional[str] = None
 _GIT_REV_PROBED = False
-_SEQ = 0
+#: Run-id sequence; ``next`` on it is atomic, so pool threads never share an id.
+_SEQ = itertools.count(1)
 
 
-def active_store() -> Optional[RunStore]:
-    """The store records currently go to (``None`` = recording off)."""
-    return _STORE
+def store_path() -> Optional[Path]:
+    """The store file records go to (``None`` = recording off)."""
+    return _PATH
 
 
-def set_store(store: Optional[RunStore]) -> Optional[RunStore]:
-    """Install (or, with ``None``, disable) the process-wide store."""
-    global _STORE
-    previous, _STORE = _STORE, store
+def set_store(path: Optional[os.PathLike]) -> Optional[Path]:
+    """Record into the store file ``path`` (``None`` switches recording off).
+
+    Returns the previous path.
+    """
+    global _PATH
+    previous, _PATH = _PATH, (Path(path) if path is not None else None)
     return previous
 
 
 @contextmanager
-def recording(directory: os.PathLike = DEFAULT_STORE_DIR):
-    """Record runs into ``directory`` for the duration of the block."""
-    store = RunStore(directory)
-    previous = set_store(store)
+def recording(path: os.PathLike = DEFAULT_STORE):
+    """Record runs into the store file ``path`` for the duration of the block."""
+    previous = set_store(path)
     try:
-        yield store
+        yield Path(path)
     finally:
         set_store(previous)
-        store.close()
 
 
 @contextmanager
@@ -190,11 +177,6 @@ def run_context(**info):
         _CONTEXT = previous
 
 
-def context_info() -> Dict[str, object]:
-    """The currently declared run-context annotations."""
-    return dict(_CONTEXT)
-
-
 def git_revision() -> Optional[str]:
     """``git rev-parse --short HEAD`` of the working directory, cached."""
     global _GIT_REV, _GIT_REV_PROBED
@@ -212,9 +194,7 @@ def git_revision() -> Optional[str]:
 
 def new_run_id() -> str:
     """A unique (per machine) run identifier."""
-    global _SEQ
-    _SEQ += 1
-    return f"run-{time.time_ns():x}-{os.getpid()}-{_SEQ}"
+    return f"run-{time.time_ns():x}-{os.getpid()}-{next(_SEQ)}"
 
 
 def current_run_id() -> str:
@@ -225,19 +205,22 @@ def current_run_id() -> str:
     return f"proc-{os.getpid()}"
 
 
-def maybe_record(kind: str, solver: str, *, elapsed_s: float, wall_s: float,
-                 stats: Dict[str, object], metrics_snapshot: Dict[str, object],
-                 spans: Optional[Dict[str, object]] = None) -> Optional[RunRecord]:
-    """Persist one run record if recording is active; returns it (or None)."""
-    store = _STORE
-    if store is None:
-        return None
-    info = context_info()
+def new_record(kind: str, solver: str, *, run_id: Optional[str] = None,
+               elapsed_s: float = 0.0, wall_s: float = 0.0,
+               stats: Optional[Dict[str, object]] = None,
+               spans: Optional[Dict[str, object]] = None, **declared) -> RunRecord:
+    """Build a :class:`RunRecord`: the one constructor every record goes through.
+
+    ``scenario``, ``seed`` and annotations come from the enclosing
+    :func:`run_context`, overridden by ``declared``; the git revision and
+    the metrics snapshot are taken now.
+    """
+    info = {**_CONTEXT, **declared}
     scenario = info.pop("scenario", None)
     seed = info.pop("seed", None)
     info.pop("run_id", None)
-    record = RunRecord(
-        run_id=new_run_id(),
+    return RunRecord(
+        run_id=run_id or new_run_id(),
         kind=kind,
         solver=solver,
         scenario=str(scenario) if scenario is not None else None,
@@ -246,26 +229,41 @@ def maybe_record(kind: str, solver: str, *, elapsed_s: float, wall_s: float,
         created_unix_s=time.time(),
         elapsed_s=float(elapsed_s),
         wall_s=float(wall_s),
-        stats=stats,
-        metrics=metrics_snapshot,
-        spans=spans,
-        extra=info,
+        stats=_native(stats or {}),
+        metrics=_native(metrics.get_metrics().snapshot()),
+        spans=_native(spans),
+        extra=_native(info),
     )
-    store.append(record)
+
+
+def record_run(kind: str, solver: str, **fields) -> RunRecord:
+    """Build one run's record and write it as a row of the active store."""
+    global _STORE
+    # Imported at the first record: the store loads sqlite3.
+    from repro.experiments.store import ExperimentSpec, ResultsStore
+
+    record = new_record(kind, solver, **fields)
+    if _STORE is None or _STORE.path != _PATH:
+        _STORE = ResultsStore(_PATH)
+    spec = ExperimentSpec(experiment=kind, scenario=record.scenario or "",
+                          solver=solver, seed=record.seed or 0,
+                          knobs={"run_id": record.run_id})
+    # The payload carries the record; the record column keeps its header.
+    header = replace(record, stats={}, metrics={}, spans=None)
+    _STORE.record(spec, {"record": vars(record)}, header)
     return record
 
 
 __all__ = [
-    "DEFAULT_STORE_DIR",
+    "DEFAULT_STORE",
     "RunRecord",
-    "RunStore",
-    "active_store",
-    "context_info",
     "current_run_id",
     "git_revision",
-    "maybe_record",
+    "new_record",
     "new_run_id",
+    "record_run",
     "recording",
     "run_context",
     "set_store",
+    "store_path",
 ]

@@ -2,12 +2,14 @@
 
 ``python -m repro.obs.report`` has three modes:
 
-* **summary** (default) -- tabulate the run records in the JSONL store
-  (``--store``, default ``benchmarks/runs``): kind, solver, scenario,
-  elapsed time and span-tree coverage per record;
-* **flame** (``--flame [RUN_ID]``) -- render the span tree of one record
-  (default: the newest record that has spans) as an indented text flame
-  view with per-span duration bars;
+* **summary** (default) -- tabulate the rows of the SQLite results store
+  (``--store``, default ``benchmarks/out/experiments.sqlite``), experiment
+  rows and recorded solves, online runs and service sessions alike: run
+  id, kind, solver, scenario, elapsed time and span-tree coverage per row;
+* **flame** (``--flame [RUN_ID]``) -- render the span tree of one row
+  (default: the newest row that has spans) as an indented text flame view
+  with per-span duration bars.  Both views only read: a store that does
+  not exist is named, exits 1 and is not created;
 * **gate** (``--check-regressions``) -- compare the current
   ``BENCH_*.json`` files (``--bench-dir``, default ``benchmarks/out``)
   against the committed baselines in ``--baselines`` (default
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.recorder import DEFAULT_STORE_DIR, RunStore
+from repro.experiments.store import ResultsStore
+from repro.obs.recorder import DEFAULT_STORE
 
 DEFAULT_BENCH_DIR = Path("benchmarks") / "out"
 DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
@@ -259,34 +262,35 @@ def render_flame(span: dict, width: int = 30, out=sys.stdout) -> None:
 # Store summary
 # ---------------------------------------------------------------------------
 
-def summarize_store(store: RunStore, last: int = 20, out=sys.stdout) -> int:
-    """Tabulate the newest ``last`` records; returns the store size."""
-    records = store.load()
-    if not records:
-        print(f"run store {store.path}: empty", file=out)
+def summarize_store(store: ResultsStore, last: int = 20, out=sys.stdout) -> int:
+    """Tabulate the newest ``last`` rows of a results store; returns its size."""
+    rows = store.load_all()
+    if not rows:
+        print(f"results store {store.path}: empty", file=out)
         return 0
-    print(f"run store {store.path}: {len(records)} record(s)", file=out)
-    header = (f"{'run_id':<34} {'kind':<7} {'solver':<14} {'scenario':<22} "
+    print(f"results store {store.path}: {len(rows)} row(s)", file=out)
+    header = (f"{'run_id':<34} {'kind':<10} {'solver':<16} {'scenario':<22} "
               f"{'elapsed_s':>10} {'coverage':>9}")
     print(header, file=out)
     print("-" * len(header), file=out)
-    for record in records[-last:]:
-        coverage = span_coverage(record.spans) if record.spans else float("nan")
-        coverage_text = f"{coverage:9.1%}" if coverage == coverage else "        -"
-        print(f"{record.run_id:<34} {record.kind:<7} {record.solver:<14} "
+    for row in rows[-last:]:
+        record = row.record
+        coverage_text = (f"{span_coverage(record.spans):9.1%}" if record.spans
+                         else "        -")
+        print(f"{record.run_id:<34} {row.experiment:<10} {record.solver:<16} "
               f"{(record.scenario or '-'):<22} {record.elapsed_s:>10.4f} "
               f"{coverage_text}", file=out)
-    return len(records)
+    return len(rows)
 
 
-def _find_record(store: RunStore, run_id: Optional[str]):
+def _find_record(store: ResultsStore, run_id: str):
+    """The record named ``run_id`` (``"last"``: the newest with spans), or ``None``."""
     newest = None
-    for record in store:
-        if run_id not in (None, "last"):
-            if record.run_id == run_id:
-                return record
-        elif record.spans:
-            newest = record
+    for row in store:
+        if row.record.run_id == run_id:
+            return row.record
+        if run_id == "last" and row.record.spans:
+            newest = row.record
     return newest
 
 
@@ -298,17 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro.obs.report`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
-        description="Summarize the observability run store, render span "
-                    "flame views, and gate BENCH results against baselines.",
+        description="Summarize the results store, render span flame views, "
+                    "and gate BENCH results against baselines.",
     )
-    parser.add_argument("--store", type=Path, default=DEFAULT_STORE_DIR,
-                        help="run-store directory (default: benchmarks/runs)")
+    parser.add_argument("--store", type=Path, default=DEFAULT_STORE,
+                        help=f"results store file (default: {DEFAULT_STORE})")
     parser.add_argument("--last", type=int, default=20,
-                        help="how many records the summary shows")
+                        help="how many rows the summary shows")
     parser.add_argument("--flame", nargs="?", const="last", default=None,
                         metavar="RUN_ID",
                         help="render the span tree of RUN_ID (default: newest "
-                             "record with spans)")
+                             "row with spans)")
     parser.add_argument("--check-regressions", action="store_true",
                         help="compare current BENCH JSONs against baselines; "
                              "exit non-zero on regression")
@@ -344,7 +348,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             timing_factor=args.timing_factor, require=require,
         )
         return 1 if failures else 0
-    store = RunStore(args.store)
+    if not args.store.exists():
+        print(f"no results store at {args.store}", file=sys.stderr)
+        return 1
+    store = ResultsStore(args.store)
     if args.flame is not None:
         record = _find_record(store, args.flame)
         if record is None or not record.spans:
@@ -353,9 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{record.run_id} ({record.kind}:{record.solver}, "
               f"scenario={record.scenario or '-'}, "
               f"coverage={span_coverage(record.spans):.1%})")
-        render_flame(record.spans)
+        render_flame(record.spans, out=sys.stdout)
         return 0
-    summarize_store(store, last=args.last)
+    summarize_store(store, last=args.last, out=sys.stdout)
     return 0
 
 

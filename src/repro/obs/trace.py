@@ -28,13 +28,15 @@ Worker processes cannot share the coordinator's tracer; they build their own
 comparable across processes) and the coordinator grafts them into its live
 tree with :meth:`Tracer.adopt`.
 
-The tracer is intentionally not thread-safe: every search path in this
-repository parallelizes with processes, not threads.
+The enabled flag is process-wide; the open-span stack and the finished
+roots are per thread, so specs running on the orchestrator's thread pool
+each build and drain their own trees.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -154,14 +156,25 @@ class Span:
                 f"{len(self.children)} children)")
 
 
+class _ThreadSpans(threading.local):
+    """One thread's open-span stack and finished top-level spans."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        self.roots: List[Span] = []
+
+
 class Tracer:
     """Builds span trees; all methods are no-ops while ``enabled`` is False."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = bool(enabled)
-        #: Finished top-level spans, oldest first.
-        self.roots: List[Span] = []
-        self._stack: List[Span] = []
+        self._spans = _ThreadSpans()
+
+    @property
+    def roots(self) -> List[Span]:
+        """This thread's finished top-level spans, oldest first."""
+        return self._spans.roots
 
     # -- span lifecycle -------------------------------------------------
     def span(self, name: str, **attrs):
@@ -175,7 +188,7 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         span = Span(name, attrs, tracer=self)
-        self._stack.append(span)
+        self._spans.stack.append(span)
         return span
 
     def end_span(self, span, **attrs) -> None:
@@ -186,42 +199,45 @@ class Tracer:
         """
         if span is NULL_SPAN or not isinstance(span, Span):
             return
-        if span not in self._stack:
+        spans = self._spans
+        stack = spans.stack
+        if span not in stack:
             return  # already ended (double end_span is harmless)
         ended = time.perf_counter()
-        while self._stack:
-            top = self._stack.pop()
+        while stack:
+            top = stack.pop()
             top.duration_s = ended - top.started_s
             if top is span and attrs:
                 top.attrs.update(attrs)
-            parent = self._stack[-1] if self._stack else None
-            if parent is not None:
-                parent.children.append(top)
+            if stack:
+                stack[-1].children.append(top)
             else:
-                self.roots.append(top)
+                spans.roots.append(top)
             if top is span:
                 break
 
     # -- introspection --------------------------------------------------
     def current(self):
-        """The innermost open span, or :data:`NULL_SPAN`."""
-        if not self.enabled or not self._stack:
+        """The innermost open span of this thread, or :data:`NULL_SPAN`."""
+        if not self.enabled or not self._spans.stack:
             return NULL_SPAN
-        return self._stack[-1]
+        return self._spans.stack[-1]
 
     def adopt(self, span_dict: Optional[Dict[str, object]]) -> None:
         """Graft a worker's serialized span under the current span (or roots)."""
         if not self.enabled or not span_dict:
             return
         span = Span.from_dict(span_dict)
-        if self._stack:
-            self._stack[-1].children.append(span)
+        spans = self._spans
+        if spans.stack:
+            spans.stack[-1].children.append(span)
         else:
-            self.roots.append(span)
+            spans.roots.append(span)
 
     def drain_roots(self) -> List[Dict[str, object]]:
-        """Serialize and clear the finished root spans."""
-        roots, self.roots = self.roots, []
+        """Serialize and clear this thread's finished root spans."""
+        spans = self._spans
+        roots, spans.roots = spans.roots, []
         return [root.to_dict() for root in roots]
 
 

@@ -63,7 +63,6 @@ from repro.dbms.plan import merge_io_counts, scale_io_counts
 from repro.objects import DatabaseObject
 from repro.obs import instrument as obs_instrument
 from repro.obs import metrics as obs_metrics
-from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.online.drift import EpochWorkload
 from repro.online.migration import (
@@ -576,34 +575,15 @@ class OnlineAdvisor:
         store.  All of it is inert (no-op spans, a handful of counter
         folds) unless tracing/recording were switched on.
         """
-        tracer = obs_trace.get_tracer()
-        obs_instrument.enter_scope()
-        run_started = time.perf_counter()
-        root_span = tracer.start_span("online.run", solver=self.solver.name)
-        result: Optional[OnlineRunResult] = None
-        try:
-            result = self._run_loop(epoch_workloads, tracer)
-            return result
-        finally:
-            wall_s = time.perf_counter() - run_started
-            if result is not None:
-                root_span.set(epochs=result.num_epochs,
-                              cumulative_cost_cents=result.cumulative_cost_cents,
-                              min_psr=result.min_psr if result.records else None)
-            tracer.end_span(root_span)
-            outermost = obs_instrument.exit_scope()
-            if result is not None:
-                self._fold_run_metrics(result)
-                if outermost and obs_recorder.active_store() is not None:
-                    obs_recorder.maybe_record(
-                        "online",
-                        self.solver.name,
-                        elapsed_s=wall_s,
-                        wall_s=wall_s,
-                        stats=self._run_stats(result),
-                        metrics_snapshot=obs_metrics.get_metrics().snapshot(),
-                        spans=root_span.to_dict(),
-                    )
+        with obs_instrument.Scope("online", "online.run",
+                                  solver=self.solver.name) as run:
+            result = self._run_loop(epoch_workloads, obs_trace.get_tracer())
+            run.span.set(epochs=result.num_epochs,
+                         cumulative_cost_cents=result.cumulative_cost_cents,
+                         min_psr=result.min_psr if result.records else None)
+        self._fold_run_metrics(result)
+        run.record(self.solver.name, lambda: self._run_stats(result))
+        return result
 
     @staticmethod
     def _fold_run_metrics(result: OnlineRunResult) -> None:

@@ -39,8 +39,6 @@ from repro.exceptions import CheckpointCorruptionError, ConfigurationError
 from repro.obs import instrument as obs_instrument
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs import recorder as obs_recorder
-from repro.obs import trace as obs_trace
 from repro.online.controller import OnlineAdvisor
 from repro.resilience.faults import FaultInjector
 from repro.service.breaker import BreakerBoard, GuardedFallbackSolver
@@ -449,13 +447,8 @@ class AdvisorService:
         the outermost scope -- persists one run record of kind
         ``"service"``.
         """
-        tracer = obs_trace.get_tracer()
-        obs_instrument.enter_scope()
-        started = time.perf_counter()
-        root = tracer.start_span("service.run", solver=self.solver.name,
-                                 tenants=len(self.tenants))
-        report: Optional[ServiceReport] = None
-        try:
+        with obs_instrument.Scope("service", "service.run", solver=self.solver.name,
+                                  tenants=len(self.tenants)) as run:
             guard = 0
             while not self.all_done:
                 if max_ticks is not None and guard >= max_ticks:
@@ -463,29 +456,14 @@ class AdvisorService:
                 self.tick()
                 guard += 1
             report = self.report()
-            return report
-        finally:
-            wall_s = time.perf_counter() - started
-            if report is not None:
-                root.set(ticks=report.ticks,
+            run.span.set(ticks=report.ticks,
                          completed_epochs=report.completed_epochs,
                          shed=sum(report.shed.values()),
                          worker_kills=report.worker_kills)
-            tracer.end_span(root)
-            outermost = obs_instrument.exit_scope()
-            if report is not None:
-                for runtime in self.tenants.values():
-                    OnlineAdvisor._fold_run_metrics(runtime.loop.result())
-                if outermost and obs_recorder.active_store() is not None:
-                    obs_recorder.maybe_record(
-                        "service",
-                        self.solver.name,
-                        elapsed_s=wall_s,
-                        wall_s=wall_s,
-                        stats=report.to_dict(),
-                        metrics_snapshot=obs_metrics.get_metrics().snapshot(),
-                        spans=root.to_dict(),
-                    )
+        for runtime in self.tenants.values():
+            OnlineAdvisor._fold_run_metrics(runtime.loop.result())
+        run.record(self.solver.name, report.to_dict)
+        return report
 
     def shutdown(self, drain: bool = True, max_ticks: int = 64) -> None:
         """Stop the service: drain in-flight work, snapshot, close the journal.

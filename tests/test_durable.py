@@ -1,16 +1,15 @@
-"""Crash safety of :mod:`repro.durable` and the four formats built on it.
+"""Crash safety of :mod:`repro.durable` and the three formats built on it.
 
 * **Contracts** -- the canonical checksum, typed reads that name the file,
   quarantine, the atomic write's fsync/rename order and the append log's
   torn-tail policy.
-* **Byte-cut sweep** -- every cut of the journal's or the run store's last
-  record loads the older records, and a following append then loads
-  cleanly.
+* **Byte-cut sweep** -- every cut of the journal's last record loads the
+  older records, and a following append then loads cleanly.
 * **Crash points** -- a child process runs one durable write (a snapshot
-  save, a checkpoint save, a journal append, a run-store append) with
-  ``os.fsync`` and ``os.replace`` patched to ``os._exit`` just before, or
-  just after, their k-th call, for every k the write makes.  The parent
-  then recovers and must find the old state or the new one, never a third.
+  save, a checkpoint save, a journal append) with ``os.fsync`` and
+  ``os.replace`` patched to ``os._exit`` just before, or just after, their
+  k-th call, for every k the write makes.  The parent then recovers and
+  must find the old state or the new one, never a third.
 """
 
 import hashlib
@@ -33,13 +32,12 @@ from repro.durable import (
     seal,
 )
 from repro.exceptions import CheckpointCorruptionError
-from repro.obs.recorder import RunRecord, RunStore
 from repro.resilience import corrupt_file
 from repro.service.journal import Journal, SnapshotStore
 
 #: Exit status of a child killed at a crash point.
 CRASHED = 86
-KINDS = ("snapshot", "checkpoint", "journal", "run_store")
+KINDS = ("snapshot", "checkpoint", "journal")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_garbled_log_raises_naming_the_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The four formats: one write each, then recovery
+# The three formats: one write each, then recovery
 # ---------------------------------------------------------------------------
 
 def _write(kind: str, state: Path, version: int) -> None:
@@ -169,15 +167,11 @@ def _write(kind: str, state: Path, version: int) -> None:
     elif kind == "checkpoint":
         SearchProgress(total_shards=4, completed=set(range(version))).save(
             state / "progress.json")
-    elif kind == "journal":
+    else:
         journal = Journal(state / "journal.jsonl")
         journal.resume_at(version - 1)
         journal.append("tick", tick=version)
         journal.close()
-    else:
-        store = RunStore(state)
-        store.append(RunRecord(run_id=f"run-{version}", kind="solve", solver="es"))
-        store.close()
 
 
 def _recover(kind: str, state: Path) -> int:
@@ -186,12 +180,10 @@ def _recover(kind: str, state: Path) -> int:
         return SnapshotStore(state).load_latest()["seq"]
     if kind == "checkpoint":
         return len(SearchProgress.load_or_quarantine(state / "progress.json").completed)
-    if kind == "journal":
-        return len(Journal.load(state / "journal.jsonl")[0])
-    return len(RunStore(state).load())
+    return len(Journal.load(state / "journal.jsonl")[0])
 
 
-@pytest.mark.parametrize("kind", ["journal", "run_store"])
+@pytest.mark.parametrize("kind", ["journal"])
 def test_every_cut_of_the_last_append_recovers_and_then_appends_cleanly(tmp_path, kind):
     for version in (1, 2):
         _write(kind, tmp_path, version)

@@ -178,6 +178,13 @@ class TestFiguresCli:
         assert code == 1
         assert "python -m repro.experiments run" in captured.err
 
+    def test_a_missing_store_is_named_and_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "typo.sqlite"
+        code = cli.main(["figures", "--store", str(missing), "--figures", "table1"])
+        assert code == 1
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_writes_full_payloads_with_timing(self, small_store, tmp_path):
         out_dir = tmp_path / "out"
         code = cli.main([

@@ -20,8 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import scenarios
+from repro.core import DOTSolver
 from repro.experiments import orchestrator, specs as spec_registry
 from repro.experiments.store import ExperimentSpec, ResultsStore
+from repro.obs import recorder, trace
 from repro.resilience.faults import FaultPlan, FaultSpec
 
 
@@ -102,6 +105,59 @@ class TestRunOnlyMissing:
         assert report.complete
         assert len(report.executed) == 2
         assert len(store) == 2
+
+    def test_concurrent_specs_keep_their_own_span_trees(self, tmp_path):
+        """At two workers each row holds the same tree as at one: its spec's
+        span over its own three solves, none of the other spec's."""
+        def shape(span):
+            return span["name"], [shape(child) for child in span["children"]]
+
+        trees = {}
+        for workers in (1, 2):
+            store = ResultsStore(tmp_path / f"workers{workers}.sqlite")
+            with trace.tracing():
+                report = orchestrator.run_specs(
+                    spec_registry.matrix("small", ["fig8"]), store, workers=workers)
+            assert report.complete
+            trees[workers] = {row.signature: shape(row.record.spans) for row in store}
+        assert trees[2] == trees[1]
+        assert list(trees[1].values()) == [
+            ("experiment:fig8_box", [("solve:dot", [])] * 3)] * 2
+
+    @pytest.mark.timeout(120)
+    def test_threads_under_stress_keep_spans_depths_and_run_ids_apart(self, tmp_path):
+        """Eight specs on four threads, switching every microsecond: each
+        experiment row holds exactly its own flat solves, and every outermost
+        solve is recorded once under a run id of its own."""
+        def solves(spec, checkpoint_dir=None):
+            bundle = scenarios.build("synthetic_sanity")
+            for _ in range(spec.knobs["solves"]):
+                DOTSolver().solve(bundle.context(estimator=bundle.fresh_estimator()))
+            return {"data": {"i": spec.knobs["i"]}, "timing": {"elapsed_s": 0.0}}
+
+        spec_registry.EXECUTORS["_test_solves"] = solves
+        matrix = [ExperimentSpec(experiment="_test_solves", knobs={"i": i, "solves": 1 + i % 3})
+                  for i in range(8)]
+        path = tmp_path / "exp.sqlite"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with trace.tracing(), recorder.recording(path):
+                report = orchestrator.run_specs(matrix, ResultsStore(path), workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+            spec_registry.EXECUTORS.pop("_test_solves", None)
+        assert report.complete
+        rows = ResultsStore(path).load_all()
+        trees = {row.spec.knobs["i"]: row.record.spans for row in rows
+                 if row.experiment == "_test_solves"}
+        for spec in matrix:
+            children = trees[spec.knobs["i"]]["children"]
+            assert [(child["name"], child["children"]) for child in children] == [
+                ("solve:dot", [])] * spec.knobs["solves"]
+        recorded = [row.record for row in rows if row.experiment == "solve"]
+        assert len(recorded) == sum(spec.knobs["solves"] for spec in matrix)
+        assert all(record.spans["name"] == "solve:dot" for record in recorded)
 
     def test_recorded_provenance_carries_attempts_and_weight(
         self, tmp_path, echo_executor
@@ -232,8 +288,11 @@ class TestChaos:
 _CRASHING_SWEEP = """
 import sys
 sys.path.insert(0, sys.argv[1])
+from repro import scenarios
+from repro.core import DOTSolver
 from repro.experiments import orchestrator, specs as spec_registry
 from repro.experiments.store import ExperimentSpec, ResultsStore
+from repro.obs import recorder, trace
 from repro.resilience.faults import FaultPlan, FaultSpec
 
 def echo(spec, checkpoint_dir=None):

@@ -4,11 +4,12 @@ Covers the store's contract end to end: spec signatures are content
 addresses (stable under knob spelling, changed by any knob change), payloads
 round-trip bitwise, duplicate runs deduplicate, two *processes* can append
 to one store concurrently, and tampered/maimed/foreign files are refused
-with typed errors instead of silently misread.
+with typed errors instead of silently misread -- on open and on every read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sqlite3
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import __main__ as cli
 from repro.exceptions import (
     CheckpointCorruptionError,
     ConfigurationError,
@@ -28,6 +30,7 @@ from repro.experiments.store import (
     ResultsStore,
     dump_payload,
 )
+from repro.obs import report
 from repro.obs.recorder import RunRecord
 from repro.resilience.faults import corrupt_file
 
@@ -316,3 +319,60 @@ class TestRefusals:
         store = ResultsStore(tmp_path / "exp.sqlite")
         with pytest.raises(ValueError):
             store.record(spec(box="Box 1"), {"data": {"bad": float("nan")}})
+
+
+# ---------------------------------------------------------------------------
+# Every read of a store damaged at rest raises a typed error
+# ---------------------------------------------------------------------------
+
+#: Each read the store serves, as ``(store, damaged spec) -> anything``.
+READS = {
+    "get": lambda store, damaged: store.get(damaged),
+    "payload": lambda store, damaged: store.payload(damaged),
+    "contains": lambda store, damaged: damaged in store,
+    "signatures": lambda store, damaged: store.signatures(),
+    "missing": lambda store, damaged: store.missing([damaged]),
+    "iter": lambda store, damaged: list(iter(store)),
+    "load_all": lambda store, damaged: store.load_all(),
+    "len": lambda store, damaged: len(store),
+    "summary": lambda store, damaged: report.summarize_store(store, out=io.StringIO()),
+    "run --dry-run": lambda store, damaged: cli.main(
+        ["run", "--scale", "small", "--dry-run", "--store", str(store.path)]),
+}
+
+#: First byte of a leaf index b-tree page in the SQLite file format.
+_LEAF_INDEX_PAGE = 0x0A
+
+
+@pytest.fixture(scope="module")
+def damaged_store(tmp_path_factory):
+    """200 rows with a 500-byte knob, then the first 100 bytes garbled of the
+    file's last page (table rows) and of the index leaf holding the largest
+    signature (which ``COUNT(*)`` and ``get`` read).  Returns the reopened
+    store and the spec whose index entry is damaged."""
+    path = tmp_path_factory.mktemp("damaged") / "exp.sqlite"
+    store = ResultsStore(path)
+    specs = [spec(i=i, pad="x" * 500) for i in range(200)]
+    for s in specs:
+        store.record(s, PAYLOAD)
+    damaged = max(specs, key=lambda s: s.signature)
+    with sqlite3.connect(path) as conn:
+        (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+    data = bytearray(path.read_bytes())
+    pages = [data[start:start + page_size] for start in range(0, len(data), page_size)]
+    index_leaf = next(
+        number for number, page in enumerate(pages)
+        if page[0] == _LEAF_INDEX_PAGE and damaged.signature.encode() in page
+    )
+    for start in (len(data) - page_size, index_leaf * page_size):
+        data[start:start + 100] = bytes(range(100))
+    path.write_bytes(bytes(data))
+    return ResultsStore(path), damaged  # the store still opens
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_every_read_of_a_damaged_store_raises_naming_it(damaged_store, read):
+    store, damaged = damaged_store
+    with pytest.raises(CheckpointCorruptionError, match="unreadable") as info:
+        READS[read](store, damaged)
+    assert str(store.path) in str(info.value)

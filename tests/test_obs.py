@@ -10,8 +10,10 @@ Four contracts are locked here:
   worker spans merge into the coordinator's tree (including a
   killed-and-retried shard), and a solve/online run's span tree accounts
   for >= 95% of its wall time.
-* **Durability** -- run records survive a JSONL round-trip bitwise; a torn
-  final append is skipped and a line damaged at rest is refused by name.
+* **One store** -- run records are rows of the SQLite results store: they
+  read back bitwise, the row checksum covers them, recording never makes a
+  run raise, and the report lists and draws experiment rows and recorded
+  solves, online runs and service sessions alike.
 * **The gate** -- the regression check passes a run against its own
   baseline and fails when a gated metric degrades 2x (or a required bench
   output is missing).
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import time
@@ -31,11 +34,15 @@ import pytest
 from repro import scenarios
 from repro.core import DOTSolver, ExhaustiveSolver
 from repro.exceptions import CheckpointCorruptionError
+from repro.experiments import orchestrator
+from repro.experiments import specs as spec_registry
+from repro.experiments.store import ExperimentSpec, ResultsStore, dump_payload
 from repro.obs import log as obs_log
 from repro.obs import metrics, recorder, report, trace
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.online.controller import OnlineAdvisor
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.service import AdvisorService, ServiceConfig, TenantSpec
 from repro.sla.constraints import RelativeSLA
 
 
@@ -262,57 +269,66 @@ class TestParallelSpanMerge:
 # Run recorder
 # ---------------------------------------------------------------------------
 
+def recorded(path):
+    """The run records of the store at ``path``, oldest first."""
+    return [row.record for row in ResultsStore(path)]
+
+
 class TestRecorder:
     def test_record_round_trips_bitwise(self, tmp_path):
-        record = recorder.RunRecord(
-            run_id="run-test-1", kind="solve", solver="es",
-            scenario="synthetic_sanity", git_rev="abc1234", seed=7,
-            created_unix_s=1_700_000_000.25, elapsed_s=0.125, wall_s=0.25,
-            stats={"evaluated_layouts": 729, "toc_cents": 1.5e-6},
-            metrics={"solver.solves": {"type": "counter", "value": 1}},
-            spans={"name": "solve:es", "duration_s": 0.125,
-                   "attrs": {}, "events": [], "children": []},
-            extra={"note": "round-trip"},
-        )
-        store = recorder.RunStore(tmp_path)
-        store.append(record)
-        (loaded,) = store.load()
-        assert loaded == record
-        assert loaded.to_json_line() == record.to_json_line()
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path), recorder.run_context(
+                scenario="synthetic_sanity", seed=7, note="round-trip"):
+            record = recorder.record_run(
+                "solve", "es", elapsed_s=0.125, wall_s=0.1 + 0.2,
+                stats={"evaluated_layouts": 729, "toc_cents": 1.5e-6,
+                       "ratio": 1 / 3},
+                spans={"name": "solve:es", "duration_s": 0.125, "attrs": {},
+                       "events": [], "children": []},
+            )
+        (row,) = ResultsStore(path)
+        assert row.experiment == "solve"
+        assert row.spec == ExperimentSpec(experiment="solve", scenario="synthetic_sanity",
+                                          solver="es", seed=7,
+                                          knobs={"run_id": record.run_id})
+        assert row.record == record
+        assert row.record.to_json_line() == record.to_json_line()
+        assert row.record.stats["ratio"].hex() == (1 / 3).hex()
+        assert row.record.wall_s.hex() == (0.1 + 0.2).hex()
+        assert row.record.extra == {"note": "round-trip"}
 
-    def test_torn_final_append_loads_the_intact_records(self, tmp_path):
-        store = recorder.RunStore(tmp_path)
-        for run_id in ("run-1", "run-2"):
-            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
-        store.path.write_bytes(store.path.read_bytes()[:-20])
-        assert [record.run_id for record in store.load()] == ["run-1"]
+    def test_the_row_checksum_covers_a_recorded_run(self, sanity_bundle, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path):
+            ExhaustiveSolver().solve(make_context(sanity_bundle))
+        (row,) = ResultsStore(path)
+        with sqlite3.connect(path) as conn:
+            (payload_json,) = conn.execute("SELECT payload_json FROM runs").fetchone()
+            flipped = payload_json.replace('"solver": "es"', '"solver": "et"', 1)
+            assert flipped != payload_json
+            conn.execute("UPDATE runs SET payload_json = ?", (flipped,))
+        with pytest.raises(CheckpointCorruptionError, match="checksum") as info:
+            ResultsStore(path).get(row.signature)
+        assert str(path) in str(info.value)
 
-    def test_appends_after_a_torn_final_append_keep_every_intact_record(self, tmp_path):
-        store = recorder.RunStore(tmp_path)
-        for run_id in ("run-1", "run-2"):
-            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
-        store.path.write_bytes(store.path.read_bytes()[:-20])  # crash mid-append
-        store = recorder.RunStore(tmp_path)  # the next process's store
-        for run_id in ("run-3", "run-4"):
-            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
-        assert [record.run_id for record in store.load()] == ["run-1", "run-3", "run-4"]
-
-    def test_damaged_middle_line_raises_naming_the_store(self, tmp_path):
-        store = recorder.RunStore(tmp_path)
-        for run_id in ("run-1", "run-2", "run-3"):
-            store.append(recorder.RunRecord(run_id=run_id, kind="solve", solver="es"))
-        lines = store.path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = lines[1][:40] + "\n"
-        store.path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(CheckpointCorruptionError, match="line 2") as info:
-            store.load()
-        assert str(store.path) in str(info.value)
+    def test_values_json_cannot_hold_still_record(self, sanity_bundle, tmp_path):
+        """An infinite budget and a non-JSON annotation record as ``None`` and text."""
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path), recorder.run_context(tags={"b", "a"}):
+            result = ExhaustiveSolver().solve(make_context(sanity_bundle),
+                                              budget=float("inf"))
+        assert result.stats.deadline_s == float("inf")
+        (rec,) = recorded(path)
+        assert rec.stats["deadline_s"] is None
+        assert rec.extra["tags"] in ("{'a', 'b'}", "{'b', 'a'}")
+        assert dump_payload({"record": vars(rec)})  # what the store refuses is gone
 
     def test_solve_records_when_recording(self, sanity_bundle, tmp_path):
-        with recorder.recording(tmp_path), trace.tracing():
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path), trace.tracing():
             with recorder.run_context(scenario="synthetic_sanity", seed=7):
                 result = ExhaustiveSolver().solve(make_context(sanity_bundle))
-        (rec,) = recorder.RunStore(tmp_path).load()
+        (rec,) = recorded(path)
         assert rec.kind == "solve"
         assert rec.solver == "es"
         assert rec.scenario == "synthetic_sanity"
@@ -325,10 +341,10 @@ class TestRecorder:
     def test_fallback_chain_records_once(self, sanity_bundle, tmp_path):
         """Nested solves (fallback chain) produce ONE record, at the outside."""
         from repro.core import FallbackSolver
-        with recorder.recording(tmp_path):
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path):
             FallbackSolver([ExhaustiveSolver()]).solve(make_context(sanity_bundle))
-        records = recorder.RunStore(tmp_path).load()
-        assert len(records) == 1
+        assert len(recorded(path)) == 1
 
     @pytest.mark.timeout(180)
     def test_online_run_records_with_full_span_coverage(self, tmp_path):
@@ -337,9 +353,10 @@ class TestRecorder:
             bundle.objects, bundle.get_system(), bundle.fresh_estimator(),
             sla=RelativeSLA(0.5),
         )
-        with recorder.recording(tmp_path), trace.tracing():
+        path = tmp_path / "runs.sqlite"
+        with recorder.recording(path), trace.tracing():
             result = advisor.run([bundle.workload] * 10)
-        (rec,) = recorder.RunStore(tmp_path).load()
+        (rec,) = recorded(path)
         assert rec.kind == "online"
         assert rec.stats["num_epochs"] == result.num_epochs == 10
         assert rec.spans["name"] == "online.run"
@@ -348,9 +365,104 @@ class TestRecorder:
         assert rec.metrics["online.epochs"]["value"] == 10
 
     def test_no_store_no_files(self, sanity_bundle, tmp_path):
-        assert recorder.active_store() is None
+        assert recorder.store_path() is None
         ExhaustiveSolver().solve(make_context(sanity_bundle))
+        with recorder.recording(tmp_path / "runs.sqlite"):
+            pass  # the store opens at the first record, not before
         assert list(tmp_path.iterdir()) == []
+
+    def test_import_loads_no_sqlite_even_when_recording(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; assert 'sqlite3' not in sys.modules"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src), REPRO_OBS_RECORD="1"),
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def _echo(spec, checkpoint_dir=None):
+    return {"data": {"i": spec.knobs["i"]}, "timing": {"elapsed_s": 0.0}}
+
+
+class TestOneStore:
+    """Experiment rows and recorded runs share one store and one report."""
+
+    @pytest.fixture()
+    def store(self, tmp_path, sanity_bundle):
+        spec_registry.EXECUTORS["_test_echo"] = _echo
+        path = tmp_path / "experiments.sqlite"
+        try:
+            with trace.tracing(), recorder.recording(path):
+                orchestrator.run_specs(
+                    [ExperimentSpec(experiment="_test_echo", knobs={"i": 0})],
+                    ResultsStore(path))
+                ExhaustiveSolver().solve(make_context(sanity_bundle))
+                OnlineAdvisor(
+                    sanity_bundle.objects, sanity_bundle.get_system(),
+                    sanity_bundle.fresh_estimator(), sla=RelativeSLA(0.5),
+                ).run([sanity_bundle.workload] * 2)
+                service = AdvisorService(tmp_path / "state", ServiceConfig())
+                service.register(TenantSpec(tenant_id="t", num_epochs=2, drift="steady"))
+                service.run(max_ticks=32)
+                service.shutdown()
+        finally:
+            spec_registry.EXECUTORS.pop("_test_echo", None)
+        return ResultsStore(path)
+
+    def test_summary_lists_every_kind_of_row(self, store, capsys):
+        assert [row.experiment for row in store] == [
+            "_test_echo", "solve", "online", "service"]
+        assert report.main(["--store", str(store.path)]) == 0
+        out = capsys.readouterr().out
+        assert "4 row(s)" in out
+        for row in store:
+            assert row.record.run_id in out
+        service = store.load_all()[-1].record
+        assert service.kind == "service"
+        assert service.stats["completed_epochs"] == 2
+        assert service.spans["name"] == "service.run"
+
+    def test_flame_renders_the_recorded_solve(self, store, capsys):
+        solve = store.load_all()[1].record
+        assert report.main(["--store", str(store.path), "--flame", solve.run_id]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[1].startswith("solve:es")
+        assert any(line.startswith("  es.enumerate") for line in lines)
+        assert any(line.startswith("  es.build") for line in lines)
+
+    def test_flame_of_an_unknown_run_exits_1(self, store, capsys):
+        assert report.main(["--store", str(store.path), "--flame", "run-nope"]) == 1
+
+    def test_an_experiment_row_holds_one_span_tree(self, store):
+        experiment = store.load_all()[0].record
+        assert experiment.kind == "experiment"
+        assert experiment.spans["name"] == "experiment:_test_echo"
+
+    @pytest.mark.parametrize("flame", [[], ["--flame"], ["--flame", "run-x"]])
+    def test_read_only_views_name_a_missing_store_and_create_nothing(
+            self, tmp_path, capsys, flame):
+        missing = tmp_path / "typo.sqlite"
+        assert report.main(["--store", str(missing), *flame]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_written_before_spans_had_one_shape_still_list(self, tmp_path, capsys):
+        path = tmp_path / "old.sqlite"
+        legacy = recorder.RunRecord(
+            run_id="exp-0123456789ab", kind="experiment", solver="dot", wall_s=2.0,
+            spans={"roots": [{"name": "solve:dot", "duration_s": 1.5, "attrs": {},
+                              "events": [], "children": []}]})
+        ResultsStore(path).record(ExperimentSpec(experiment="fig8"), {"data": {}}, legacy)
+        (row,) = ResultsStore(path)
+        assert row.record.spans["children"][0]["name"] == "solve:dot"
+        assert report.span_coverage(row.record.spans) == 0.75
+        assert report.main(["--store", str(path)]) == 0
+        assert report.main(["--store", str(path), "--flame"]) == 0
+        assert "solve:dot" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
