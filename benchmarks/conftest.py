@@ -14,8 +14,7 @@ in ``benchmarks/`` itself -- only the curated copies under
 ``benchmarks/baselines/`` are committed, and the perf gate
 (``python -m repro.obs.report --check-regressions``) compares the two.
 
-Every payload is stamped with the process-wide metrics snapshot
-(``repro.obs.metrics``), and -- when ``REPRO_OBS_TRACE`` is on -- with the
+When ``REPRO_OBS_TRACE`` is on, every payload is also stamped with the
 span trees the run produced, so one artifact carries both the headline
 numbers and the breakdown that explains them.
 """
@@ -34,7 +33,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.obs import log as obs_log  # noqa: E402
-from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.obs import trace as obs_trace  # noqa: E402
 
 obs_log.configure()
@@ -126,19 +124,18 @@ def write_bench_json(name: str, payload: dict) -> Path:
 
     ``payload`` holds the benchmark-specific metrics (elapsed seconds,
     evaluated layouts, speedups, TOCs, ...); the helper adds the benchmark
-    name, a timestamp, the current metrics snapshot and any span trees the
-    tracer accumulated, and keeps the file deterministic-ish (sorted keys)
-    so diffs between runs stay readable.  The target directory defaults to
-    ``benchmarks/out/`` (never the committed benchmarks/ root) and can be
-    redirected with ``$BENCH_JSON_DIR`` (created on demand), which is how
-    CI collects the artifacts.
+    name, a timestamp and any span trees the tracer accumulated, and keeps
+    the file deterministic-ish (sorted keys) so diffs between runs stay
+    readable.  The target directory defaults to ``benchmarks/out/`` (never
+    the committed benchmarks/ root) and can be redirected with
+    ``$BENCH_JSON_DIR`` (created on demand), which is how CI collects the
+    artifacts.
     """
     directory = Path(
         os.environ.get("BENCH_JSON_DIR", Path(__file__).resolve().parent / "out")
     )
     directory.mkdir(parents=True, exist_ok=True)
     record = {"bench": name, "generated_unix_s": time.time()}
-    record["metrics"] = obs_metrics.get_metrics().snapshot()
     spans = obs_trace.get_tracer().drain_roots()
     if spans:
         record["spans"] = spans

@@ -689,8 +689,8 @@ def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
     shard_id, subtree_lo, subtree_hi, attempt = task
     state = _WORKER_STATE
     evaluator: BatchLayoutEvaluator = state["evaluator"]
-    # Worker caches are copies the coordinator's metrics fold never sees;
-    # measure this attempt's delta so the coordinator can fold it once per
+    # Worker caches are copies the coordinator's context never sees;
+    # measure this attempt's delta so the solve's stats count it once per
     # (shard_id, attempt) -- SearchProgress.record drops duplicate and
     # retried completions, so re-run shards cannot double-count.
     hits_before = evaluator.cache.hits

@@ -25,10 +25,11 @@ The orchestrator owns the loop between the declarative matrices
   recorded.
 
 Every recorded run carries a :class:`~repro.obs.recorder.RunRecord` --
-git revision, seed, executor wall time, attempt count, the process-wide
-metrics snapshot and, when tracing is on, one ``experiment:<kind>`` span
-over the spec's execution.  Each spec runs on one pool thread, which has
-its own span stack, so concurrent specs never share a tree.
+git revision, seed, executor wall time, attempt count and, when tracing is
+on, one ``experiment:<kind>`` span over the spec's execution.  Each spec
+runs on one pool thread, which has its own span stack and declares the
+spec's scenario and seed as its run context, so concurrent specs never
+share a tree and every solve a spec records carries its spec's labels.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.exceptions import ShardFailureError
 from repro.experiments import specs as spec_registry
 from repro.experiments.store import ExperimentSpec, ResultsStore
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import RunRecord, new_record
+from repro.obs.recorder import RunRecord, new_record, run_context
 from repro.resilience.faults import FaultInjector, FaultPlan, fire_shard_fault
 
 
@@ -124,7 +125,8 @@ def _run_one(
 
 
 def _run_traced(spec: ExperimentSpec, *args) -> Tuple[Dict[str, object], int, Optional[dict]]:
-    """:func:`_run_one` under an ``experiment:<kind>`` span.
+    """:func:`_run_one` under an ``experiment:<kind>`` span and the spec's
+    run context (its scenario and seed label the solves it records).
 
     Returns ``(payload, attempts, span)``: the span is the spec's serialized
     tree (``None`` with tracing off), drained from the pool thread that ran
@@ -132,8 +134,10 @@ def _run_traced(spec: ExperimentSpec, *args) -> Tuple[Dict[str, object], int, Op
     """
     tracer = obs_trace.get_tracer()
     try:
-        with tracer.span(f"experiment:{spec.experiment}", signature=spec.signature[:12]):
-            payload, attempts = _run_one(spec, *args)
+        with run_context(scenario=spec.scenario or None, seed=spec.seed):
+            with tracer.span(f"experiment:{spec.experiment}",
+                             signature=spec.signature[:12]):
+                payload, attempts = _run_one(spec, *args)
     finally:
         roots = tracer.drain_roots()
     return payload, attempts, roots[-1] if roots else None

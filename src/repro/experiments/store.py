@@ -7,18 +7,18 @@ that replaces that: an :class:`ExperimentSpec` names one experimental arm
 SHA-256 of its canonical JSON), and a :class:`ResultsStore` is a single
 SQLite file recording one row per executed spec -- the spec itself, the
 figure-data payload the run produced, and a :class:`~repro.obs.recorder.
-RunRecord` of provenance (git revision, seed, run stats, metrics snapshot,
-span tree).  The orchestrator (:mod:`repro.experiments.orchestrator`) diffs
-a declarative matrix against the store and executes only the missing
-signatures; the ``figures`` CLI regenerates every paper figure *from the
-store* with no hand-transcribed numbers.
+RunRecord` of provenance (git revision, seed, run stats, span tree).  The
+orchestrator (:mod:`repro.experiments.orchestrator`) diffs a declarative
+matrix against the store and executes only the missing signatures; the
+``figures`` CLI regenerates every paper figure *from the store* with no
+hand-transcribed numbers.
 
 It is also the one run store: every solve, online run and service session
 recorded by :mod:`repro.obs.recorder` is a row whose spec is
 ``ExperimentSpec(experiment=<kind>, ..., knobs={"run_id": ...})`` and whose
 payload is ``{"record": <the RunRecord>}``, so the payload checksum covers
-the record (the row's record column keeps only its header: no stats,
-metrics or spans).  ``python -m repro.obs.report`` lists both kinds of row.
+the record (the row's record column keeps only its header: no stats or
+spans).  ``python -m repro.obs.report`` lists both kinds of row.
 
 Integrity rules, in the spirit of the checkpoint layer it mirrors:
 
@@ -178,7 +178,7 @@ class ExperimentRecord:
     spec: ExperimentSpec
     signature: str
     payload: Dict[str, object]
-    #: Provenance (git rev, seed, stats, metrics, spans); for a recorded run,
+    #: Provenance (git rev, seed, stats, spans); for a recorded run,
     #: the run's own record, read from the payload.
     record: RunRecord
 

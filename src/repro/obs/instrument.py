@@ -3,19 +3,18 @@
 :class:`Scope` observes one run -- a solve, an online run, a service
 session -- as one span, and writes its run record when it is the outermost
 scope and recording is on.  :func:`instrument_solver` is a class decorator
-applied to every solver class: it runs ``solve()`` in a scope, folds the
-run's ``SolveStats`` into the metrics registry at the solve boundary (never
-per layout -- the bitwise contracts and the disabled-path overhead bound
-depend on that) and replays resilience incidents as span events.
+applied to every solver class: it runs ``solve()`` in a scope, stamps the
+result's headline numbers on the solve span and replays resilience
+incidents as span events -- once per solve, never per layout (the bitwise
+contracts and the disabled-path overhead bound depend on that).  The
+solve's record carries its own ``SolveStats``.
 
 The **scope depth** keeps nested observations honest: a ``FallbackSolver``
 chain or an ``OnlineAdvisor`` epoch loop drives inner solves through the
 same instrumented interface, and only the outermost scope writes a run
-record or folds the shared estimate-cache delta (inner folds would
-double-count a cache that outlives the solve).  The depth is per thread,
-so specs running on the orchestrator's thread pool each have their own
-outermost solves; parallel search workers are separate processes with
-their own (disabled) instrumentation state.
+record.  The depth is per thread, so specs running on the orchestrator's
+thread pool each have their own outermost solves; parallel search workers
+are separate processes with their own (disabled) instrumentation state.
 
 Everything here duck-types against ``SolveResult``/``SolveStats`` so that
 ``repro.obs`` stays importable without ``repro.core`` (no import cycles).
@@ -28,7 +27,7 @@ import functools
 import threading
 import time
 
-from repro.obs import metrics, recorder, trace
+from repro.obs import recorder, trace
 
 _DEPTH = threading.local()
 
@@ -99,63 +98,17 @@ def _annotate_solve_span(span, result) -> None:
         span.event("incident", message=incident)
 
 
-def _fold_solve_metrics(registry, name: str, result, wall_s: float,
-                        cache, cache_before, outermost: bool) -> None:
-    """Fold one solve's accounting into the registry (solve-boundary only)."""
-    stats = result.stats
-    registry.counter("solver.solves").inc()
-    registry.counter(f"solver.{name}.solves").inc()
-    registry.histogram(f"solver.{name}.solve_s").observe(wall_s)
-    registry.counter("solver.evaluated_layouts").inc(stats.evaluated_layouts)
-    registry.counter("solver.pruned_layouts").inc(stats.pruned_layouts)
-    if stats.degraded:
-        registry.counter("solver.degraded").inc()
-    if stats.incidents:
-        registry.counter("solver.incidents").inc(len(stats.incidents))
-    if name == "dot":
-        registry.counter("dot.moves_evaluated").inc(stats.evaluated_layouts)
-        registry.counter("dot.moves_accepted").inc(stats.moves_accepted)
-    batch = stats.batch
-    if batch is not None:
-        registry.counter("batch.chunks").inc(batch.chunks)
-        registry.counter("batch.eval_s").inc(getattr(batch, "eval_s", 0.0))
-        registry.counter("batch.pruned_chunks").inc(batch.pruned_chunks)
-        registry.counter("batch.pruned_subtrees").inc(batch.pruned_subtrees)
-        registry.counter("batch.estimator_calls").inc(batch.estimator_calls)
-        registry.counter("batch.steals").inc(getattr(batch, "steals", 0))
-        # Worker-local estimate-cache deltas, measured once per
-        # (shard_id, attempt) and deduplicated by SearchProgress.record --
-        # the pool path's counterpart of the outermost context-cache delta
-        # below (worker caches are process-local copies the context never
-        # sees).
-        registry.counter("estimate_cache.hits").inc(getattr(batch, "cache_hits", 0))
-        registry.counter("estimate_cache.misses").inc(getattr(batch, "cache_misses", 0))
-    if outermost and cache is not None and cache_before is not None:
-        registry.counter("estimate_cache.hits").inc(cache.hits - cache_before[0])
-        registry.counter("estimate_cache.misses").inc(cache.misses - cache_before[1])
-
-
 def instrument_solver(cls):
-    """Class decorator: observe ``cls.solve`` (spans, metrics, run records)."""
+    """Class decorator: observe ``cls.solve`` (spans and run records)."""
     inner = cls.solve
 
     @functools.wraps(inner)
     def solve(self, context, *, initial_layout=None, budget=None):
-        registry = metrics.get_metrics()
-        cache = getattr(context, "estimate_cache", None)
-        cache_before = (cache.hits, cache.misses) if cache is not None else None
-        try:
-            with Scope("solve", f"solve:{self.name}", solver=self.name,
-                       budget_s=budget) as run:
-                result = inner(self, context, initial_layout=initial_layout,
-                               budget=budget)
-                _annotate_solve_span(run.span, result)
-        except BaseException:
-            registry.counter("solver.errors").inc()
-            registry.counter(f"solver.{self.name}.errors").inc()
-            raise
-        _fold_solve_metrics(registry, self.name, result, run.wall_s,
-                            cache, cache_before, run.outermost)
+        with Scope("solve", f"solve:{self.name}", solver=self.name,
+                   budget_s=budget) as run:
+            result = inner(self, context, initial_layout=initial_layout,
+                           budget=budget)
+            _annotate_solve_span(run.span, result)
         run.record(result.solver, lambda: _stats_dict(result),
                    elapsed_s=result.stats.elapsed_s)
         return result

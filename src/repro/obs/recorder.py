@@ -2,11 +2,10 @@
 
 Every outermost ``Solver.solve``, ``OnlineAdvisor.run`` and
 ``AdvisorService.run`` can persist a :class:`RunRecord` -- scenario, solver,
-git revision, seed, the run's stats, a metrics-registry snapshot and (when
-tracing is on) its span tree -- as one row of the
-:class:`~repro.experiments.store.ResultsStore`, the store
-``python -m repro.experiments`` fills with experiment rows.  A recorded
-run's row has the spec ``ExperimentSpec(experiment=<kind>, scenario,
+git revision, seed, the run's own stats and (when tracing is on) its span
+tree -- as one row of the :class:`~repro.experiments.store.ResultsStore`,
+the store ``python -m repro.experiments`` fills with experiment rows.  A
+recorded run's row has the spec ``ExperimentSpec(experiment=<kind>, scenario,
 solver, seed, knobs={"run_id": ...})``, so it never matches a matrix
 signature, and the record as its payload, so the row's checksum covers it.
 ``python -m repro.obs.report`` lists experiment rows and recorded runs
@@ -20,6 +19,12 @@ and loads no ``sqlite3``.  Only the *outermost* observed run records -- a
 fallback chain or an online loop yields one record, not one per nested
 solve (the nested spans are inside its tree).
 
+A record holds only what its own run computed: the ``SolveStats`` of one
+solve, the summary of one online run, the ``ServiceReport`` of one session.
+The scenario, seed and annotations a caller declares with
+:func:`run_context` belong to the declaring thread (a context variable), so
+the specs a sweep runs on pool threads each label their own records.
+
 :func:`new_record` builds every record, experiment rows' included.  Its
 fields are JSON-native: values JSON cannot hold are coerced to floats or
 strings and non-finite floats become ``None`` (the store refuses NaN and
@@ -29,6 +34,7 @@ written, floats bitwise.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import os
@@ -38,8 +44,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional
-
-from repro.obs import metrics
 
 #: The one default store of experiment rows and recorded runs alike.
 DEFAULT_STORE = Path("benchmarks") / "out" / "experiments.sqlite"
@@ -65,10 +69,9 @@ class RunRecord:
     #: sum of epoch solve times); ``wall_s`` is the observed envelope.
     elapsed_s: float = 0.0
     wall_s: float = 0.0
-    #: Run-type-specific numbers (``SolveStats`` as a dict, online summary).
+    #: The run's own numbers (``SolveStats`` as a dict, the online summary,
+    #: the ``ServiceReport``).
     stats: Dict[str, object] = field(default_factory=dict)
-    #: Metrics-registry snapshot at record time.
-    metrics: Dict[str, object] = field(default_factory=dict)
     #: Serialized span tree of the run (``None`` when tracing was off).
     spans: Optional[Dict[str, object]] = None
     #: Free-form caller annotations from :func:`run_context`.
@@ -79,13 +82,9 @@ class RunRecord:
         return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
-    def from_json_line(cls, line: str) -> "RunRecord":
-        """Rebuild a record from its JSON line."""
-        return cls.from_dict(json.loads(line))
-
-    @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        """Rebuild a record from its parsed JSON, ignoring unknown keys."""
+        """Rebuild a record from its parsed JSON, ignoring unknown keys
+        (such as the ``metrics`` snapshot older rows carry)."""
         known = set(cls.__dataclass_fields__)
         fields = {key: value for key, value in data.items() if key in known}
         spans = fields.get("spans")
@@ -113,7 +112,7 @@ def _native(value):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide recording state
+# Recording state: the store is process-wide, the declared context per thread
 # ---------------------------------------------------------------------------
 
 def _path_from_env() -> Optional[Path]:
@@ -128,7 +127,8 @@ def _path_from_env() -> Optional[Path]:
 _PATH: Optional[Path] = _path_from_env()
 #: The store at ``_PATH``, opened at the first record.
 _STORE = None
-_CONTEXT: Dict[str, object] = {}
+#: What the enclosing :func:`run_context` blocks of this thread declared.
+_CONTEXT: contextvars.ContextVar = contextvars.ContextVar("run_context", default={})
 _GIT_REV: Optional[str] = None
 _GIT_REV_PROBED = False
 #: Run-id sequence; ``next`` on it is atomic, so pool threads never share an id.
@@ -166,15 +166,14 @@ def run_context(**info):
 
     Recognized keys: ``scenario`` and ``seed`` map onto the record fields of
     the same name; everything else lands in :attr:`RunRecord.extra`.
-    Contexts nest; inner values win on key collisions.
+    Contexts nest; inner values win on key collisions.  A declaration holds
+    on the thread that made it: a new thread starts with none.
     """
-    global _CONTEXT
-    previous = _CONTEXT
-    _CONTEXT = {**previous, **info}
+    token = _CONTEXT.set({**_CONTEXT.get(), **info})
     try:
         yield
     finally:
-        _CONTEXT = previous
+        _CONTEXT.reset(token)
 
 
 def git_revision() -> Optional[str]:
@@ -199,7 +198,7 @@ def new_run_id() -> str:
 
 def current_run_id() -> str:
     """The run id logging context lines carry: declared, else per-process."""
-    declared = _CONTEXT.get("run_id")
+    declared = _CONTEXT.get().get("run_id")
     if declared:
         return str(declared)
     return f"proc-{os.getpid()}"
@@ -212,10 +211,10 @@ def new_record(kind: str, solver: str, *, run_id: Optional[str] = None,
     """Build a :class:`RunRecord`: the one constructor every record goes through.
 
     ``scenario``, ``seed`` and annotations come from the enclosing
-    :func:`run_context`, overridden by ``declared``; the git revision and
-    the metrics snapshot are taken now.
+    :func:`run_context`, overridden by ``declared``; the git revision is
+    taken now.
     """
-    info = {**_CONTEXT, **declared}
+    info = {**_CONTEXT.get(), **declared}
     scenario = info.pop("scenario", None)
     seed = info.pop("seed", None)
     info.pop("run_id", None)
@@ -230,7 +229,6 @@ def new_record(kind: str, solver: str, *, run_id: Optional[str] = None,
         elapsed_s=float(elapsed_s),
         wall_s=float(wall_s),
         stats=_native(stats or {}),
-        metrics=_native(metrics.get_metrics().snapshot()),
         spans=_native(spans),
         extra=_native(info),
     )
@@ -249,7 +247,7 @@ def record_run(kind: str, solver: str, **fields) -> RunRecord:
                           solver=solver, seed=record.seed or 0,
                           knobs={"run_id": record.run_id})
     # The payload carries the record; the record column keeps its header.
-    header = replace(record, stats={}, metrics={}, spans=None)
+    header = replace(record, stats={}, spans=None)
     _STORE.record(spec, {"record": vars(record)}, header)
     return record
 

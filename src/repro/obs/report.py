@@ -154,8 +154,12 @@ def _compare(check: Check, current, baseline, timing_factor: float) -> Tuple[boo
 
 def check_regressions(bench_dir: Path, baseline_dir: Path, *,
                       timing_factor: float = DEFAULT_TIMING_FACTOR,
-                      require: Sequence[str] = (), out=sys.stdout) -> int:
-    """Run the gate; returns the number of failed metrics/benches."""
+                      require: Sequence[str] = (), out=None) -> int:
+    """Run the gate; returns the number of failed metrics/benches.
+
+    Like every printer here, it writes to ``out`` or, by default, to
+    ``sys.stdout`` as it is at the call (a later redirect is honoured).
+    """
     failures = 0
     for bench, checks in GATE_CHECKS.items():
         baseline_path = baseline_dir / f"BENCH_{bench}.json"
@@ -196,7 +200,7 @@ def check_regressions(bench_dir: Path, baseline_dir: Path, *,
     return failures
 
 
-def write_baselines(bench_dir: Path, baseline_dir: Path, out=sys.stdout) -> int:
+def write_baselines(bench_dir: Path, baseline_dir: Path, out=None) -> int:
     """Copy the current BENCH files of every gated bench into the baselines."""
     baseline_dir.mkdir(parents=True, exist_ok=True)
     copied = 0
@@ -236,7 +240,7 @@ def span_coverage(span: Optional[dict]) -> float:
     return min(1.0, covered / duration)
 
 
-def render_flame(span: dict, width: int = 30, out=sys.stdout) -> None:
+def render_flame(span: dict, width: int = 30, out=None) -> None:
     """Indented text flame view of one span tree."""
     total = max(float(span.get("duration_s", 0.0)), 1e-12)
 
@@ -262,7 +266,7 @@ def render_flame(span: dict, width: int = 30, out=sys.stdout) -> None:
 # Store summary
 # ---------------------------------------------------------------------------
 
-def summarize_store(store: ResultsStore, last: int = 20, out=sys.stdout) -> int:
+def summarize_store(store: ResultsStore, last: int = 20, out=None) -> int:
     """Tabulate the newest ``last`` rows of a results store; returns its size."""
     rows = store.load_all()
     if not rows:
@@ -360,9 +364,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{record.run_id} ({record.kind}:{record.solver}, "
               f"scenario={record.scenario or '-'}, "
               f"coverage={span_coverage(record.spans):.1%})")
-        render_flame(record.spans, out=sys.stdout)
+        render_flame(record.spans)
         return 0
-    summarize_store(store, last=args.last, out=sys.stdout)
+    summarize_store(store, last=args.last)
     return 0
 
 

@@ -62,7 +62,6 @@ from repro.core.toc import TOCReport
 from repro.dbms.plan import merge_io_counts, scale_io_counts
 from repro.objects import DatabaseObject
 from repro.obs import instrument as obs_instrument
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.online.drift import EpochWorkload
 from repro.online.migration import (
@@ -569,11 +568,11 @@ class OnlineAdvisor:
         The loop is observed as one ``online.run`` span with one
         ``online.epoch`` child per epoch (epoch incidents become span
         events, nested re-tier solves hang their own ``solve:*`` subtrees
-        off the epoch), folds its accounting into the metrics registry at
-        the run boundary, and -- when recording is active and this is the
+        off the epoch) and -- when recording is active and this is the
         outermost observation scope -- persists one run record to the
-        store.  All of it is inert (no-op spans, a handful of counter
-        folds) unless tracing/recording were switched on.
+        store, whose stats are this run's summary (:meth:`_run_stats`).
+        All of it is inert (no-op spans) unless tracing/recording were
+        switched on.
         """
         with obs_instrument.Scope("online", "online.run",
                                   solver=self.solver.name) as run:
@@ -581,31 +580,8 @@ class OnlineAdvisor:
             run.span.set(epochs=result.num_epochs,
                          cumulative_cost_cents=result.cumulative_cost_cents,
                          min_psr=result.min_psr if result.records else None)
-        self._fold_run_metrics(result)
         run.record(self.solver.name, lambda: self._run_stats(result))
         return result
-
-    @staticmethod
-    def _fold_run_metrics(result: OnlineRunResult) -> None:
-        """Fold one finished run's accounting into the metrics registry."""
-        registry = obs_metrics.get_metrics()
-        registry.counter("online.runs").inc()
-        registry.counter("online.epochs").inc(result.num_epochs)
-        for record in result.records:
-            if record.psr < 1.0:
-                registry.counter("online.sla_violations").inc()
-            if record.incidents:
-                registry.counter("online.incidents").inc(len(record.incidents))
-            if record.migrated and record.migration is not None:
-                registry.counter("online.retiers").inc()
-                registry.counter("online.migration_gb").inc(
-                    record.migration.bytes_moved_gb
-                )
-                registry.counter("online.migration_cents").inc(
-                    record.migration.cost_cents
-                )
-        registry.counter("estimate_cache.hits").inc(result.cache_hits)
-        registry.counter("estimate_cache.misses").inc(result.cache_misses)
 
     @staticmethod
     def _run_stats(result: OnlineRunResult) -> Dict[str, object]:

@@ -38,8 +38,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.exceptions import CheckpointCorruptionError, ConfigurationError
 from repro.obs import instrument as obs_instrument
 from repro.obs import log as obs_log
-from repro.obs import metrics as obs_metrics
-from repro.online.controller import OnlineAdvisor
 from repro.resilience.faults import FaultInjector
 from repro.service.breaker import BreakerBoard, GuardedFallbackSolver
 from repro.service.journal import JOURNAL_NAME, Journal, SnapshotStore
@@ -154,8 +152,9 @@ class AdvisorService:
 
     All state transitions happen inside :meth:`tick`; :meth:`run` drives
     ticks until every tenant finished and wraps the session in the usual
-    observability envelope (``service.run`` span, ``service.*`` metrics,
-    one run record of kind ``"service"`` when recording is active).
+    observability envelope (``service.run`` span, one run record of kind
+    ``"service"`` carrying the :class:`ServiceReport` when recording is
+    active).
     """
 
     def __init__(self, state_dir: Union[str, Path],
@@ -249,18 +248,15 @@ class AdvisorService:
         """Advance the service by one deterministic scheduler tick."""
         self.ticks += 1
         self.board.tick = self.ticks
-        registry = obs_metrics.get_metrics()
-        registry.counter("service.ticks").inc()
 
         # 1. Watchdog: restart (or retire) workers whose heartbeats died.
         for incident in self.supervisor.watchdog(self.ticks):
-            registry.counter("service.worker_restarts").inc()
             self.journal.append("worker_restarted", tick=self.ticks, incident=incident)
             LOG.info("service: %s", incident)
 
         # 2. Pump: offer every idle tenant's next epoch to admission.
         if not self.draining:
-            self._pump(registry)
+            self._pump()
 
         # 3. Dispatch free workers over the queue, fair-share order.
         assignments: List[_Assignment] = []
@@ -275,19 +271,18 @@ class AdvisorService:
         kills = self.injector.worker_kills(self.ticks) if self.injector else 0
         victims, survivors = assignments[:kills], assignments[kills:]
         for assignment in victims:
-            self._kill(assignment, registry)
+            self._kill(assignment)
 
         # 5. Surviving steps execute and commit.
         for assignment in survivors:
-            self._execute(assignment, registry)
+            self._execute(assignment)
 
-        # 6. Periodic snapshot + gauges.
+        # 6. Periodic snapshot.
         if self.config.snapshot_every_ticks and (
                 self.ticks % self.config.snapshot_every_ticks == 0):
             self.save_snapshot()
-        registry.gauge("service.queue_depth").set(self.queue.depth)
 
-    def _pump(self, registry) -> None:
+    def _pump(self) -> None:
         """Offer one item per idle tenant; count and journal the sheds."""
         burst = self._burst_slots()
         for runtime in self.tenants.values():
@@ -299,11 +294,8 @@ class AdvisorService:
             if decision.admitted:
                 runtime.in_flight = True
                 self.admitted += 1
-                registry.counter("service.admitted").inc()
                 continue
             self.shed_counts[decision.reason] = self.shed_counts.get(decision.reason, 0) + 1
-            registry.counter("service.shed").inc()
-            registry.counter(f"service.shed.{decision.reason}").inc()
             self.journal.append("work_shed", tick=self.ticks,
                                 tenant_id=item.tenant_id, epoch=item.epoch,
                                 reason=decision.reason)
@@ -320,11 +312,10 @@ class AdvisorService:
                 LOG.warning("service: tenant %s stopped (budget exhausted)",
                             item.tenant_id)
 
-    def _kill(self, assignment: _Assignment, registry) -> None:
+    def _kill(self, assignment: _Assignment) -> None:
         """Crash one dispatched worker; requeue its uncommitted item."""
         item = assignment.item
         self.supervisor.kill(assignment.worker, self.ticks)
-        registry.counter("service.worker_kills").inc()
         self.journal.append("worker_killed", tick=self.ticks,
                             worker_id=assignment.worker.worker_id,
                             tenant_id=item.tenant_id, epoch=item.epoch,
@@ -336,9 +327,9 @@ class AdvisorService:
         )
         LOG.info("service: worker %d killed holding %s epoch %d",
                  assignment.worker.worker_id, item.tenant_id, item.epoch)
-        self._requeue(runtime, item, registry)
+        self._requeue(runtime, item)
 
-    def _requeue(self, runtime: TenantRuntime, item: WorkItem, registry) -> None:
+    def _requeue(self, runtime: TenantRuntime, item: WorkItem) -> None:
         """Requeue an admitted-but-uncommitted item, bounding its attempts."""
         runtime.attempts = item.attempt + 1
         if runtime.attempts >= MAX_STEP_ATTEMPTS:
@@ -348,7 +339,6 @@ class AdvisorService:
                 f"tick {self.ticks}: epoch {item.epoch} exceeded "
                 f"{MAX_STEP_ATTEMPTS} attempts; tenant failed"
             )
-            registry.counter("service.step_failures").inc()
             LOG.error("service: tenant %s failed (epoch %d retry bound)",
                       runtime.spec.tenant_id, item.epoch)
             return
@@ -357,7 +347,7 @@ class AdvisorService:
                          enqueued_tick=self.ticks)
         self.queue.push(retry)  # capacity-exempt: already admitted
 
-    def _execute(self, assignment: _Assignment, registry) -> None:
+    def _execute(self, assignment: _Assignment) -> None:
         """Run one tenant step to completion and commit it to the journal."""
         item = assignment.item
         runtime = self.tenants[item.tenant_id]
@@ -366,13 +356,12 @@ class AdvisorService:
         try:
             record = runtime.loop.step(runtime.epochs[item.epoch])
         except Exception as exc:  # the loop degrades internally; this is rare
-            registry.counter("service.step_errors").inc()
             runtime.note(
                 f"tick {self.ticks}: epoch {item.epoch} raised "
                 f"{type(exc).__name__}: {exc}; retrying"
             )
             self.supervisor.complete(assignment.worker, self.ticks)
-            self._requeue(runtime, item, registry)
+            self._requeue(runtime, item)
             return
         actual_s = (time.perf_counter() - started) + delay_s
         if delay_s:
@@ -406,7 +395,6 @@ class AdvisorService:
         for incident in record.incidents:
             runtime.note(f"epoch {item.epoch}: {incident}")
         self.completed_epochs += 1
-        registry.counter("service.completed_epochs").inc()
         self.supervisor.complete(assignment.worker, self.ticks)
 
     # -- durability ----------------------------------------------------
@@ -442,10 +430,9 @@ class AdvisorService:
     def run(self, max_ticks: Optional[int] = None) -> ServiceReport:
         """Tick until every tenant finished (or ``max_ticks`` elapsed).
 
-        Observed as one ``service.run`` span; folds nothing per tick beyond
-        the cheap ``service.*`` counters and -- when recording is active at
-        the outermost scope -- persists one run record of kind
-        ``"service"``.
+        Observed as one ``service.run`` span; when recording is active at
+        the outermost scope, persists one run record of kind ``"service"``
+        whose stats are the session's :class:`ServiceReport`.
         """
         with obs_instrument.Scope("service", "service.run", solver=self.solver.name,
                                   tenants=len(self.tenants)) as run:
@@ -460,8 +447,6 @@ class AdvisorService:
                          completed_epochs=report.completed_epochs,
                          shed=sum(report.shed.values()),
                          worker_kills=report.worker_kills)
-        for runtime in self.tenants.values():
-            OnlineAdvisor._fold_run_metrics(runtime.loop.result())
         run.record(self.solver.name, report.to_dict)
         return report
 
@@ -546,7 +531,6 @@ class AdvisorService:
         continues where it stopped.
         """
         service = cls(state_dir, config=config, fault_injector=fault_injector)
-        registry = obs_metrics.get_metrics()
         records, torn_note = Journal.load(service.journal.path)
         service.torn_tail_note = torn_note
         if torn_note:
@@ -596,7 +580,6 @@ class AdvisorService:
                     )
                 runtime.cursor += 1
                 service.replayed_epochs += 1
-                registry.counter("service.replayed_epochs").inc()
             if history:
                 runtime.note(f"recovery: replayed {len(history)} committed epochs")
 
@@ -621,7 +604,6 @@ class AdvisorService:
                                replayed_epochs=service.replayed_epochs,
                                torn_tail=torn_note)
         service.recovered = True
-        registry.counter("service.recoveries").inc()
         LOG.info("service: recovered at tick %d (%d epochs replayed%s)",
                  service.ticks, service.replayed_epochs,
                  "; torn journal tail sliced" if torn_note else "")

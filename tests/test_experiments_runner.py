@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -128,7 +129,8 @@ class TestRunOnlyMissing:
     def test_threads_under_stress_keep_spans_depths_and_run_ids_apart(self, tmp_path):
         """Eight specs on four threads, switching every microsecond: each
         experiment row holds exactly its own flat solves, and every outermost
-        solve is recorded once under a run id of its own."""
+        solve is recorded once under a run id of its own, labelled with its
+        spec's scenario and seed."""
         def solves(spec, checkpoint_dir=None):
             bundle = scenarios.build("synthetic_sanity")
             for _ in range(spec.knobs["solves"]):
@@ -136,7 +138,8 @@ class TestRunOnlyMissing:
             return {"data": {"i": spec.knobs["i"]}, "timing": {"elapsed_s": 0.0}}
 
         spec_registry.EXECUTORS["_test_solves"] = solves
-        matrix = [ExperimentSpec(experiment="_test_solves", knobs={"i": i, "solves": 1 + i % 3})
+        matrix = [ExperimentSpec(experiment="_test_solves", scenario=f"scenario-{i}",
+                                 seed=100 + i, knobs={"i": i, "solves": 1 + i % 3})
                   for i in range(8)]
         path = tmp_path / "exp.sqlite"
         interval = sys.getswitchinterval()
@@ -158,6 +161,8 @@ class TestRunOnlyMissing:
         recorded = [row.record for row in rows if row.experiment == "solve"]
         assert len(recorded) == sum(spec.knobs["solves"] for spec in matrix)
         assert all(record.spans["name"] == "solve:dot" for record in recorded)
+        assert Counter((record.scenario, record.seed) for record in recorded) == {
+            (spec.scenario, spec.seed): spec.knobs["solves"] for spec in matrix}
 
     def test_recorded_provenance_carries_attempts_and_weight(
         self, tmp_path, echo_executor

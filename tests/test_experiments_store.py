@@ -135,7 +135,7 @@ class TestRoundTrip:
             run_id="exp-test", kind="experiment", solver="dot",
             scenario="tpch_original", git_rev="abc1234", seed=7,
             created_unix_s=123.5, elapsed_s=0.25,
-            stats={"attempts": 1}, metrics={"counter": 2},
+            stats={"attempts": 1},
         )
         store.record(s, PAYLOAD, record)
 

@@ -1,4 +1,4 @@
-"""The observability layer: tracing, metrics, run records, and the perf gate.
+"""The observability layer: tracing, run records, and the perf gate.
 
 Four contracts are locked here:
 
@@ -12,8 +12,9 @@ Four contracts are locked here:
   for >= 95% of its wall time.
 * **One store** -- run records are rows of the SQLite results store: they
   read back bitwise, the row checksum covers them, recording never makes a
-  run raise, and the report lists and draws experiment rows and recorded
-  solves, online runs and service sessions alike.
+  run raise, a declared run context labels only its own thread's records,
+  and the report lists and draws experiment rows and recorded solves,
+  online runs and service sessions alike.
 * **The gate** -- the regression check passes a run against its own
   baseline and fails when a gated metric degrades 2x (or a required bench
   output is missing).
@@ -26,19 +27,20 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro import scenarios
-from repro.core import DOTSolver, ExhaustiveSolver
+from repro.core import ExhaustiveSolver
 from repro.exceptions import CheckpointCorruptionError
 from repro.experiments import orchestrator
 from repro.experiments import specs as spec_registry
 from repro.experiments.store import ExperimentSpec, ResultsStore, dump_payload
 from repro.obs import log as obs_log
-from repro.obs import metrics, recorder, report, trace
+from repro.obs import recorder, report, trace
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.online.controller import OnlineAdvisor
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -58,50 +60,12 @@ def make_context(bundle, **kwargs):
 
 @pytest.fixture(autouse=True)
 def _clean_observability_state():
-    """Every test starts from a disabled tracer and an empty registry."""
+    """Every test starts from a disabled tracer and recording off."""
     trace.set_tracer(Tracer(enabled=False))
-    metrics.set_metrics(metrics.MetricsRegistry())
     recorder.set_store(None)
     yield
     trace.set_tracer(Tracer(enabled=False))
-    metrics.set_metrics(metrics.MetricsRegistry())
     recorder.set_store(None)
-
-
-# ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-class TestMetrics:
-    def test_counter_gauge_histogram_snapshot(self):
-        registry = metrics.MetricsRegistry()
-        registry.counter("a.hits").inc()
-        registry.counter("a.hits").inc(2)
-        registry.gauge("a.depth").set(3)
-        for value in (1.0, 2.0, 9.0):
-            registry.histogram("a.lat").observe(value)
-        snap = registry.snapshot()
-        assert snap["a.hits"]["value"] == 3
-        assert snap["a.depth"]["value"] == 3
-        assert snap["a.lat"]["count"] == 3
-        assert snap["a.lat"]["min"] == 1.0
-        assert snap["a.lat"]["max"] == 9.0
-        assert snap["a.lat"]["mean"] == pytest.approx(4.0)
-        assert list(snap) == sorted(snap)
-
-    def test_name_reuse_across_types_is_an_error(self):
-        registry = metrics.MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_fresh_metrics_scopes_the_global_registry(self):
-        outer = metrics.get_metrics()
-        with metrics.fresh_metrics() as registry:
-            registry.counter("scoped").inc()
-            assert metrics.get_metrics() is registry
-        assert metrics.get_metrics() is outer
-        assert "scoped" not in metrics.get_metrics()
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +166,6 @@ class TestBitwiseIdentityUnderTracing:
         assert "es.build" in names
         assert "es.enumerate" in names
         assert report.span_coverage(root) >= 0.95
-
-    def test_solver_metrics_fold_at_the_boundary(self, sanity_bundle):
-        with metrics.fresh_metrics() as registry:
-            result = ExhaustiveSolver().solve(make_context(sanity_bundle))
-            snap = registry.snapshot()
-        assert snap["solver.solves"]["value"] == 1
-        assert snap["solver.es.solves"]["value"] == 1
-        assert snap["solver.evaluated_layouts"]["value"] == result.evaluated_layouts
-        assert snap["solver.es.solve_s"]["count"] == 1
-        assert snap["batch.chunks"]["value"] == result.stats.batch.chunks
-
-    def test_dot_move_counters(self, sanity_bundle):
-        with metrics.fresh_metrics() as registry:
-            result = DOTSolver().solve(make_context(sanity_bundle))
-            snap = registry.snapshot()
-        assert snap["dot.moves_evaluated"]["value"] == result.evaluated_layouts
-        assert snap["dot.moves_accepted"]["value"] == result.stats.moves_accepted
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +281,43 @@ class TestRecorder:
         assert rec.scenario == "synthetic_sanity"
         assert rec.seed == 7
         assert rec.stats["toc_cents"] == result.toc_cents
-        assert rec.metrics["solver.solves"]["value"] >= 1
+        assert rec.stats["evaluated_layouts"] == result.evaluated_layouts
+        assert rec.stats["batch"]["chunks"] == result.stats.batch.chunks
         assert rec.spans["name"] == "solve:es"
         assert report.span_coverage(rec.spans) >= 0.95
+
+    def test_a_run_context_stays_on_its_own_thread(self):
+        """Two threads interleave their blocks -- A enters, B enters, A exits,
+        B exits: each thread's records carry its own scenario and seed, and
+        the main thread is left declaring nothing."""
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        records, waits = {}, []
+
+        def thread_a():
+            with recorder.run_context(scenario="a", seed=1):
+                a_entered.set()
+                waits.append(b_entered.wait(30))
+                records["a"] = recorder.new_record("solve", "dot")
+            a_exited.set()
+
+        def thread_b():
+            waits.append(a_entered.wait(30))
+            with recorder.run_context(scenario="b", seed=2):
+                b_entered.set()
+                waits.append(a_exited.wait(30))
+                records["b"] = recorder.new_record("solve", "dot")
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert waits == [True] * 3  # the blocks interleaved as intended
+        assert (records["a"].scenario, records["a"].seed) == ("a", 1)
+        assert (records["b"].scenario, records["b"].seed) == ("b", 2)
+        main = recorder.new_record("solve", "dot")
+        assert (main.scenario, main.seed) == (None, None)
 
     def test_fallback_chain_records_once(self, sanity_bundle, tmp_path):
         """Nested solves (fallback chain) produce ONE record, at the outside."""
@@ -362,7 +343,8 @@ class TestRecorder:
         assert rec.spans["name"] == "online.run"
         assert len(rec.spans["children"]) == 10
         assert report.span_coverage(rec.spans) >= 0.95
-        assert rec.metrics["online.epochs"]["value"] == 10
+        assert (rec.stats["cache_hits"], rec.stats["cache_misses"]) == (
+            result.cache_hits, result.cache_misses)
 
     def test_no_store_no_files(self, sanity_bundle, tmp_path):
         assert recorder.store_path() is None
@@ -451,17 +433,45 @@ class TestOneStore:
         assert list(tmp_path.iterdir()) == []
 
     def test_rows_written_before_spans_had_one_shape_still_list(self, tmp_path, capsys):
+        """An experiment row holding bare span roots and a recorded solve
+        whose record still carries a ``metrics`` snapshot both load, list
+        and draw."""
         path = tmp_path / "old.sqlite"
+        store = ResultsStore(path)
         legacy = recorder.RunRecord(
             run_id="exp-0123456789ab", kind="experiment", solver="dot", wall_s=2.0,
             spans={"roots": [{"name": "solve:dot", "duration_s": 1.5, "attrs": {},
                               "events": [], "children": []}]})
-        ResultsStore(path).record(ExperimentSpec(experiment="fig8"), {"data": {}}, legacy)
-        (row,) = ResultsStore(path)
-        assert row.record.spans["children"][0]["name"] == "solve:dot"
-        assert report.span_coverage(row.record.spans) == 0.75
+        store.record(ExperimentSpec(experiment="fig8"), {"data": {}}, legacy)
+        old_solve = {
+            "run_id": "run-0-1-1", "kind": "solve", "solver": "dot",
+            "scenario": "synthetic_sanity", "git_rev": "abc1234", "seed": 7,
+            "created_unix_s": 1.0, "elapsed_s": 0.5, "wall_s": 0.5,
+            "stats": {"evaluated_layouts": 12},
+            "metrics": {"solver.solves": {"kind": "counter", "value": 3}},
+            "spans": {"name": "solve:dot", "attrs": {}, "status": "ok",
+                      "duration_s": 0.5, "events": [],
+                      "children": [{"name": "dot.walk", "attrs": {}, "status": "ok",
+                                    "duration_s": 0.5, "events": [], "children": []}]},
+            "extra": {},
+        }
+        header = {**old_solve, "stats": {}, "metrics": {}, "spans": None}
+        store.record(
+            ExperimentSpec(experiment="solve", scenario="synthetic_sanity", solver="dot",
+                           seed=7, knobs={"run_id": old_solve["run_id"]}),
+            {"record": old_solve}, recorder.RunRecord.from_dict(header))
+        experiment, solve = ResultsStore(path)
+        assert experiment.record.spans["children"][0]["name"] == "solve:dot"
+        assert report.span_coverage(experiment.record.spans) == 0.75
+        assert solve.record.stats == {"evaluated_layouts": 12}
+        assert "metrics" not in vars(solve.record)
         assert report.main(["--store", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "2 row(s)" in out
+        assert "exp-0123456789ab" in out and "run-0-1-1" in out
         assert report.main(["--store", str(path), "--flame"]) == 0
+        assert "dot.walk" in capsys.readouterr().out
+        assert report.main(["--store", str(path), "--flame", "exp-0123456789ab"]) == 0
         assert "solve:dot" in capsys.readouterr().out
 
 
@@ -516,15 +526,17 @@ class TestGate:
         assert report.check_regressions(
             tmp_path / "out", tmp_path / "baselines") == 0
 
-    def test_cli_exit_codes(self, tmp_path):
+    def test_cli_exit_codes(self, tmp_path, capsys):
         self._write(tmp_path / "out", PARALLEL_ES_PAYLOAD)
         self._write(tmp_path / "baselines", PARALLEL_ES_PAYLOAD)
         argv = ["--check-regressions", "--bench-dir", str(tmp_path / "out"),
                 "--baselines", str(tmp_path / "baselines")]
         assert report.main(argv) == 0
+        assert "regression gate: PASS" in capsys.readouterr().out
         inflated = dict(PARALLEL_ES_PAYLOAD, toc_cents=5.6e-06)
         self._write(tmp_path / "baselines", inflated)
         assert report.main(argv) != 0
+        assert "regression gate: FAIL (1 regression(s))" in capsys.readouterr().out
 
     def test_committed_baselines_gate_green(self, tmp_path):
         """The baselines we ship must pass their own gate (reflexivity)."""
