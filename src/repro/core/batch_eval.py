@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.toc import TOCModel, TOCReport
 from repro.dbms.concurrency import ClosedLoopModel
+from repro.dbms.cost_model import ServiceTimeTable
 from repro.dbms.executor import ExecutionResult, WorkloadRunResult
 from repro.dbms.plan import merge_io_counts, scale_io_counts
 from repro.objects import DatabaseObject
@@ -162,28 +163,6 @@ def _mixed_radix_weights(positions: int, base: int) -> np.ndarray:
 # Shared replication of the scalar estimator's aggregation
 # ---------------------------------------------------------------------------
 
-class _ServiceTimeTable:
-    """Memoized per-(storage class, I/O type) service times at one concurrency.
-
-    Values are exactly ``StorageClass.service_time_ms`` results (cached like
-    ``CostModel.io_latency_ms`` does per placement, but shared across all
-    candidates of a search)."""
-
-    __slots__ = ("concurrency", "_cache")
-
-    def __init__(self, concurrency: int):
-        self.concurrency = concurrency
-        self._cache: Dict[Tuple[str, IOType], float] = {}
-
-    def latency_ms(self, storage_class: StorageClass, io_type: IOType) -> float:
-        key = (storage_class.name, io_type)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = storage_class.service_time_ms(io_type, self.concurrency)
-            self._cache[key] = cached
-        return cached
-
-
 class _OltpMixModel:
     """The workload-level constants of an OLTP mix evaluation."""
 
@@ -220,7 +199,7 @@ def _replay_mix(mix, total_weight, execution_for):
     return io_by_object, per_query_times, avg_response_ms, avg_cpu_ms
 
 
-def _busy_time_by_class(io_counts, storage_class_of, service_times: _ServiceTimeTable):
+def _busy_time_by_class(io_counts, storage_class_of, service_times: ServiceTimeTable):
     """Replicates ``CostModel.io_time_by_class`` bit for bit: same iteration
     order, and counts <= 0 contribute an exact ``0.0``."""
     busy: Dict[str, float] = {}
@@ -347,7 +326,7 @@ class IncrementalWorkloadEvaluator:
         self.concurrency = getattr(workload, "concurrency", 1)
         self.cache = _adopt_cache(cache, estimator, self.concurrency)
         self.collect_io = collect_io
-        self._service_times = _ServiceTimeTable(self.concurrency)
+        self._service_times = ServiceTimeTable(self.concurrency)
         if kind == "oltp":
             self._oltp = _OltpMixModel(workload, estimator, self.concurrency)
 
@@ -623,7 +602,7 @@ class BatchLayoutEvaluator:
             self._instances = [query for query, _ in self._oltp.mix]
         else:
             self._instances = list(workload.queries)
-        self._service_times = _ServiceTimeTable(self.concurrency)
+        self._service_times = ServiceTimeTable(self.concurrency)
         self._oltp_aggregates: Dict[tuple, Tuple[float, float]] = {}
 
         self._fully_warmed = False
@@ -1027,7 +1006,7 @@ def group_placement_coefficients(
     class_names = tuple(system.class_names)
     num_classes = len(class_names)
     prices = np.array([system[name].price_cents_per_gb_hour for name in class_names])
-    service_times = _ServiceTimeTable(profiles.concurrency)
+    service_times = ServiceTimeTable(profiles.concurrency)
 
     def service_ms(class_index: int, io_type: IOType) -> float:
         return service_times.latency_ms(system[class_names[class_index]], io_type)

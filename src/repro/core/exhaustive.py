@@ -275,10 +275,14 @@ class ExhaustiveSolver:
             best_layout = self._layout(context, evaluator.assignment_for_row(row), "ES")
             best_report = context.evaluate(best_layout)
         elapsed = time.perf_counter() - started
+        result = self._result(context, best_layout, best_report, progress.evaluated, elapsed,
+                              budget, timed_out, incidents, stats)
+        prefix_depth = engine.prefix_depth
+        # Freeing the engine and its warmed tables is part of the enumeration.
+        del engine, evaluator
         tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out,
-                        shards=progress.total_shards, prefix_depth=engine.prefix_depth)
-        return self._result(context, best_layout, best_report, progress.evaluated, elapsed,
-                            budget, timed_out, incidents, stats)
+                        shards=progress.total_shards, prefix_depth=prefix_depth)
+        return result
 
     # ------------------------------------------------------------------
     def _layouts(self, context: EvaluationContext):

@@ -357,7 +357,8 @@ class _PruningBounds:
     a one-entry depth-0 table.
     """
 
-    def __init__(self, evaluator: BatchLayoutEvaluator, prefix_depth: int):
+    def __init__(self, evaluator: BatchLayoutEvaluator, prefix_depth: int,
+                 with_floors: bool = True):
         self.prefix_depth = prefix_depth
         self.num_classes = evaluator.num_classes
         self.num_subtrees = self.num_classes**prefix_depth
@@ -388,7 +389,12 @@ class _PruningBounds:
         suffix = np.zeros(self.num_objects + 1)
         suffix[:-1] = np.cumsum(self.all_sizes[::-1])[::-1] * min_price
         self.suffix_min_cost = suffix
-        # Workload-time floors, indexed [depth][prefix code].
+        # Workload-time floors, indexed [depth][prefix code].  An engine
+        # that does not prune reads only ``prefix_depth`` and skips them.
+        self.time_floors: List[np.ndarray] = []
+        self.floor_depth = 0
+        if not with_floors:
+            return
         deepest = 0
         while (deepest < self.num_objects
                and self.num_classes ** (deepest + 1) <= FLOOR_TABLE_MAX_PREFIXES):
@@ -813,7 +819,7 @@ class ParallelEnumerationEngine:
         self.num_subtrees = self.num_classes**self.prefix_depth
         self._deadline = time.monotonic() + deadline_s if deadline_s is not None else None
         evaluator.warm_signatures(deadline=self._deadline)
-        self._bounds = _PruningBounds(self.evaluator, self.prefix_depth)
+        self._bounds = _PruningBounds(self.evaluator, self.prefix_depth, with_floors=prune)
         self._seed = self._uniform_seed() if prune else None
 
     def _uniform_seed(self) -> Optional[Tuple[float, int, Tuple[int, ...]]]:

@@ -11,7 +11,7 @@ I/O profile, and adds CPU time from per-row constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import UnknownObjectError
 from repro.storage.io_profile import IOType
@@ -69,6 +69,44 @@ class CostParameters:
         return float(max(height - self.cached_index_levels, 1))
 
 
+def placed_class(placement: Mapping[str, StorageClass], object_name: str) -> StorageClass:
+    """The storage class ``placement`` puts an object on.
+
+    Raises :class:`UnknownObjectError` naming the object when the placement
+    has no entry for it.
+    """
+    try:
+        return placement[object_name]
+    except KeyError:
+        raise UnknownObjectError(
+            f"object {object_name!r} has no storage assignment in this placement"
+        ) from None
+
+
+class ServiceTimeTable:
+    """Memoized per-(storage class, I/O type) service times at one concurrency.
+
+    Values are exactly ``StorageClass.service_time_ms`` results, cached like
+    :meth:`CostModel.io_latency_ms` does per placement but shared across
+    every placement priced at this concurrency.  Classes are keyed by name,
+    as the optimizer's plan cache and the estimate tables key them.
+    """
+
+    __slots__ = ("concurrency", "_cache")
+
+    def __init__(self, concurrency: int):
+        self.concurrency = concurrency
+        self._cache: Dict[Tuple[str, IOType], float] = {}
+
+    def latency_ms(self, storage_class: StorageClass, io_type: IOType) -> float:
+        key = (storage_class.name, io_type)
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = storage_class.service_time_ms(io_type, self.concurrency)
+            self._cache[key] = cached
+        return cached
+
+
 class CostModel:
     """Converts I/O counts and row counts into time under a given placement.
 
@@ -101,12 +139,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def storage_class_for(self, object_name: str) -> StorageClass:
         """The storage class an object is placed on."""
-        try:
-            return self.placement[object_name]
-        except KeyError:
-            raise UnknownObjectError(
-                f"object {object_name!r} has no storage assignment in this placement"
-            ) from None
+        return placed_class(self.placement, object_name)
 
     def io_latency_ms(self, object_name: str, io_type: IOType) -> float:
         """Effective per-I/O latency for one object at this concurrency."""

@@ -103,7 +103,13 @@ class PlanNode:
 
 @dataclass
 class QueryPlan:
-    """A complete plan for one query under one data placement."""
+    """A complete plan for one query under one data placement.
+
+    The optimizer shares ``root``, ``access_paths``, ``join_algorithms`` and
+    the merged :attr:`io_by_object` between every plan of the same shape (the
+    same access path and join algorithm at every step), since none of them
+    depends on the placement: treat them as read-only.
+    """
 
     query_name: str
     root: PlanNode
@@ -111,6 +117,8 @@ class QueryPlan:
     cpu_time_ms: float = 0.0
     access_paths: Dict[str, str] = field(default_factory=dict)
     join_algorithms: Tuple[str, ...] = ()
+    #: The tree's merged I/O counts, filled on first read of ``io_by_object``.
+    merged_io: Optional[ObjectIOCounts] = field(default=None, repr=False, compare=False)
 
     @property
     def estimated_time_ms(self) -> float:
@@ -119,8 +127,13 @@ class QueryPlan:
 
     @property
     def io_by_object(self) -> ObjectIOCounts:
-        """Per-object, per-I/O-type counts for the whole plan (``chi`` in the paper)."""
-        return self.root.total_io_counts()
+        """Per-object, per-I/O-type counts for the whole plan (``chi`` in the paper).
+
+        Merged from the tree once per plan shape and shared: read-only.
+        """
+        if self.merged_io is None:
+            self.merged_io = self.root.total_io_counts()
+        return self.merged_io
 
     @property
     def total_io_operations(self) -> float:

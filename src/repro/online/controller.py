@@ -576,7 +576,10 @@ class OnlineAdvisor:
         """
         with obs_instrument.Scope("online", "online.run",
                                   solver=self.solver.name) as run:
-            result = self._run_loop(epoch_workloads, obs_trace.get_tracer())
+            loop = OnlineLoop(self, tracer=obs_trace.get_tracer())
+            for item in epoch_workloads:
+                loop.step(item)
+            result = loop.result()
             run.span.set(epochs=result.num_epochs,
                          cumulative_cost_cents=result.cumulative_cost_cents,
                          min_psr=result.min_psr if result.records else None)
@@ -598,13 +601,6 @@ class OnlineAdvisor:
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
         }
-
-    def _run_loop(self, epoch_workloads: Iterable[Union[EpochWorkload, Workload]],
-                  tracer) -> OnlineRunResult:
-        loop = OnlineLoop(self, tracer=tracer)
-        for item in epoch_workloads:
-            loop.step(item)
-        return loop.result()
 
     # ------------------------------------------------------------------
     def _candidate_toc(
@@ -785,13 +781,11 @@ class OnlineLoop:
         position = self._position
         self._position += 1
 
+        epoch_span = tracer.start_span("online.epoch")
         epoch_item = advisor._as_epoch(item, position)
         epoch = epoch_item.epoch
         workload = epoch_item.workload
-        epoch_span = tracer.start_span(
-            "online.epoch", epoch=epoch,
-            workload=getattr(workload, "name", "workload"),
-        )
+        epoch_span.set(epoch=epoch, workload=getattr(workload, "name", "workload"))
         contexts = advisor._contexts(workload, self.caches)
         if self.monitor is None:
             self.monitor = TelemetryMonitor(

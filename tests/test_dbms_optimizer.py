@@ -1,12 +1,24 @@
 """Query model, cost model, plans and the storage-aware optimizer."""
 
-import pytest
+import itertools
+import pickle
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import scenarios
+from repro.core import DOTSolver, ExhaustiveSolver
+from repro.dbms.buffer_pool import BufferPool
 from repro.dbms.cost_model import CostModel, CostParameters
+from repro.dbms.datagen import SyntheticTableSpec, build_synthetic_catalog
+from repro.dbms.executor import WorkloadEstimator
 from repro.dbms.optimizer import QueryOptimizer
 from repro.dbms.plan import merge_io_counts, scale_io_counts, total_io_count
 from repro.dbms.query import JoinSpec, Query, TableAccess, WriteOp, make_scan_query
 from repro.exceptions import PlanningError, WorkloadError
+from repro.online.controller import OnlineAdvisor
+from repro.sla.constraints import RelativeSLA
 from repro.storage import catalog as storage_catalog
 from repro.storage.io_profile import IOType
 from tests.conftest import uniform_placement
@@ -305,3 +317,241 @@ class TestCacheStats:
         optimizer.clear_cache()
         assert optimizer.cache_stats.size == 0
         assert optimizer.plan_table() == {}
+
+
+# ---------------------------------------------------------------------------
+# Plan templates: compiled once, priced per placement
+# ---------------------------------------------------------------------------
+
+#: The five storage classes of the paper.
+FIVE_CLASSES = list(storage_catalog.all_storage_classes().values())
+TEMP = "temp_space"
+
+
+def spill_catalog():
+    return build_synthetic_catalog(
+        [
+            SyntheticTableSpec("fact", row_count=2_000_000, row_width_bytes=120),
+            SyntheticTableSpec("dim", row_count=50_000, row_width_bytes=200),
+        ],
+        name="small",
+        with_temp=True,
+    )
+
+
+def outcome(call):
+    """``("ok", plan)`` or ``("error", type, message)`` of one planning call."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # the error itself is what is compared
+        return ("error", type(exc), str(exc))
+
+
+def assert_same_plan(priced, oracle):
+    assert priced.io_time_ms.hex() == oracle.io_time_ms.hex()
+    assert priced.cpu_time_ms.hex() == oracle.cpu_time_ms.hex()
+    assert priced.access_paths == oracle.access_paths
+    assert priced.join_algorithms == oracle.join_algorithms
+    assert priced.io_by_object == oracle.io_by_object
+    assert priced.render() == oracle.render()
+
+
+def walk(optimizer, query, placement, concurrency):
+    """The plan walk the templates are priced against."""
+    cost_model = CostModel(placement, concurrency=concurrency, parameters=optimizer.parameters)
+    return optimizer._build_plan(query, cost_model)
+
+
+@st.composite
+def template_cases(draw):
+    """A catalog, a query over it, cost parameters, placements and a
+    concurrency; sometimes with a temp object at a tiny ``work_mem_mb``,
+    an index missing from the catalog or a placement missing an object."""
+    specs = [
+        SyntheticTableSpec(
+            f"t{i}",
+            row_count=draw(st.integers(1, 3_000_000)),
+            row_width_bytes=draw(st.integers(9, 400)),
+            with_primary_index=draw(st.booleans()),
+            secondary_indexes=draw(st.integers(0, 1)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    with_temp = draw(st.booleans())
+    catalog = build_synthetic_catalog(specs, name="drawn", with_temp=with_temp)
+    indexes = {
+        spec.name: [f"{spec.name}_pkey"] * spec.with_primary_index
+        + [f"i_{spec.name}_0"] * spec.secondary_indexes
+        for spec in specs
+    }
+    tables = list(indexes)
+
+    def index_of(table):
+        ghost = ["ghost"] if draw(st.integers(0, 19)) == 0 else []
+        return draw(st.sampled_from([None] + indexes[table] + ghost))
+
+    accesses, joins = [], []
+    for position in range(draw(st.integers(0, 4))):
+        table = draw(st.sampled_from(tables))
+        accesses.append(TableAccess(
+            table,
+            selectivity=draw(st.floats(1e-7, 1.0)),
+            index=index_of(table),
+            repeat=draw(st.sampled_from([0.0, 1.0, 3.0, 10.0])),
+            clustered=draw(st.booleans()),
+        ))
+        if position and draw(st.booleans()):  # otherwise an independent Append
+            joins.append(JoinSpec(position, rows_per_outer=draw(st.floats(0.0, 50.0)),
+                                  inner_index=index_of(table)))
+    writes = []
+    for _ in range(draw(st.integers(0 if accesses else 1, 2))):
+        table = draw(st.sampled_from(tables))
+        maintained = draw(st.lists(st.sampled_from(indexes[table] or ["ghost"]),
+                                   unique=True, max_size=2))
+        writes.append(WriteOp(table, rows=draw(st.floats(0.0, 5_000.0)),
+                              sequential=draw(st.booleans()), indexes=tuple(maintained),
+                              clustered=draw(st.booleans())))
+    rows = st.sampled_from([0.0, 1.0, 50_000.0, 2_000_000.0])
+    query = Query(name="drawn", accesses=tuple(accesses), joins=tuple(joins),
+                  writes=tuple(writes), sort_rows=draw(rows), aggregate_rows=draw(rows))
+    parameters = CostParameters(
+        work_mem_mb=draw(st.sampled_from([0.05, 1.0])) if with_temp else 256.0,
+        heap_refetch_discount=draw(st.sampled_from([0.0, 0.3, 0.9])),
+    )
+    names = [obj.name for obj in catalog.database_objects()]
+    placements = [
+        {name: draw(st.sampled_from(FIVE_CLASSES)) for name in names}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    if draw(st.integers(0, 4)) == 0:
+        del placements[-1][draw(st.sampled_from(names))]
+    return (catalog, query, parameters, TEMP if with_temp else None, placements,
+            draw(st.integers(1, 300)))
+
+
+class TestPlanTemplates:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=template_cases())
+    def test_priced_plans_equal_the_walk(self, case):
+        """Every priced plan equals a fresh walk bit for bit, and a query the
+        walk cannot plan raises the walk's own error."""
+        catalog, query, parameters, temp_object, placements, concurrency = case
+        optimizer = QueryOptimizer(catalog, parameters, temp_object=temp_object)
+        for placement in placements * 2:  # the second pass prices known shapes
+            priced = outcome(lambda: optimizer.plan(query, placement, concurrency,
+                                                    use_cache=False))
+            oracle = outcome(lambda: walk(optimizer, query, placement, concurrency))
+            assert priced[0] == oracle[0]
+            if oracle[0] == "error":
+                assert priced == oracle
+            else:
+                assert_same_plan(priced[1], oracle[1])
+
+        pool = BufferPool(size_gb=0.05)
+        estimator = WorkloadEstimator(catalog, parameters, temp_object=temp_object,
+                                      buffer_pool=pool, noise=0.0, estimate_uses_buffer=True)
+        sizes = {obj.name: obj.size_gb for obj in catalog.database_objects()}
+        for placement in placements * 2:
+            # Every estimate prices the template: a keyed update reads its
+            # table's primary index, which the plan-cache key does not cover
+            # yet (see the xfail test below), so a cached plan could be stale.
+            estimator.optimizer._plan_cache.clear()
+            estimate = outcome(lambda: estimator.estimate_query(query, placement, concurrency))
+            plan = outcome(lambda: walk(optimizer, query, placement, concurrency))
+            if plan[0] == "error":
+                assert estimate == plan
+                continue
+            absorbed = pool.absorb_reads(plan[1].io_by_object, sizes)
+            cost_model = CostModel(placement, concurrency=concurrency, parameters=parameters)
+            io_time = cost_model.io_time_for_counts(absorbed)
+            assert estimate[1].io_counts == absorbed
+            assert estimate[1].io_time_ms.hex() == io_time.hex()
+            assert estimate[1].response_time_ms.hex() == (io_time + plan[1].cpu_time_ms).hex()
+
+    def test_moving_only_temp_reprices_the_spills(self):
+        """The plan cache keys on the temp object too: a placement that moves
+        only temp space must not get the plan priced for the old temp class."""
+        catalog = spill_catalog()
+        parameters = CostParameters(work_mem_mb=1.0)
+        query = Query(
+            name="spill",
+            accesses=(TableAccess("fact"), TableAccess("dim")),
+            joins=(JoinSpec(inner_position=1, rows_per_outer=1.0),),
+            sort_rows=1_000_000,
+        )
+        on_hdd = uniform_placement(catalog, storage_catalog.hdd())
+        temp_moved = dict(on_hdd, **{TEMP: storage_catalog.hssd()})
+        optimizer = QueryOptimizer(catalog, parameters, temp_object=TEMP)
+        before = optimizer.plan(query, on_hdd)
+        after = optimizer.plan(query, temp_moved)
+        fresh = QueryOptimizer(catalog, parameters, temp_object=TEMP).plan(query, temp_moved)
+        assert after.io_time_ms == fresh.io_time_ms < before.io_time_ms
+        assert optimizer.cache_stats.misses == 2
+
+    @pytest.mark.xfail(strict=True, reason="the signature misses the primary index a "
+                       "keyed update reads")
+    def test_moving_only_the_primary_index_reprices_keyed_updates(self, small_catalog):
+        query = Query(name="keyed", writes=(WriteOp("dim", rows=100, sequential=False),))
+        on_hdd = uniform_placement(small_catalog, storage_catalog.hdd())
+        pkey_moved = dict(on_hdd, dim_pkey=storage_catalog.hssd())
+        optimizer = QueryOptimizer(small_catalog)
+        optimizer.plan(query, on_hdd)
+        fresh = QueryOptimizer(small_catalog).plan(query, pkey_moved)
+        assert optimizer.plan(query, pkey_moved).io_time_ms == fresh.io_time_ms
+
+    def test_clear_cache_drops_templates(self, optimizer, scan_query, hdd_placement):
+        optimizer.plan(scan_query, hdd_placement)
+        optimizer.clear_cache()
+        assert optimizer._templates == {}
+
+    def test_a_second_query_under_a_known_name_is_refused(self, optimizer, hdd_placement):
+        optimizer.plan(make_scan_query("q", "fact", 0.5), hdd_placement)
+        optimizer.plan(make_scan_query("q", "fact", 0.5), hdd_placement)  # equal: fine
+        with pytest.raises(PlanningError, match="two different queries"):
+            optimizer.plan(make_scan_query("q", "fact", 0.1), hdd_placement)
+
+    def test_shared_plan_parts_survive_the_searches(self):
+        """A DOT solve, an online run and an ES solve read the per-shape trees
+        and counts every plan of one shape shares; none of them mutates one."""
+        bundle = scenarios.build("synthetic_small")
+        estimator = bundle.fresh_estimator()
+        context = bundle.context(estimator=estimator)
+        DOTSolver().solve(context)
+        OnlineAdvisor(bundle.objects, context.system, estimator,
+                      sla=RelativeSLA(0.5)).run([bundle.workload] * 3)
+        ExhaustiveSolver(objects=bundle.objects[:4],
+                         pinned_objects=bundle.objects[4:]).solve(context)
+        optimizer = estimator.optimizer
+        priced = 0
+        for (name, concurrency, classes), plan in optimizer.plan_table().items():
+            template = optimizer._templates[name]
+            placement = {
+                object_name: context.system[class_name]
+                for object_name, class_name in zip(template.signature, classes)
+            }
+            assert_same_plan(plan, walk(optimizer, template.query, placement, concurrency))
+            priced += all(plan is not walked for walked in template.shapes.values())
+        assert priced  # plans that share another plan's tree and counts
+
+    def test_pickled_templates_price_every_signature(self):
+        """Spawned ES workers unpickle the estimator with its templates and
+        shapes: the copy prices every signature of a query as the original."""
+        bundle = scenarios.build("synthetic_small")
+        estimator = bundle.fresh_estimator()
+        system = bundle.context(estimator=estimator).system
+        query = next(query for query in bundle.workload.queries if query.joins)
+        signature = estimator.signature_objects(query)
+        placements = [
+            dict(zip(signature, classes))
+            for classes in itertools.product(list(system), repeat=len(signature))
+        ]
+        originals = [estimator.estimate_query(query, placement) for placement in placements]
+        copy = pickle.loads(pickle.dumps(estimator))
+        assert copy.optimizer._templates.keys() == estimator.optimizer._templates.keys()
+        for placement, original in zip(placements, originals):
+            priced = copy.optimizer.plan(query, placement, use_cache=False)
+            assert_same_plan(priced, original.plan)
+            estimate = copy.estimate_query(query, placement)
+            assert estimate.response_time_ms == original.response_time_ms
+            assert estimate.io_counts == original.io_counts

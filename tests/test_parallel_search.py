@@ -512,6 +512,25 @@ class TestPruningSoundness:
         assert pruned_layout == unpruned_layout
 
 
+class TestUnprunedEngine:
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_builds_no_time_floors(self, workers, monkeypatch):
+        """Only pruning reads the workload-time floors, so an unpruned solve
+        never computes them and still matches the scalar loop."""
+        def refuse(*args):
+            raise AssertionError("time floors built for an unpruned enumeration")
+
+        monkeypatch.setattr(BatchLayoutEvaluator, "time_floor_factors", refuse)
+        monkeypatch.setattr(BatchLayoutEvaluator, "toc_floor_factor", refuse)
+        catalog, workload, objects, system = random_scenario(7)
+        progress, layout, _ = engine_run(objects, system, catalog, workload, prune=False,
+                                         workers=workers)
+        serial = solve_es(objects, system, fresh_estimator(catalog), workload, batch=False)
+        assert progress.evaluated == len(system) ** len(objects)
+        assert progress.best_toc == serial.toc_cents
+        assert layout == serial.layout
+
+
 # ---------------------------------------------------------------------------
 # Pruning bounds never cut a capacity-feasible completion
 # ---------------------------------------------------------------------------
