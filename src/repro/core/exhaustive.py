@@ -277,11 +277,8 @@ class ExhaustiveSolver:
         elapsed = time.perf_counter() - started
         result = self._result(context, best_layout, best_report, progress.evaluated, elapsed,
                               budget, timed_out, incidents, stats)
-        prefix_depth = engine.prefix_depth
-        # Freeing the engine and its warmed tables is part of the enumeration.
-        del engine, evaluator
         tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out,
-                        shards=progress.total_shards, prefix_depth=prefix_depth)
+                        shards=progress.total_shards, prefix_depth=engine.prefix_depth)
         return result
 
     # ------------------------------------------------------------------

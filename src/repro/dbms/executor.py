@@ -28,7 +28,7 @@ from repro.dbms.buffer_pool import BufferPool
 from repro.dbms.catalog import DatabaseCatalog
 from repro.dbms.concurrency import ClosedLoopModel, ThroughputEstimate
 from repro.dbms.cost_model import CostModel, CostParameters
-from repro.dbms.optimizer import IOItems, QueryOptimizer, flatten_io_counts
+from repro.dbms.optimizer import QueryOptimizer
 from repro.dbms.plan import ObjectIOCounts, QueryPlan, merge_io_counts, scale_io_counts
 from repro.dbms.query import Query
 from repro.storage.io_profile import IOType
@@ -154,7 +154,6 @@ class WorkloadEstimator:
         self._object_sizes: Dict[str, float] = {
             obj.name: obj.size_gb for obj in catalog.database_objects()
         }
-        self._absorbed_counts: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Placement signatures
@@ -181,8 +180,9 @@ class WorkloadEstimator:
         io_counts = plan.io_by_object
         io_time_ms = plan.io_time_ms
         if self.estimate_uses_buffer and self.buffer_pool is not None:
-            io_counts, items = self._absorbed(io_counts)
-            io_time_ms = self.optimizer.io_time_ms(items, placement, concurrency)
+            io_counts = self.buffer_pool.absorb_reads(io_counts, self._object_sizes)
+            cost_model = CostModel(placement, concurrency=concurrency, parameters=self.parameters)
+            io_time_ms = cost_model.io_time_for_counts(io_counts)
         return ExecutionResult(
             query_name=query.name,
             response_time_ms=io_time_ms + plan.cpu_time_ms,
@@ -191,18 +191,6 @@ class WorkloadEstimator:
             io_counts=io_counts,
             plan=plan,
         )
-
-    def _absorbed(self, io_counts: ObjectIOCounts) -> Tuple[ObjectIOCounts, IOItems]:
-        """The buffer-absorbed counts of a plan shape's shared counts, with
-        their flattened items.  Absorption does not depend on the placement,
-        so it is memoized per shape; an entry holds its source, so its id is
-        not reused while the entry lives."""
-        entry = self._absorbed_counts.get(id(io_counts))
-        if entry is None or entry[0] is not io_counts:
-            absorbed = self.buffer_pool.absorb_reads(io_counts, self._object_sizes)
-            entry = (io_counts, absorbed, flatten_io_counts(absorbed))
-            self._absorbed_counts[id(io_counts)] = entry
-        return entry[1], entry[2]
 
     def simulate_query(
         self, query: Query, placement: Mapping[str, StorageClass], concurrency: int = 1

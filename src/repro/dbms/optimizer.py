@@ -101,16 +101,6 @@ class _Candidate:
         return self.io_time_ms + self.cpu_time_ms
 
 
-def flatten_io_counts(io_counts: Mapping[str, Mapping[IOType, float]]) -> IOItems:
-    """The ``(object, I/O type, count)`` items of ``io_counts``, in the order
-    :meth:`~repro.dbms.cost_model.CostModel.io_time_for_counts` sums them."""
-    return tuple(
-        (object_name, io_type, count)
-        for object_name, by_type in io_counts.items()
-        for io_type, count in by_type.items()
-    )
-
-
 def _io_time(
     items: IOItems, placement: Mapping[str, StorageClass], latencies: ServiceTimeTable
 ) -> float:
@@ -166,7 +156,12 @@ class _PlanTemplate:
 
 def _own(candidate: _Candidate) -> Tuple[IOItems, float]:
     """A candidate node's own I/O items and CPU time (children excluded)."""
-    return flatten_io_counts(candidate.node.io_counts), candidate.node.cpu_ms
+    items = tuple(
+        (object_name, io_type, count)
+        for object_name, by_type in candidate.node.io_counts.items()
+        for io_type, count in by_type.items()
+    )
+    return items, candidate.node.cpu_ms
 
 
 def _best_path(seq, index, placement, latencies) -> Tuple[float, float, int]:
@@ -248,13 +243,6 @@ class QueryOptimizer:
         key on them.
         """
         return self._template(query).signature
-
-    def io_time_ms(
-        self, items: IOItems, placement: Mapping[str, StorageClass], concurrency: int
-    ) -> float:
-        """``CostModel(placement, concurrency).io_time_for_counts`` of the
-        counts that ``items`` flattens, bit for bit, at memoized latencies."""
-        return _io_time(items, placement, self._latency_table(concurrency))
 
     def clear_cache(self) -> None:
         """Drop all cached plans, templates and latencies (placements,

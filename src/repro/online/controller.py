@@ -576,10 +576,7 @@ class OnlineAdvisor:
         """
         with obs_instrument.Scope("online", "online.run",
                                   solver=self.solver.name) as run:
-            loop = OnlineLoop(self, tracer=obs_trace.get_tracer())
-            for item in epoch_workloads:
-                loop.step(item)
-            result = loop.result()
+            result = self._run_loop(epoch_workloads, obs_trace.get_tracer())
             run.span.set(epochs=result.num_epochs,
                          cumulative_cost_cents=result.cumulative_cost_cents,
                          min_psr=result.min_psr if result.records else None)
@@ -601,6 +598,13 @@ class OnlineAdvisor:
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
         }
+
+    def _run_loop(self, epoch_workloads: Iterable[Union[EpochWorkload, Workload]],
+                  tracer) -> OnlineRunResult:
+        loop = OnlineLoop(self, tracer=tracer)
+        for item in epoch_workloads:
+            loop.step(item)
+        return loop.result()
 
     # ------------------------------------------------------------------
     def _candidate_toc(
