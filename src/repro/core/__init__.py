@@ -27,16 +27,11 @@ from repro.objects import DatabaseObject, ObjectGroup, ObjectKind, group_objects
 from repro.core.batch_eval import (
     BatchEvalStats,
     BatchLayoutEvaluator,
-    IncrementalWorkloadEvaluator,
     QueryEstimateCache,
     UnsupportedBatchEvaluation,
     iter_assignment_chunks,
 )
-from repro.core.context import (
-    EvaluationContext,
-    make_batch_evaluator,
-    make_incremental_evaluator,
-)
+from repro.core.context import EvaluationContext, make_batch_evaluator
 from repro.core.layout import Layout
 from repro.core.toc import TOCModel, TOCReport
 from repro.core.profiles import BaselinePlacement, WorkloadProfileSet
@@ -67,13 +62,11 @@ __all__ = [
     "group_objects",
     "BatchEvalStats",
     "BatchLayoutEvaluator",
-    "IncrementalWorkloadEvaluator",
     "QueryEstimateCache",
     "UnsupportedBatchEvaluation",
     "iter_assignment_chunks",
     "EvaluationContext",
     "make_batch_evaluator",
-    "make_incremental_evaluator",
     "Solver",
     "SolveResult",
     "SolveStats",

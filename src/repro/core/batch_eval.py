@@ -15,10 +15,11 @@ This module removes that overhead without changing a single result:
   only remaining per-candidate Python work is one optimizer estimate per
   *new* ``(query, touched-placement-signature)`` pair -- everything else
   (space, capacity, layout cost, workload time, SLA filtering) is numpy.
-* :class:`IncrementalWorkloadEvaluator` is the scalar counterpart used by
-  DOT's move walk: per-query estimates are cached by placement signature, so
-  a candidate that only moves one object group re-estimates only the queries
-  touching that group.
+* :meth:`QueryEstimateCache.run_result` is the scalar counterpart, and the
+  one cached pricing path of DOT's move walk, the online loop, SLA
+  resolution and estimate-mode profiling: per-query estimates are cached by
+  placement signature, so a candidate that only moves one object group
+  re-estimates only the queries touching that group.
 * :func:`group_placement_coefficients` builds the MILP's per-(group,
   placement) cost/time coefficient vectors from the same machinery.
 
@@ -40,11 +41,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.toc import TOCModel, TOCReport
 from repro.dbms.concurrency import ClosedLoopModel
 from repro.dbms.cost_model import ServiceTimeTable
 from repro.dbms.executor import ExecutionResult, WorkloadRunResult
 from repro.dbms.plan import merge_io_counts, scale_io_counts
+from repro.exceptions import ConfigurationError, WorkloadError
 from repro.objects import DatabaseObject
 from repro.sla.constraints import PerformanceConstraint
 from repro.storage.io_profile import IOType
@@ -60,9 +61,12 @@ WARM_SLICE = 64
 class UnsupportedBatchEvaluation(Exception):
     """Raised when a configuration cannot take the vectorized fast path.
 
-    Callers catch this and fall back to the scalar implementation, so raising
-    it is never an error condition -- it is the feature-gating mechanism for
-    cost overrides, unknown constraint types and exotic workload kinds.
+    The exhaustive search catches this (through
+    :func:`~repro.core.context.make_batch_evaluator`) and runs its scalar
+    loop instead, so raising it is never an error condition -- it is the
+    feature gate for cost overrides, constraint types without a batch
+    signature and SLA/workload kind pairings the batch scoring cannot
+    represent.
     """
 
 
@@ -164,7 +168,8 @@ def _mixed_radix_weights(positions: int, base: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _OltpMixModel:
-    """The workload-level constants of an OLTP mix evaluation."""
+    """The workload-level constants of an OLTP mix evaluation, and the
+    replay of ``WorkloadEstimator._run_mix`` from cached executions."""
 
     __slots__ = ("mix", "total_weight", "model", "measured_fraction")
 
@@ -172,47 +177,56 @@ class _OltpMixModel:
         self.mix = list(workload.transaction_mix)
         self.total_weight = sum(weight for _, weight in self.mix)
         if self.total_weight <= 0:
-            raise UnsupportedBatchEvaluation(
-                "transaction mix weights must sum to a positive value"
+            raise WorkloadError(
+                f"transaction mix of {getattr(workload, 'name', 'workload')!r} has "
+                f"weights summing to {self.total_weight}; they must sum to a "
+                "positive value"
             )
         self.model = ClosedLoopModel(
             concurrency=concurrency, efficiency=estimator.oltp_efficiency
         )
         self.measured_fraction = getattr(workload, "measured_transaction_fraction", 1.0)
 
+    def replay(self, execution_for):
+        """``_run_mix``'s accumulation (same merge and float order).
+        ``execution_for`` is called once per mix entry, in mix order."""
+        io_by_object: Dict[str, Dict[IOType, float]] = {}
+        per_query_times: List[Tuple[str, float]] = []
+        avg_response_ms = 0.0
+        avg_cpu_ms = 0.0
+        for query, weight in self.mix:
+            share = weight / self.total_weight
+            execution = execution_for(query)
+            per_query_times.append((query.name, execution.response_time_ms))
+            merge_io_counts(io_by_object, scale_io_counts(execution.io_counts, share))
+            avg_response_ms += share * execution.response_time_ms
+            avg_cpu_ms += share * execution.cpu_time_ms
+        return io_by_object, per_query_times, avg_response_ms, avg_cpu_ms
 
-def _replay_mix(mix, total_weight, execution_for):
-    """Replays ``WorkloadEstimator._run_mix``'s accumulation from cached
-    executions (same merge and float order).  ``execution_for`` is called
-    once per mix entry, in mix order."""
-    io_by_object: Dict[str, Dict[IOType, float]] = {}
-    per_query_times: List[Tuple[str, float]] = []
-    avg_response_ms = 0.0
-    avg_cpu_ms = 0.0
-    for query, weight in mix:
-        share = weight / total_weight
-        execution = execution_for(query)
-        per_query_times.append((query.name, execution.response_time_ms))
-        merge_io_counts(io_by_object, scale_io_counts(execution.io_counts, share))
-        avg_response_ms += share * execution.response_time_ms
-        avg_cpu_ms += share * execution.cpu_time_ms
-    return io_by_object, per_query_times, avg_response_ms, avg_cpu_ms
+    def throughput(self, io_by_object, storage_class_of, service_times: ServiceTimeTable,
+                   avg_response_ms: float, avg_cpu_ms: float):
+        """``(busy_time_by_class_ms, ThroughputEstimate)``: the busy time of
+        each storage class, then the closed-loop bound -- ``_run_mix``'s tail.
 
-
-def _busy_time_by_class(io_counts, storage_class_of, service_times: ServiceTimeTable):
-    """Replicates ``CostModel.io_time_by_class`` bit for bit: same iteration
-    order, and counts <= 0 contribute an exact ``0.0``."""
-    busy: Dict[str, float] = {}
-    for object_name, by_type in io_counts.items():
-        storage_class = storage_class_of(object_name)
-        class_name = storage_class.name
-        for io_type, count in by_type.items():
-            if count <= 0:
-                time_ms = 0.0
-            else:
-                time_ms = count * service_times.latency_ms(storage_class, io_type)
-            busy[class_name] = busy.get(class_name, 0.0) + time_ms
-    return busy
+        The busy times replicate ``CostModel.io_time_by_class`` bit for bit:
+        same iteration order, and counts <= 0 contribute an exact ``0.0``.
+        """
+        busy: Dict[str, float] = {}
+        for object_name, by_type in io_by_object.items():
+            storage_class = storage_class_of(object_name)
+            class_name = storage_class.name
+            for io_type, count in by_type.items():
+                if count <= 0:
+                    time_ms = 0.0
+                else:
+                    time_ms = count * service_times.latency_ms(storage_class, io_type)
+                busy[class_name] = busy.get(class_name, 0.0) + time_ms
+        throughput = self.model.estimate(
+            response_time_ms=max(avg_response_ms, 1e-9),
+            busy_time_by_class_ms=busy,
+            cpu_time_ms=avg_cpu_ms,
+        )
+        return busy, throughput
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +234,8 @@ def _busy_time_by_class(io_counts, storage_class_of, service_times: ServiceTimeT
 # ---------------------------------------------------------------------------
 
 class QueryEstimateCache:
-    """Caches optimizer estimates by (query, touched-placement-signature).
+    """Caches optimizer estimates by (query, touched-placement-signature),
+    and prices whole workloads from them (:meth:`run_result`).
 
     The signature covers every object whose storage class can influence the
     estimate: the query's referenced objects plus the optimizer's temporary
@@ -229,11 +244,14 @@ class QueryEstimateCache:
     :class:`~repro.dbms.executor.ExecutionResult` can stand in for a fresh
     call.
 
-    One cache instance can be *shared* between several evaluators (ES and
+    One cache instance can be *shared* between several consumers (ES and
     DOT of the same experiment, or successive epochs of the online advisor):
     entries key on query name and signature only, so any consumer working
     from the same estimator, the same query templates and the same
     concurrency gets bitwise-identical results while re-estimating nothing.
+    Signatures encode neither the estimator nor the concurrency, so every
+    consumer that takes a shared cache checks it with
+    :meth:`check_built_for` once.
     """
 
     def __init__(self, estimator, concurrency: int):
@@ -241,8 +259,25 @@ class QueryEstimateCache:
         self.concurrency = concurrency
         self._cache: Dict[tuple, ExecutionResult] = {}
         self._signature_objects: Dict[str, Tuple[str, ...]] = {}
+        self._service_times = ServiceTimeTable(concurrency)
         self.hits = 0
         self.misses = 0
+
+    def check_built_for(self, estimator, concurrency: int) -> None:
+        """Raise :class:`~repro.exceptions.ConfigurationError` unless this
+        cache was built for ``estimator`` at ``concurrency``: its entries
+        would otherwise be estimates of another calibration point."""
+        if self.estimator is not estimator:
+            raise ConfigurationError(
+                f"estimate cache built for {_describe(self.estimator)} is shared "
+                f"with {_describe(estimator)}; share a cache only between "
+                "consumers of one estimator"
+            )
+        if self.concurrency != concurrency:
+            raise ConfigurationError(
+                f"estimate cache built for concurrency {self.concurrency} is shared "
+                f"with a workload running at concurrency {concurrency}"
+            )
 
     def signature_objects(self, query) -> Tuple[str, ...]:
         names = self._signature_objects.get(query.name)
@@ -269,113 +304,68 @@ class QueryEstimateCache:
         self._cache[key] = execution
         return execution
 
+    def run_result(self, workload, placement: Mapping[str, StorageClass],
+                   collect_io: bool = False) -> WorkloadRunResult:
+        """The estimate of ``workload`` under ``placement``, from cached
+        executions.
 
-def _adopt_cache(cache: Optional[QueryEstimateCache], estimator,
-                 concurrency: int) -> QueryEstimateCache:
-    """Validate a shared estimate cache, or build a private one.
+        Rebuilds what ``WorkloadEstimator._run_stream`` / ``_run_mix``
+        return, looking the queries up in stream (mix) order and adding
+        floats in the same order, so every number is bitwise the scalar
+        estimate's -- at this cache's concurrency, which the consumer that
+        took the cache checked.  A DSS result leaves its busy time by class
+        empty and merges the per-object I/O counts only with
+        ``collect_io=True``: search loops read neither, the telemetry
+        monitor and the profiler read the counts.  An OLTP result always
+        carries both, since its throughput needs them.
 
-    A shared cache is only sound when it was filled by the *same* estimator
-    at the *same* concurrency -- signatures do not encode either, so a
-    mismatch would serve estimates computed for a different calibration
-    point.  Mismatches raise :class:`UnsupportedBatchEvaluation` so callers
-    fall back to the scalar path instead of silently mixing tables.
-    """
-    if cache is None:
-        return QueryEstimateCache(estimator, concurrency)
-    if cache.estimator is not estimator:
-        raise UnsupportedBatchEvaluation(
-            "shared estimate cache was built for a different estimator"
-        )
-    if cache.concurrency != concurrency:
-        raise UnsupportedBatchEvaluation(
-            f"shared estimate cache calibrated at concurrency {cache.concurrency}, "
-            f"workload runs at {concurrency}"
-        )
-    return cache
-
-
-# ---------------------------------------------------------------------------
-# Scalar fast path (DOT's move walk)
-# ---------------------------------------------------------------------------
-
-class IncrementalWorkloadEvaluator:
-    """Drop-in for ``TOCModel.evaluate(layout, workload, mode="estimate")``.
-
-    Re-estimates only the queries whose touched-placement signature changed
-    since the last evaluation (every other query hits the estimate cache) and
-    skips the per-candidate I/O bookkeeping that feasibility checking never
-    reads.  The numbers it produces are bitwise identical to the legacy path;
-    only dispensable side products (the DSS candidates' merged I/O counts)
-    are omitted, which is why search loops re-evaluate their final winner
-    through the full estimator.  Consumers that *do* need the per-object I/O
-    counts (the online advisor's telemetry monitor) pass ``collect_io=True``,
-    which merges them from the cached executions in the scalar path's exact
-    order.
-    """
-
-    def __init__(self, estimator, workload, toc_model: TOCModel,
-                 cache: Optional[QueryEstimateCache] = None,
-                 collect_io: bool = False):
+        Raises :class:`~repro.exceptions.WorkloadError` for a workload that
+        is neither ``dss`` nor ``oltp`` (a cross-kind blend is priced per
+        component).
+        """
         kind = getattr(workload, "kind", "dss")
-        if kind not in ("dss", "oltp"):
-            raise UnsupportedBatchEvaluation(f"unsupported workload kind {kind!r}")
-        self.estimator = estimator
-        self.workload = workload
-        self.toc_model = toc_model
-        self.kind = kind
-        self.concurrency = getattr(workload, "concurrency", 1)
-        self.cache = _adopt_cache(cache, estimator, self.concurrency)
-        self.collect_io = collect_io
-        self._service_times = ServiceTimeTable(self.concurrency)
-        if kind == "oltp":
-            self._oltp = _OltpMixModel(workload, estimator, self.concurrency)
-
-    # ------------------------------------------------------------------
-    def run_result(self, layout) -> WorkloadRunResult:
-        """Estimate the workload under ``layout`` (cached per-query plans)."""
-        placement = layout.placement()
-        name = getattr(self.workload, "name", "workload")
-        if self.kind == "oltp":
+        name = getattr(workload, "name", "workload")
+        if kind == "dss":
             result = WorkloadRunResult(
-                workload_name=name,
-                kind="oltp",
-                concurrency=self.concurrency,
-                measured_transaction_fraction=self._oltp.measured_fraction,
+                workload_name=name, kind="dss", concurrency=self.concurrency
             )
-            io_by_object, per_query_times, avg_response_ms, avg_cpu_ms = _replay_mix(
-                self._oltp.mix, self._oltp.total_weight,
-                lambda query: self.cache.get(query, placement),
-            )
-            result.io_by_object = io_by_object
-            result.per_query_times_ms = per_query_times
-            busy_by_class = _busy_time_by_class(
-                io_by_object, placement.__getitem__, self._service_times
-            )
-            result.throughput = self._oltp.model.estimate(
-                response_time_ms=max(avg_response_ms, 1e-9),
-                busy_time_by_class_ms=busy_by_class,
-                cpu_time_ms=avg_cpu_ms,
-            )
-            result.busy_time_by_class_ms = busy_by_class
-            result.total_time_s = getattr(self.workload, "duration_s", 3600.0)
+            total_ms = 0.0
+            for query in workload.queries:
+                execution = self.get(query, placement)
+                result.per_query_times_ms.append((query.name, execution.response_time_ms))
+                if collect_io:
+                    merge_io_counts(result.io_by_object, execution.io_counts)
+                total_ms += execution.response_time_ms
+            result.total_time_s = total_ms / 1000.0
             return result
-
-        result = WorkloadRunResult(
-            workload_name=name, kind="dss", concurrency=self.concurrency
+        if kind != "oltp":
+            raise WorkloadError(
+                f"workload {name!r} of kind {kind!r} cannot be priced from cached "
+                "estimates; price each dss/oltp component on its own"
+            )
+        mix = _OltpMixModel(workload, self.estimator, self.concurrency)
+        io_by_object, per_query_times, avg_response_ms, avg_cpu_ms = mix.replay(
+            lambda query: self.get(query, placement)
         )
-        total_ms = 0.0
-        for query in self.workload.queries:
-            execution = self.cache.get(query, placement)
-            result.per_query_times_ms.append((query.name, execution.response_time_ms))
-            if self.collect_io:
-                merge_io_counts(result.io_by_object, execution.io_counts)
-            total_ms += execution.response_time_ms
-        result.total_time_s = total_ms / 1000.0
-        return result
+        busy_by_class, throughput = mix.throughput(
+            io_by_object, placement.__getitem__, self._service_times,
+            avg_response_ms, avg_cpu_ms,
+        )
+        return WorkloadRunResult(
+            workload_name=name,
+            kind="oltp",
+            concurrency=self.concurrency,
+            per_query_times_ms=per_query_times,
+            io_by_object=io_by_object,
+            busy_time_by_class_ms=busy_by_class,
+            total_time_s=getattr(workload, "duration_s", 3600.0),
+            throughput=throughput,
+            measured_transaction_fraction=mix.measured_fraction,
+        )
 
-    def evaluate(self, layout) -> TOCReport:
-        """The TOC report of one candidate layout (estimate mode)."""
-        return self.toc_model.report_from_result(layout, self.workload, self.run_result(layout))
+
+def _describe(estimator) -> str:
+    return f"{type(estimator).__name__} at {id(estimator):#x}"
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +532,10 @@ class BatchLayoutEvaluator:
         Optional SLA; only the two concrete paper constraint types are
         vectorizable, anything else raises
         :class:`UnsupportedBatchEvaluation`.
+    cache:
+        Optional shared :class:`QueryEstimateCache`; one built for another
+        estimator or concurrency raises
+        :class:`~repro.exceptions.ConfigurationError`.
     """
 
     def __init__(
@@ -594,7 +588,10 @@ class BatchLayoutEvaluator:
             [storage_class.capacity_gb for storage_class in self.classes]
         )
 
-        self.cache = _adopt_cache(cache, estimator, self.concurrency)
+        self.cache = cache if cache is not None else QueryEstimateCache(
+            estimator, self.concurrency
+        )
+        self.cache.check_built_for(estimator, self.concurrency)
         self.stats = BatchEvalStats()
 
         if kind == "oltp":
@@ -887,18 +884,13 @@ class BatchLayoutEvaluator:
             class_of.update(table.touched_classes[slot])
             return table.executions[slot]
 
-        io_by_object, _, avg_response_ms, avg_cpu_ms = _replay_mix(
-            self._oltp.mix, self._oltp.total_weight, execution_for
-        )
-        busy_by_class = _busy_time_by_class(
+        io_by_object, _, avg_response_ms, avg_cpu_ms = self._oltp.replay(execution_for)
+        _, throughput = self._oltp.throughput(
             io_by_object,
             lambda object_name: self.system[class_of[object_name]],
             self._service_times,
-        )
-        throughput = self._oltp.model.estimate(
-            response_time_ms=max(avg_response_ms, 1e-9),
-            busy_time_by_class_ms=busy_by_class,
-            cpu_time_ms=avg_cpu_ms,
+            avg_response_ms,
+            avg_cpu_ms,
         )
         tasks_per_hour = throughput.transactions_per_hour * self._oltp.measured_fraction
         transactions_per_minute = (

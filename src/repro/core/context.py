@@ -10,19 +10,21 @@ same plumbing around them: building a :class:`~repro.core.toc.TOCModel`,
 resolving a relative SLA against the all-most-expensive reference layout,
 profiling the workload over baseline layouts, sharing a
 :class:`~repro.core.batch_eval.QueryEstimateCache`, and deciding whether the
-vectorized batch/incremental evaluators apply or the scalar reference path
-must run.
+vectorized batch evaluator applies or the scalar reference path must run.
 
 :class:`EvaluationContext` owns all of that once.  The solver layer
 (:mod:`repro.core.solver`) consumes contexts through the uniform
 ``Solver.solve(context)`` protocol, and the scenario registry
 (:mod:`repro.scenarios`) builds them from named experiment configurations.
 
-The scalar-vs-batch fallback decision lives in two module-level helpers --
-:func:`make_batch_evaluator` and :func:`make_incremental_evaluator` -- that
-the solvers share instead of re-implementing: both return ``None`` when the
-configuration cannot take the vectorized path, and callers fall back to the
-scalar reference implementation.
+Estimate-mode pricing has one cached path: :meth:`EvaluationContext.estimate`
+prices a layout from the context's estimate cache
+(:meth:`~repro.core.batch_eval.QueryEstimateCache.run_result`), bitwise the
+scalar :meth:`EvaluationContext.evaluate`.  DOT's walk, the online loop and
+the SLA resolution use it.  The exhaustive search's scalar-vs-batch decision
+lives in :func:`make_batch_evaluator`, which returns ``None`` when the
+configuration cannot take the vectorized path; the search then runs its
+scalar reference loop.
 
 The solver protocol itself (:class:`Solver`) and its one result type
 (:class:`SolveResult` / :class:`SolveStats`) live here too, beside the
@@ -38,11 +40,10 @@ from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union, r
 from repro.core.batch_eval import (
     BatchEvalStats,
     BatchLayoutEvaluator,
-    IncrementalWorkloadEvaluator,
     QueryEstimateCache,
     UnsupportedBatchEvaluation,
 )
-from repro.core.feasibility import FeasibilityChecker, constraint_signature
+from repro.core.feasibility import FeasibilityChecker
 from repro.core.layout import Layout
 from repro.core.profiler import WorkloadProfiler
 from repro.core.profiles import WorkloadProfileSet
@@ -55,7 +56,7 @@ from repro.storage.storage_class import StorageSystem
 
 
 # ---------------------------------------------------------------------------
-# The scalar-vs-batch fallback decision (shared by every solver)
+# The exhaustive search's scalar-vs-batch decision
 # ---------------------------------------------------------------------------
 
 def make_batch_evaluator(
@@ -93,35 +94,6 @@ def make_batch_evaluator(
         return None
 
 
-def make_incremental_evaluator(
-    estimator,
-    workload,
-    toc_model: TOCModel,
-    *,
-    cache: Optional[QueryEstimateCache] = None,
-    collect_io: bool = False,
-    constraint: Optional[PerformanceConstraint] = None,
-    require_checkable_constraint: bool = False,
-) -> Optional[IncrementalWorkloadEvaluator]:
-    """An :class:`IncrementalWorkloadEvaluator`, or ``None`` for the fallback.
-
-    With ``require_checkable_constraint=True`` (DOT's move walk) the fast
-    path is additionally gated on :func:`constraint_signature` recognising
-    the constraint type: the walk's feasibility check consumes the candidate
-    run results, and an exotic constraint subclass could read I/O fields the
-    incremental evaluator does not populate.  Consumers that never feed the
-    results to a constraint (the online advisor's accounting) skip the gate.
-    """
-    if require_checkable_constraint and constraint_signature(constraint) is None:
-        return None
-    try:
-        return IncrementalWorkloadEvaluator(
-            estimator, workload, toc_model, cache=cache, collect_io=collect_io
-        )
-    except UnsupportedBatchEvaluation:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # The context
 # ---------------------------------------------------------------------------
@@ -141,7 +113,10 @@ class EvaluationContext:
 
     ``profiles`` is computed lazily on first use (DOT and the MILP need it,
     ES and the Object Advisor do not) and may be supplied eagerly, e.g. one
-    test-run profile set shared by the per-SLA contexts of Figure 8.
+    test-run profile set shared by the per-SLA contexts of Figure 8.  A
+    supplied ``estimate_cache`` must have been built for the context's
+    estimator and workload concurrency
+    (:class:`~repro.exceptions.ConfigurationError` otherwise).
     """
 
     objects: List[DatabaseObject]
@@ -168,6 +143,7 @@ class EvaluationContext:
             self.toc_model = TOCModel(self.estimator, cost_override=self.cost_override)
         if self.estimate_cache is None:
             self.estimate_cache = QueryEstimateCache(self.estimator, self.concurrency)
+        self.estimate_cache.check_built_for(self.estimator, self.concurrency)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -223,19 +199,19 @@ class EvaluationContext:
     ) -> Optional[PerformanceConstraint]:
         """Resolve a relative SLA against the reference layout (or pass through).
 
-        Estimate-mode caps come from the incremental evaluator, which
-        reproduces the scalar estimate's per-query times and throughput bit
-        for bit and leaves the reference's estimates in the context's cache
-        for the profiler and the solvers.  ``mode="run"`` resolves against a
-        simulated run -- the caps the figures report PSR against -- and
-        advances the estimator's noise RNG.
+        Estimate-mode caps come from the estimate cache, which reproduces
+        the scalar estimate's per-query times and throughput bit for bit and
+        keeps the reference's estimates for the profiler and the solvers.
+        ``mode="run"`` resolves against a simulated run -- the caps the
+        figures report PSR against -- and advances the estimator's noise RNG.
         """
         if sla is None or isinstance(sla, PerformanceConstraint):
             return sla
         reference = self.reference_layout()
-        evaluator = self.incremental_evaluator() if mode == "estimate" else None
-        if evaluator is not None:
-            return sla.resolve(evaluator.run_result(reference))
+        if mode == "estimate":
+            return sla.resolve(
+                self.estimate_cache.run_result(self.workload, reference.placement())
+            )
         return sla.resolve(self.toc_model.evaluate(reference, self.workload, mode=mode).run_result)
 
     def checker(self) -> FeasibilityChecker:
@@ -245,6 +221,17 @@ class EvaluationContext:
     def evaluate(self, layout: Layout, mode: str = "estimate") -> TOCReport:
         """TOC report of one layout for the context's workload."""
         return self.toc_model.evaluate(layout, self.workload, mode=mode)
+
+    def estimate(self, layout: Layout, collect_io: bool = False) -> TOCReport:
+        """The estimate-mode TOC report of one layout, priced from the
+        context's estimate cache.
+
+        Bitwise the report of :meth:`evaluate`, except that a DSS run result
+        carries its per-object I/O counts only with ``collect_io=True``
+        (:meth:`~repro.core.batch_eval.QueryEstimateCache.run_result`).
+        """
+        result = self.estimate_cache.run_result(self.workload, layout.placement(), collect_io)
+        return self.toc_model.report_from_result(layout, self.workload, result)
 
     def psr(self, report: Optional[TOCReport]) -> float:
         """PSR of a report against the constraint (1.0 without either)."""
@@ -289,20 +276,6 @@ class EvaluationContext:
             constraint=self.constraint,
             cache=self.estimate_cache,
             toc_model=self.toc_model,
-        )
-
-    def incremental_evaluator(
-        self, collect_io: bool = False, require_checkable_constraint: bool = False
-    ) -> Optional[IncrementalWorkloadEvaluator]:
-        """An incremental evaluator over the context (``None`` -> fallback)."""
-        return make_incremental_evaluator(
-            self.estimator,
-            self.workload,
-            self.toc_model,
-            cache=self.estimate_cache,
-            collect_io=collect_io,
-            constraint=self.constraint,
-            require_checkable_constraint=require_checkable_constraint,
         )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.context import EvaluationContext, SolveResult, SolveStats
+from repro.core.feasibility import constraint_signature
 from repro.core.layout import Layout
 from repro.core.moves import Move, enumerate_moves
 from repro.core.toc import TOCReport
@@ -58,14 +59,14 @@ class DOTSolver:
     Parameters
     ----------
     incremental:
-        Evaluate candidate layouts through the
-        :class:`~repro.core.batch_eval.IncrementalWorkloadEvaluator`
-        (default): per-query estimates are cached by touched-placement
-        signature, so a move re-scores only the queries touching the moved
-        group.  Results are bitwise identical to full evaluation (the
-        ``incremental=False`` scalar oracle); the walk falls back to full
-        evaluation automatically for configurations the fast path cannot
-        represent.
+        Price candidate layouts from the context's estimate cache
+        (:meth:`~repro.core.context.EvaluationContext.estimate`, the
+        default): per-query estimates are cached by touched-placement
+        signature, so a move re-estimates only the queries touching the
+        moved group.  Results are bitwise identical to full evaluation (the
+        ``incremental=False`` scalar oracle).  A constraint type without a
+        :func:`~repro.core.feasibility.constraint_signature` walks on full
+        evaluation either way.
     independent_objects:
         Treat every object as its own group (the per-object enumeration of
         Canim et al. [10]).  Used by the grouping ablation benchmark; the
@@ -92,15 +93,14 @@ class DOTSolver:
     def _candidate_evaluator(self, context: EvaluationContext):
         """The per-candidate TOC evaluator for one walk.
 
-        Prefers the signature-cached incremental evaluator (bitwise-identical
-        results, far less Python per move); falls back to the full
-        ``TOCModel.evaluate`` for workload kinds or constraint types the fast
-        path cannot represent.
+        The incremental walk prices candidates from the estimate cache
+        (bitwise-identical results, far less Python per move).  A constraint
+        type without a batch signature walks on the full
+        ``TOCModel.evaluate``: its ``check`` could read run-result fields the
+        cached path leaves empty (a DSS candidate's I/O counts).
         """
-        if self.incremental:
-            fast = context.incremental_evaluator(require_checkable_constraint=True)
-            if fast is not None:
-                return fast.evaluate
+        if self.incremental and constraint_signature(context.constraint) is not None:
+            return context.estimate
         return context.evaluate
 
     def solve(
@@ -177,9 +177,9 @@ class DOTSolver:
         elapsed = time.perf_counter() - started
         if best_layout is not None:
             best_layout = best_layout.renamed("DOT")
-            # The incremental evaluator omits dispensable I/O bookkeeping from
-            # candidate run results, so the recommendation is re-evaluated in
-            # full; the numbers are identical, only the I/O fields are richer.
+            # The cached path omits a DSS candidate's I/O counts, so the
+            # recommendation is re-evaluated in full; the numbers are
+            # identical, only the I/O fields are richer.
             best_report = context.evaluate(best_layout)
         stats = SolveStats(
             elapsed_s=elapsed,

@@ -5,6 +5,9 @@ layouts* and records the per-object I/O counts.  Two modes mirror the paper:
 
 * ``"estimate"`` -- the extended query optimizer predicts the I/O counts
   without executing anything (used for the TPC-H experiments, Section 4.4);
+  by default the baselines are priced through the estimate cache's
+  :meth:`~repro.core.batch_eval.QueryEstimateCache.run_result`, the same
+  cached path DOT's walk uses;
 * ``"testrun"`` -- a short simulated test run provides actual I/O statistics
   (used for the TPC-C experiments, Section 4.5.1, where a single baseline
   layout suffices because the plans never change).
@@ -12,14 +15,10 @@ layouts* and records the per-object I/O counts.  Two modes mirror the paper:
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence
 
-from repro.core.batch_eval import (
-    QueryEstimateCache,
-    UnsupportedBatchEvaluation,
-    _adopt_cache,
-    _replay_mix,
-)
+from repro.core.batch_eval import QueryEstimateCache
 from repro.core.layout import Layout
 from repro.core.profiles import (
     BaselinePlacement,
@@ -27,7 +26,6 @@ from repro.core.profiles import (
     baseline_placements,
     placement_for_group,
 )
-from repro.dbms.plan import merge_io_counts
 from repro.exceptions import ProfileError
 from repro.objects import DatabaseObject, ObjectGroup, group_objects
 from repro.storage.storage_class import StorageSystem
@@ -52,6 +50,9 @@ class WorkloadProfiler:
         the ``M^K`` baseline enumeration re-estimates a query only when its
         touched-placement signature is new -- and an optimizer/search sharing
         the cache starts with every baseline estimate already in its table.
+        A cache built for another estimator or for another concurrency than
+        the profiled workload's raises
+        :class:`~repro.exceptions.ConfigurationError`.
     """
 
     def __init__(self, objects: Sequence[DatabaseObject], system: StorageSystem, estimator,
@@ -100,15 +101,15 @@ class WorkloadProfiler:
         single pattern reproduces the paper's pruned TPC-C profiling where
         one baseline layout is enough.
 
-        Estimate-mode profiling goes through the per-(query,
-        touched-placement-signature) estimate tables of
-        :mod:`repro.core.batch_eval` by default: baseline patterns that a
-        query cannot distinguish (its signature objects land on the same
-        classes) share one optimizer estimate, and the per-object I/O counts
-        are re-accumulated from the cached executions in the scalar
-        estimator's exact merge order -- the resulting profiles are bitwise
-        identical.  ``fast=False`` forces the scalar reference path; test
-        runs always take it (their noise and buffer state are stateful).
+        Estimate-mode profiling goes through the estimate cache by default
+        (:meth:`~repro.core.batch_eval.QueryEstimateCache.run_result` with
+        ``collect_io=True``): baseline patterns that a query cannot
+        distinguish (its signature objects land on the same classes) share
+        one optimizer estimate, and the per-object I/O counts are merged from
+        the cached executions in the scalar estimator's exact order -- the
+        resulting profiles are bitwise identical.  ``fast=False`` forces the
+        scalar reference path; test runs always take it (their noise and
+        buffer state are stateful).
         """
         if mode not in ("estimate", "testrun"):
             raise ProfileError(f"unknown profiling mode {mode!r}")
@@ -120,60 +121,21 @@ class WorkloadProfiler:
         if not chosen:
             raise ProfileError("no baseline placement patterns to profile")
 
-        profile_set = WorkloadProfileSet(
-            system=self.system, concurrency=getattr(workload, "concurrency", 1)
-        )
-        if mode == "estimate" and fast:
-            try:
-                return self._profile_estimate_fast(workload, chosen, profile_set)
-            except UnsupportedBatchEvaluation:
-                pass
-        runner = (
-            self.estimator.estimate_workload if mode == "estimate" else self.estimator.run_workload
-        )
-        for pattern in chosen:
-            layout = self.baseline_layout(pattern)
-            result = runner(workload, layout.placement())
-            profile_set.add(pattern, result.io_by_object)
-        return profile_set
-
-    def _profile_estimate_fast(
-        self,
-        workload,
-        chosen: Sequence[BaselinePlacement],
-        profile_set: WorkloadProfileSet,
-    ) -> WorkloadProfileSet:
-        """Estimate-mode profiling through the shared estimate tables.
-
-        Replays ``WorkloadEstimator._run_stream`` / ``_run_mix``'s I/O
-        accumulation (same per-query order, same dict-merge order) from
-        cached :class:`~repro.dbms.executor.ExecutionResult`s, so each
-        distinct (query, signature) pair is estimated once across all
-        baseline patterns instead of once per pattern.
-        """
-        kind = getattr(workload, "kind", "dss")
-        if kind not in ("dss", "oltp"):
-            raise UnsupportedBatchEvaluation(f"unsupported workload kind {kind!r}")
         concurrency = getattr(workload, "concurrency", 1)
-        cache = _adopt_cache(self.estimate_cache, self.estimator, concurrency)
-        if kind == "oltp":
-            mix = list(workload.transaction_mix)
-            total_weight = sum(weight for _, weight in mix)
-            if total_weight <= 0:
-                raise UnsupportedBatchEvaluation(
-                    "transaction mix weights must sum to a positive value"
-                )
+        profile_set = WorkloadProfileSet(system=self.system, concurrency=concurrency)
+        if mode == "testrun":
+            runner = self.estimator.run_workload
+        elif fast:
+            cache = self.estimate_cache
+            if cache is None:
+                cache = QueryEstimateCache(self.estimator, concurrency)
+            cache.check_built_for(self.estimator, concurrency)
+            runner = functools.partial(cache.run_result, collect_io=True)
+        else:
+            runner = self.estimator.estimate_workload
         for pattern in chosen:
-            placement = self.baseline_layout(pattern).placement()
-            if kind == "oltp":
-                io_by_object, _, _, _ = _replay_mix(
-                    mix, total_weight, lambda query: cache.get(query, placement)
-                )
-            else:
-                io_by_object = {}
-                for query in workload.queries:
-                    merge_io_counts(io_by_object, cache.get(query, placement).io_counts)
-            profile_set.add(pattern, io_by_object)
+            result = runner(workload, self.baseline_layout(pattern).placement())
+            profile_set.add(pattern, result.io_by_object)
         return profile_set
 
     def single_baseline_pattern(self) -> BaselinePlacement:

@@ -5,7 +5,10 @@ DOT needs two things from the DBMS substrate (paper Figure 2):
 * **Optimizer estimates** -- for a candidate layout, how many I/Os of each
   type does the workload issue against each object, and what is the estimated
   response time / throughput?  (``estimateTOC`` in Procedure 1 and the
-  profiling phase of Section 3.4, mode (a).)
+  profiling phase of Section 3.4, mode (a).)  An estimate is its plan's
+  numbers and nothing else -- no buffer pool, no noise -- so two placements
+  that agree on a query's signature objects get the same estimate, which is
+  what lets :class:`~repro.core.batch_eval.QueryEstimateCache` reuse it.
 * **Test runs** -- for the validation phase, a simulated "real" execution that
   may deviate from the estimates (buffer-pool hits, measurement noise) and
   yields actual I/O statistics.  (Section 3.4, mode (b).)
@@ -116,15 +119,11 @@ class WorkloadEstimator:
         Optional name of the temporary-space object used for spills.
     buffer_pool:
         Buffer pool applied in *test-run* mode (estimates ignore caching, as
-        the paper's estimates do).
+        the paper's estimates do; the TPC-C experiments get the buffer's
+        effect from test-run profiling).
     noise:
         Coefficient of variation of the log-normal noise applied to simulated
         ("actual") query times.  Estimates are always noise-free.
-    estimate_uses_buffer:
-        Apply buffer-pool absorption to *estimates* as well.  The paper's
-        TPC-H estimates ignore caching, but its TPC-C profiling comes from a
-        test run whose I/O statistics already reflect the 4 GB shared buffer;
-        setting this flag reproduces that behaviour for OLTP experiments.
     oltp_efficiency:
         Efficiency factor of the closed-loop throughput model (lock/latch
         interference at high concurrency).
@@ -141,14 +140,12 @@ class WorkloadEstimator:
         noise: float = 0.03,
         oltp_efficiency: float = 0.85,
         seed: Optional[int] = 2011,
-        estimate_uses_buffer: bool = False,
     ):
         self.catalog = catalog
         self.parameters = parameters or CostParameters()
         self.optimizer = QueryOptimizer(catalog, self.parameters, temp_object=temp_object)
         self.buffer_pool = buffer_pool
         self.noise = noise
-        self.estimate_uses_buffer = estimate_uses_buffer
         self.oltp_efficiency = oltp_efficiency
         self._rng = np.random.default_rng(seed)
         self._object_sizes: Dict[str, float] = {
@@ -164,8 +161,8 @@ class WorkloadEstimator:
         The optimizer's :meth:`~repro.dbms.optimizer.QueryOptimizer.signature_objects`,
         which its plan cache keys on: the query's referenced objects plus the
         temporary-space object.  Two placements agreeing on these objects
-        produce identical estimates -- the invariant the batch/incremental
-        evaluators key their tables on.
+        produce identical estimates -- the invariant the estimate cache and
+        the batch evaluator key their tables on.
         """
         return self.optimizer.signature_objects(query)
 
@@ -177,18 +174,12 @@ class WorkloadEstimator:
     ) -> ExecutionResult:
         """Optimizer estimate for one query under one placement."""
         plan = self.optimizer.plan(query, placement, concurrency=concurrency)
-        io_counts = plan.io_by_object
-        io_time_ms = plan.io_time_ms
-        if self.estimate_uses_buffer and self.buffer_pool is not None:
-            io_counts = self.buffer_pool.absorb_reads(io_counts, self._object_sizes)
-            cost_model = CostModel(placement, concurrency=concurrency, parameters=self.parameters)
-            io_time_ms = cost_model.io_time_for_counts(io_counts)
         return ExecutionResult(
             query_name=query.name,
-            response_time_ms=io_time_ms + plan.cpu_time_ms,
-            io_time_ms=io_time_ms,
+            response_time_ms=plan.io_time_ms + plan.cpu_time_ms,
+            io_time_ms=plan.io_time_ms,
             cpu_time_ms=plan.cpu_time_ms,
-            io_counts=io_counts,
+            io_counts=plan.io_by_object,
             plan=plan,
         )
 

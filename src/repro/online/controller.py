@@ -26,7 +26,10 @@ Each epoch it
    :class:`~repro.core.batch_eval.QueryEstimateCache` instances the contexts
    are built on: an unchanged query on an unchanged placement is never
    re-estimated, which is what makes running the advisor every epoch
-   affordable;
+   affordable.  Every layout an epoch scores is priced through
+   :meth:`~repro.core.context.EvaluationContext.estimate` with
+   ``collect_io=True``, the cached path that also yields the per-object I/O
+   counts the monitor reads;
 4. prices the layout transition with the analytic
    :class:`~repro.online.migration.MigrationCostModel` and only
    **re-tiers** when the
@@ -469,19 +472,6 @@ class OnlineAdvisor:
     # ------------------------------------------------------------------
     # Epoch evaluation (pure and cross-kind)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _estimate(context: EvaluationContext, layout: Layout) -> TOCReport:
-        """Estimate-mode TOC report of one component, through its cache.
-
-        The incremental evaluator collects the per-object I/O counts the
-        telemetry monitor reads; exotic workload kinds it cannot take fall
-        back to the full scalar estimator.
-        """
-        evaluator = context.incremental_evaluator(collect_io=True)
-        if evaluator is None:
-            return context.evaluate(layout)
-        return evaluator.evaluate(layout)
-
     def _evaluate_epoch(
         self,
         layout: Layout,
@@ -497,14 +487,14 @@ class OnlineAdvisor:
         """
         if len(contexts) == 1:
             context = contexts[0][0]
-            report = self._estimate(context, layout)
+            report = context.estimate(layout, collect_io=True)
             return _EpochEvaluation(report=report, psr=context.psr(report))
 
         blended = _BlendedRunResult(getattr(workload, "name", "workload"))
         toc_cents = 0.0
         psr = 0.0
         for context, weight in contexts:
-            report = self._estimate(context, layout)
+            report = context.estimate(layout, collect_io=True)
             toc_cents += weight * report.toc_cents
             psr += weight * context.psr(report)
             blended.fold(report.run_result, weight)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.batch_eval import QueryEstimateCache
 from repro.core.context import EvaluationContext
 from repro.core.layout import Layout
 from repro.core.profiles import WorkloadProfileSet
@@ -131,7 +130,6 @@ class ScenarioBundle:
         sla: Optional[Union[RelativeSLA, PerformanceConstraint]] = DEFAULT_SLA,
         cost_override: Optional[Callable[[Layout], float]] = None,
         profiles: Optional[WorkloadProfileSet] = None,
-        estimate_cache: Optional[QueryEstimateCache] = None,
         estimator=None,
     ) -> EvaluationContext:
         """An :class:`EvaluationContext` over this bundle.
@@ -140,9 +138,9 @@ class ScenarioBundle:
         fixed system, or ``box``/``capacity_limits_gb``; the SLA defaults to
         the scenario's own (pass ``sla=None`` to solve unconstrained).
         ``estimator`` substitutes an alternative estimator (e.g. a
-        :meth:`fresh_estimator` twin for isolated arms).  Everything else
-        (profiling conventions, the shared estimate cache) is inherited from
-        the bundle.
+        :meth:`fresh_estimator` twin for isolated arms).  The profiling
+        conventions are inherited from the bundle, and the context builds
+        its own estimate cache.
         """
         chosen_system = (
             system if system is not None else self.get_system(box, capacity_limits_gb)
@@ -157,7 +155,6 @@ class ScenarioBundle:
             profile_mode=self.profile_mode,
             single_baseline_profile=self.single_baseline_profile,
             profiles=profiles,
-            estimate_cache=estimate_cache,
         )
 
 

@@ -1,19 +1,25 @@
-"""The vectorized batch layout evaluation engine.
+"""The vectorized batch layout evaluation engine and the cached pricing path.
 
-The contract under test is strict: the batch exhaustive search and the
-incremental DOT walk must return *bitwise identical* layouts, TOCs and move
-histories compared to the scalar reference paths -- including on the paper's
-Figure 9 ES-vs-DOT TPC-C configuration.
+The contract under test is strict: the batch exhaustive search, the
+estimate cache's pricing (:meth:`QueryEstimateCache.run_result`) and the
+incremental DOT walk on it must return *bitwise identical* layouts, TOCs and
+move histories compared to the scalar reference paths -- including on the
+paper's Figure 9 ES-vs-DOT TPC-C configuration and on generated scenarios.
 """
 
 import itertools
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from repro import scenarios
 from repro.core.batch_eval import (
     BatchLayoutEvaluator,
-    IncrementalWorkloadEvaluator,
+    QueryEstimateCache,
     UnsupportedBatchEvaluation,
     group_placement_coefficients,
     iter_assignment_chunks,
@@ -27,12 +33,15 @@ from repro.core.moves import group_cost_cents_per_hour
 from repro.core.profiler import WorkloadProfiler
 from repro.core.toc import TOCModel
 from repro.dbms.executor import WorkloadEstimator
+from repro.exceptions import ConfigurationError, WorkloadError
 from repro.sla.constraints import (
     RelativeSLA,
     ResponseTimeConstraint,
     ThroughputConstraint,
 )
-from repro.workloads.workload import Workload
+from repro.storage import catalog as storage_catalog
+from repro.storage.storage_class import StorageSystem
+from repro.workloads.workload import CrossKindWorkload, Workload
 
 
 def fresh_estimator(catalog):
@@ -261,47 +270,56 @@ class TestBatchLayoutEvaluator:
 
 
 class TestIncrementalEvaluator:
+    """Incremental evaluation: ``EvaluationContext.estimate`` prices a layout
+    through the estimate cache's ``run_result``, bitwise the scalar report."""
+
     def test_dss_report_matches_full_evaluation(self, small_objects, box1_system,
                                                 small_catalog, small_workload):
-        estimator = fresh_estimator(small_catalog)
-        toc_model = TOCModel(estimator)
-        fast = IncrementalWorkloadEvaluator(estimator, small_workload, toc_model)
-        reference_model = TOCModel(fresh_estimator(small_catalog))
+        context = EvaluationContext(small_objects, box1_system,
+                                    fresh_estimator(small_catalog), small_workload)
+        reference = EvaluationContext(small_objects, box1_system,
+                                      fresh_estimator(small_catalog), small_workload)
         for class_name in box1_system.class_names:
             layout = Layout.uniform(small_objects, box1_system, class_name)
-            fast_report = fast.evaluate(layout)
-            full_report = reference_model.evaluate(layout, small_workload, mode="estimate")
-            assert fast_report.toc_cents == full_report.toc_cents
-            assert (fast_report.run_result.per_query_times_ms
-                    == full_report.run_result.per_query_times_ms)
+            full_report = reference.evaluate(layout)
+            for collect_io in (False, True):
+                fast_report = context.estimate(layout, collect_io=collect_io)
+                assert fast_report == replace(full_report, run_result=fast_report.run_result)
+                assert (fast_report.run_result.per_query_times_ms
+                        == full_report.run_result.per_query_times_ms)
+                # A search candidate skips the I/O merge; the monitor asks for it.
+                assert fast_report.run_result.io_by_object == (
+                    full_report.run_result.io_by_object if collect_io else {}
+                )
 
     def test_oltp_report_matches_full_evaluation(self, small_objects, box1_system,
                                                  small_catalog, oltp_workload):
-        estimator = fresh_estimator(small_catalog)
-        toc_model = TOCModel(estimator)
-        fast = IncrementalWorkloadEvaluator(estimator, oltp_workload, toc_model)
-        reference_model = TOCModel(fresh_estimator(small_catalog))
+        context = EvaluationContext(small_objects, box1_system,
+                                    fresh_estimator(small_catalog), oltp_workload)
+        reference = EvaluationContext(small_objects, box1_system,
+                                      fresh_estimator(small_catalog), oltp_workload)
         for class_name in box1_system.class_names:
             layout = Layout.uniform(small_objects, box1_system, class_name)
-            fast_report = fast.evaluate(layout)
-            full_report = reference_model.evaluate(layout, oltp_workload, mode="estimate")
+            fast_report = context.estimate(layout)
+            full_report = reference.evaluate(layout)
             assert fast_report.toc_cents == full_report.toc_cents
             assert (fast_report.run_result.transactions_per_minute
                     == full_report.run_result.transactions_per_minute)
-            assert (fast_report.run_result.busy_time_by_class_ms
-                    == full_report.run_result.busy_time_by_class_ms)
+            assert fast_report.run_result == full_report.run_result
 
     def test_repeated_evaluations_hit_the_cache(self, small_objects, box1_system,
                                                 small_catalog, small_workload):
         estimator = fresh_estimator(small_catalog)
-        fast = IncrementalWorkloadEvaluator(estimator, small_workload, TOCModel(estimator))
-        layout = Layout.uniform(small_objects, box1_system, "H-SSD")
-        fast.evaluate(layout)
-        misses = fast.cache.misses
-        # Moving an object no query touches re-uses every cached estimate.
-        fast.evaluate(layout)
-        assert fast.cache.misses == misses
-        assert fast.cache.hits > 0
+        cache = QueryEstimateCache(estimator, small_workload.concurrency)
+        placement = Layout.uniform(small_objects, box1_system, "H-SSD").placement()
+        cache.run_result(small_workload, placement)
+        misses = cache.misses
+        # Re-pricing the layout re-estimates nothing: one lookup per stream
+        # instance, every one a hit.
+        cache.run_result(small_workload, placement)
+        assert cache.misses == misses
+        assert cache.hits + cache.misses == 2 * len(small_workload.queries)
+        assert cache.hits >= len(small_workload.queries)
 
 
 class TestConstraintSignature:
@@ -347,6 +365,112 @@ class TestDOTIncrementalIdentity:
             assert fast_move.feasible == scalar_move.feasible
             assert fast_move.toc_cents == scalar_move.toc_cents
             assert fast_move.feasibility == scalar_move.feasibility
+
+
+@dataclass(frozen=True)
+class DrawnScenario:
+    """One generated instance of a synthetic scenario.  Only drawn values
+    are fields, so Hypothesis prints the whole scenario on a failure."""
+
+    scenario: str
+    num_tables: int
+    kind: str
+    concurrency: int
+    size_factors: Tuple[float, ...]
+    price_factors: Tuple[float, ...]
+    capacity_fractions: Tuple[Tuple[str, float], ...]
+    sla_ratio: Optional[float]
+    mix_weights: Tuple[float, ...]
+
+    def build(self):
+        """``(bundle, objects, system, workload, sla)`` of the instance."""
+        bundle = scenarios.build(self.scenario, num_tables=self.num_tables, sla_ratio=None)
+        objects = [replace(obj, size_gb=obj.size_gb * factor)
+                   for obj, factor in zip(bundle.objects, self.size_factors)]
+        total_gb = sum(obj.size_gb for obj in objects)
+        system = StorageSystem(
+            [replace(storage_class,
+                     price_cents_per_gb_hour=storage_class.price_cents_per_gb_hour * factor)
+             for storage_class, factor in zip(storage_catalog.box1(), self.price_factors)],
+            name="drawn",
+        ).with_capacity_limits(
+            {name: total_gb * fraction for name, fraction in self.capacity_fractions}
+        )
+        workload = bundle.workload
+        if self.kind == "oltp":
+            workload = Workload(
+                name="drawn-mix", kind="oltp",
+                transaction_mix=tuple(zip(workload.queries, self.mix_weights)),
+                concurrency=self.concurrency, measured_transaction_fraction=0.4,
+            )
+        metric = "throughput" if self.kind == "oltp" else "response_time"
+        sla = None if self.sla_ratio is None else RelativeSLA(self.sla_ratio, metric=metric)
+        return bundle, objects, system, workload, sla
+
+
+@st.composite
+def drawn_scenarios(draw):
+    scenario = draw(st.sampled_from(["synthetic_small", "synthetic_scaling"]))
+    num_tables = draw(st.integers(2, 4))
+    shape = scenarios.build(scenario, num_tables=num_tables, sla_ratio=None)
+    kind = draw(st.sampled_from(["dss", "oltp"]))
+    concurrency, mix_weights = 1, ()
+    if kind == "oltp":
+        concurrency = draw(st.sampled_from([1, 50, 300]))
+        queries = len(shape.workload.queries)
+        mix_weights = tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=queries,
+                                          max_size=queries)))
+        assume(sum(mix_weights) > 0)
+    factors = st.floats(0.1, 10.0)
+    return DrawnScenario(
+        scenario=scenario,
+        num_tables=num_tables,
+        kind=kind,
+        concurrency=concurrency,
+        size_factors=tuple(draw(factors) for _ in shape.objects),
+        price_factors=tuple(draw(factors) for _ in range(3)),
+        capacity_fractions=tuple(
+            (name, draw(st.floats(0.1, 1.5)))
+            for name in storage_catalog.box1().class_names if draw(st.booleans())
+        ),
+        sla_ratio=draw(st.one_of(st.none(), st.floats(0.05, 1.0))),
+        mix_weights=mix_weights,
+    )
+
+
+class TestCachedPathOnGeneratedScenarios:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=drawn_scenarios())
+    def test_cached_walk_and_profiles_equal_the_scalar_ones(self, case):
+        """On a generated DSS stream or OLTP mix, the cached path -- SLA
+        resolution, profiling and DOT's walk over one estimate cache --
+        equals the scalar oracles move for move and bit for bit."""
+        bundle, objects, system, workload, sla = case.build()
+        fast = WorkloadProfiler(objects, system, bundle.fresh_estimator()).profile(
+            workload, fast=True
+        )
+        scalar = WorkloadProfiler(objects, system, bundle.fresh_estimator()).profile(
+            workload, fast=False
+        )
+        assert fast.patterns == scalar.patterns
+        assert fast.profiles == scalar.profiles
+
+        cached_context = EvaluationContext.build(objects, system, bundle.fresh_estimator(),
+                                                 workload, sla=sla)
+        scalar_context = EvaluationContext(objects, system, bundle.fresh_estimator(),
+                                           workload, profiles=scalar)
+        if sla is not None:
+            reference = scalar_context.evaluate(scalar_context.reference_layout())
+            scalar_context.constraint = sla.resolve(reference.run_result)
+        assert cached_context.constraint == scalar_context.constraint
+
+        cached = DOTSolver().solve(cached_context)
+        oracle = DOTSolver(incremental=False).solve(scalar_context)
+        assert cached.stats.moves == oracle.stats.moves
+        assert cached.layout == oracle.layout
+        assert cached.toc_cents == oracle.toc_cents
+        assert cached.feasible == oracle.feasible
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +648,43 @@ class TestSharedEstimateCache:
 
     def test_concurrency_mismatch_is_rejected(self, small_catalog, small_workload,
                                               small_objects, box1_system):
-        from repro.core.batch_eval import QueryEstimateCache, _adopt_cache
-
+        """A shared cache built for another concurrency or estimator is
+        refused, naming both, wherever a context, a profiler or a batch
+        evaluator takes it."""
         estimator = fresh_estimator(small_catalog)
-        cache = QueryEstimateCache(estimator, concurrency=300)
-        with pytest.raises(UnsupportedBatchEvaluation):
-            _adopt_cache(cache, estimator, concurrency=1)
-        with pytest.raises(UnsupportedBatchEvaluation):
-            _adopt_cache(cache, fresh_estimator(small_catalog), concurrency=300)
+        other = fresh_estimator(small_catalog)
+        mismatches = [
+            (QueryEstimateCache(estimator, concurrency=300),
+             "built for concurrency 300 .* at concurrency 1"),
+            (QueryEstimateCache(other, concurrency=1),
+             f"built for WorkloadEstimator at {id(other):#x} .* "
+             f"WorkloadEstimator at {id(estimator):#x}"),
+        ]
+        for cache, message in mismatches:
+            with pytest.raises(ConfigurationError, match=message):
+                EvaluationContext(small_objects, box1_system, estimator, small_workload,
+                                  estimate_cache=cache)
+            profiler = WorkloadProfiler(small_objects, box1_system, estimator,
+                                        estimate_cache=cache)
+            with pytest.raises(ConfigurationError, match=message):
+                profiler.profile(small_workload, mode="estimate")
+            with pytest.raises(ConfigurationError, match=message):
+                BatchLayoutEvaluator(small_objects, box1_system, estimator,
+                                     small_workload, cache=cache)
+            assert cache.hits == cache.misses == 0
+
+    def test_mixed_kind_workload_is_rejected(self, small_catalog, small_workload,
+                                             oltp_workload, small_objects, box1_system):
+        """A cross-kind blend is priced per component; the cached path
+        refuses the blend itself with a typed error."""
+        blend = CrossKindWorkload(
+            name="blend", components=((small_workload, 1.0), (oltp_workload, 1.0))
+        )
+        context = EvaluationContext(small_objects, box1_system,
+                                    fresh_estimator(small_catalog), blend)
+        with pytest.raises(WorkloadError, match="kind 'mixed'"):
+            context.estimate(context.reference_layout())
+        with pytest.raises(WorkloadError, match="kind 'mixed'"):
+            context.resolve_constraint(RelativeSLA(0.5))
+        with pytest.raises(WorkloadError, match="kind 'mixed'"):
+            context.get_profiles()

@@ -113,17 +113,6 @@ class TestEstimatorQueries:
         simulated = estimator.simulate_query(lookup_query, placement)
         assert simulated.response_time_ms <= estimate.response_time_ms
 
-    def test_estimate_uses_buffer_flag(self, small_catalog, lookup_query):
-        plain = WorkloadEstimator(small_catalog, buffer_pool=BufferPool(4.0), noise=0.0)
-        buffered = WorkloadEstimator(
-            small_catalog, buffer_pool=BufferPool(4.0), noise=0.0, estimate_uses_buffer=True
-        )
-        placement = uniform_placement(small_catalog, storage_catalog.hdd())
-        assert (
-            buffered.estimate_query(lookup_query, placement).response_time_ms
-            <= plain.estimate_query(lookup_query, placement).response_time_ms
-        )
-
     def test_noise_changes_simulated_times(self, small_catalog, scan_query):
         estimator = WorkloadEstimator(small_catalog, noise=0.1, seed=3)
         placement = uniform_placement(small_catalog, storage_catalog.hdd())

@@ -253,7 +253,7 @@ class TestMeasureLayouts:
         assert context.constraint == context.sla.resolve(scalar.run_result)
         # The reference's estimates stay in the cache for the solvers.
         assert context.estimate_cache.misses == misses
-        context.incremental_evaluator().evaluate(reference)
+        context.estimate(reference)
         assert context.estimate_cache.misses == misses
 
 

@@ -178,12 +178,14 @@ class TestContext:
 
     def test_context_shares_one_estimate_cache(self, small_bundle):
         context = make_context(small_bundle)
-        evaluator = context.incremental_evaluator()
-        assert evaluator is not None
-        assert evaluator.cache is context.estimate_cache
+        cache = context.estimate_cache
+        lookups = cache.hits + cache.misses
+        context.estimate(context.reference_layout())
+        assert cache.hits + cache.misses == lookups + len(small_bundle.workload.queries)
+        assert context.profiler().estimate_cache is cache
         batch = context.batch_evaluator()
         assert batch is not None
-        assert batch.cache is context.estimate_cache
+        assert batch.cache is cache
 
     def test_batch_fallback_on_cost_override(self, small_bundle):
         context = make_context(small_bundle, cost_override=lambda layout: 1.0)
