@@ -56,6 +56,10 @@ from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR
 #: Signatures :meth:`BatchLayoutEvaluator.warm_signatures` estimates between
 #: two deadline checks (an estimate costs up to ~0.3 ms on TPC-H).
 WARM_SLICE = 64
+#: Largest signature subspace (``M^k``) of one query that
+#: :meth:`BatchLayoutEvaluator.warm_signatures` pre-estimates; a larger
+#: table stays on lazy on-demand estimation.
+WARM_MAX_SIGNATURES = 262_144
 
 
 class UnsupportedBatchEvaluation(Exception):
@@ -620,8 +624,7 @@ class BatchLayoutEvaluator:
     # ------------------------------------------------------------------
     # Estimate-table warm-up and TOC lower bounds (parallel engine support)
     # ------------------------------------------------------------------
-    def warm_signatures(self, max_signatures_per_query: int = 262_144,
-                        deadline: Optional[float] = None) -> bool:
+    def warm_signatures(self, deadline: Optional[float] = None) -> bool:
         """Pre-populate every query's estimate table over its full signature
         subspace.
 
@@ -640,7 +643,7 @@ class BatchLayoutEvaluator:
         array by code directly.  OLTP tables stay on the slot path, since
         their aggregation reads full executions, not just response times.
 
-        Queries whose subspace exceeds ``max_signatures_per_query`` are left
+        Queries whose subspace exceeds :data:`WARM_MAX_SIGNATURES` are left
         to lazy on-demand estimation (correct, just not pre-warmed).  Once
         ``deadline`` (a ``time.monotonic`` instant, checked every
         :data:`WARM_SLICE` signatures) passes, the warm-up stops; a table cut
@@ -651,7 +654,7 @@ class BatchLayoutEvaluator:
         for table in self._template_order:
             positions = len(table.var_columns)
             subspace = self.num_classes**positions
-            if subspace > max_signatures_per_query:
+            if subspace > WARM_MAX_SIGNATURES:
                 fully = False
                 continue
             if table.dense:

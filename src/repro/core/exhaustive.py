@@ -61,21 +61,22 @@ class ExhaustiveSolver:
         objects of a database whose remaining objects still need a placement
         for the workload to be estimable (the Figure 9 study).
     max_layouts:
-        Guard on the number of enumerated layouts.  In-process searches
-        (``workers=1`` and the scalar loop) treat it as a hard limit
-        (exceeding it raises :class:`ConfigurationError` instead of silently
-        running forever); with ``workers > 1`` it becomes a soft guard the
-        pool may exceed, because sharding plus pruning make full-paper
-        spaces (e.g. the TPC-C study's ``3^19``) practical.
+        Hard limit on the number of enumerated layouts, at every worker
+        count and on both paths: a larger space raises
+        :class:`ConfigurationError` before anything runs, instead of
+        silently running for hours.  Full-paper spaces (e.g. the TPC-C
+        study's ``3^19``) need it raised explicitly.
     batch:
         Evaluate candidates through the vectorized
         :class:`~repro.core.batch_eval.BatchLayoutEvaluator` (default).
     workers:
         Processes the engine shards the mixed-radix index range over;
-        ``1`` runs the same sharded, pruned enumeration in-process.
-    retry_backoff_s, shard_timeout_s, fault_plan:
-        Fault-tolerance knobs forwarded to the engine (retry backoff,
-        dead-worker watchdog, chaos injection).
+        ``1`` runs the same sharded, pruned enumeration in-process.  A
+        worker that dies mid-shard is replaced and its shard retried, with
+        an incident naming the exit code.
+    fault_plan:
+        Chaos-test :class:`~repro.resilience.FaultPlan` forwarded to the
+        engine.
     checkpoint_path:
         Persist the engine's :class:`~repro.core.parallel_search.
         SearchProgress` to this file after every completed shard, and resume
@@ -95,8 +96,6 @@ class ExhaustiveSolver:
         max_layouts: int = 500_000,
         batch: bool = True,
         workers: int = 1,
-        retry_backoff_s: float = 0.05,
-        shard_timeout_s: Optional[float] = None,
         fault_plan=None,
         checkpoint_path=None,
     ):
@@ -107,8 +106,6 @@ class ExhaustiveSolver:
         self.max_layouts = max_layouts
         self.batch = batch
         self.workers = max(1, int(workers))
-        self.retry_backoff_s = retry_backoff_s
-        self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
         self.checkpoint_path = checkpoint_path
 
@@ -152,22 +149,15 @@ class ExhaustiveSolver:
         """Enumerate all layouts and return the cheapest feasible one."""
         deadline = time.monotonic() + budget if budget is not None else None
         space = self.search_space_size(context)
-
-        def check_space() -> None:
-            if space > self.max_layouts:
-                raise ConfigurationError(
-                    f"exhaustive search space has {space} layouts, exceeding the limit "
-                    f"of {self.max_layouts}; reduce the object set, raise max_layouts, "
-                    f"or use workers > 1"
-                )
-
+        if space > self.max_layouts:
+            raise ConfigurationError(
+                f"exhaustive search space has {space} layouts, exceeding the limit "
+                f"of {self.max_layouts}; reduce the object set or raise max_layouts"
+            )
         if self.batch:
-            if self.workers == 1:
-                check_space()
             result = self._solve_engine(context, budget, deadline)
             if result is not None:
                 return result
-        check_space()
         return self._solve_scalar(context, budget, deadline)
 
     def _result(self, context, layout, report, evaluated, elapsed, budget,
@@ -231,12 +221,10 @@ class ExhaustiveSolver:
             evaluator,
             workers=self.workers,
             deadline_s=None if deadline is None else max(0.0, deadline - time.monotonic()),
-            retry_backoff_s=self.retry_backoff_s,
-            shard_timeout_s=self.shard_timeout_s,
             fault_plan=self.fault_plan,
         )
         # Coordinator warm-up (the engine pre-estimates every signature and
-        # scores the seed) is its own stats slice -- per-worker initializer
+        # scores the seed) is its own stats slice -- per-worker set-up
         # time (attach_s) arrives later through the shard outcomes; the
         # stats object is snapshotted before shard deltas replace it.
         stats = evaluator.stats

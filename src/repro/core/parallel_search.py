@@ -5,16 +5,17 @@ yardstick for DOT, but a literal ``M^N`` enumeration caps the object count:
 the TPC-C study restricts ES to three hot tables because the full 19-object
 x 3-class space has ``3^19 ~ 1.16e9`` layouts.  This module is the one batch
 enumerator of :class:`~repro.core.exhaustive.ExhaustiveSolver`: it runs
-in-process at ``workers=1`` and on a ``multiprocessing`` pool otherwise,
-with the same shards, bounds, seed, checkpoints and deadline either way.
+in-process at ``workers=1`` and on a pool of ``multiprocessing`` worker
+processes otherwise, with the same shards, bounds, seed, checkpoints and
+deadline either way.
 
 * **Sharding** -- the mixed-radix assignment index range ``[0, M^N)`` is cut
   into contiguous shards of whole enumeration subtrees.  Pool workers adopt
   the coordinator's fully warmed
-  :class:`~repro.core.batch_eval.BatchLayoutEvaluator` itself, passed
-  through the pool initializer (inherited copy-on-write under ``fork``,
-  pickled once per worker under ``spawn``/``forkserver``), so workers never
-  call the optimizer.
+  :class:`~repro.core.batch_eval.BatchLayoutEvaluator` itself, passed as a
+  worker process argument (inherited copy-on-write under ``fork``, pickled
+  once per worker under ``spawn``/``forkserver``), so workers never call
+  the optimizer.
 * **Branch-and-bound pruning** -- a per-prefix *capacity* bound kills
   subtrees whose cheapest completion already violates capacity (the prefix
   space usage is an exact intermediate of the evaluator's accumulation, and
@@ -40,17 +41,21 @@ with the same shards, bounds, seed, checkpoints and deadline either way.
   :meth:`ParallelEnumerationEngine.run` skips completed shards and continues
   from the recorded incumbent.
 * **Fault tolerance** -- shard processing is idempotent and deterministic,
-  so the coordinator recovers from worker failures by re-running shards:
-  a failed shard is retried with exponential backoff (bounded by
-  :data:`SHARD_MAX_RETRIES`), a worker that dies mid-shard (detected because its
-  shard exceeds ``shard_timeout_s``) has the shard re-queued on the
-  replenished pool, and duplicate completions are ignored
-  (:meth:`SearchProgress.record` is keyed by shard id).  A hard wall-clock
-  ``deadline_s`` bounds the whole search: on expiry the pool is torn down, the
-  checkpoint is flushed and :class:`~repro.exceptions.SolverTimeoutError` is
-  raised carrying the partial progress (whose incumbent is the exact best of
-  the seed and the completed shards).  The engine is a context manager and
-  always terminates/joins its pool -- on success, error and
+  so the coordinator recovers from worker failures by re-running shards.
+  It owns its worker processes, sends each one shard at a time over its own
+  pipe and blocks until a busy worker's pipe has a reply or the deadline
+  passes.  A failed shard is retried with exponential backoff (bounded by
+  :data:`SHARD_MAX_RETRIES`).  A worker that dies mid-shard closes its end
+  of the pipe, so the coordinator reads end-of-file: it starts a
+  replacement from the same arguments and retries the shard through the
+  same bounded path, with an incident naming the worker's exit code.  A
+  straggler just finishes late; the deadline bounds it.  A hard wall-clock
+  ``deadline_s`` bounds the whole search: on expiry the workers are torn
+  down, the checkpoint is flushed and
+  :class:`~repro.exceptions.SolverTimeoutError` is raised carrying the
+  partial progress (whose incumbent is the exact best of the seed and the
+  completed shards).  The engine is a context manager and always
+  terminates/joins its workers -- on success, error and
   ``KeyboardInterrupt`` alike.  Every recovery action is recorded in
   ``SearchProgress.incidents``.
   Checkpoints are written, sealed, read and quarantined through
@@ -115,6 +120,9 @@ SHARDS_PER_WORKER = 4
 #: :class:`ShardFailureError`.  Shard processing is idempotent and
 #: deterministic, so a retry is always safe.
 SHARD_MAX_RETRIES = 2
+#: Base of the exponential backoff between attempts of one shard: the retry
+#: of attempt ``a`` waits ``SHARD_RETRY_BACKOFF_S * 2**a`` seconds.
+SHARD_RETRY_BACKOFF_S = 0.05
 #: Most prefixes (``M**depth``) one per-depth workload-time floor table
 #: holds; see :class:`_PruningBounds`.
 FLOOR_TABLE_MAX_PREFIXES = 8192
@@ -652,73 +660,55 @@ def _process_shard(
 
 
 # ---------------------------------------------------------------------------
-# Worker bootstrap (module-level so the pool can pickle the entry points)
+# Pool worker (module-level so spawned workers can import it)
 # ---------------------------------------------------------------------------
 
-_WORKER_STATE: Optional[Dict[str, object]] = None
+def _worker_main(conn, evaluator: BatchLayoutEvaluator, bounds: _PruningBounds,
+                 shared_value, chunk_size: int, prune: bool,
+                 fault_plan: Optional[FaultPlan], deadline: Optional[float],
+                 trace_enabled: bool) -> None:
+    """Pool worker: score each shard the coordinator sends over ``conn``.
 
+    The coordinator's warmed evaluator arrives as a process argument.
+    Under the ``fork`` start method the worker inherits it copy-on-write,
+    with no pickling at all; under ``spawn``/``forkserver`` multiprocessing
+    pickles it once per worker with its estimate tables already warm.
+    Either way every worker -- including one started in place of a dead
+    one -- scores from complete tables and never calls the optimizer.
 
-def _worker_init(evaluator: BatchLayoutEvaluator, bounds: _PruningBounds, shared_value,
-                 chunk_size: int, prune: bool, fault_plan: Optional[FaultPlan],
-                 deadline: Optional[float], trace_enabled: bool) -> None:
-    """Pool initializer: adopt the coordinator's warmed evaluator.
-
-    The evaluator arrives through the pool's ``initargs``.  Under the
-    ``fork`` start method the worker inherits it copy-on-write, with no
-    pickling at all; under ``spawn``/``forkserver`` multiprocessing pickles
-    it once per worker with its estimate tables already warm.  Either way
-    every worker -- including one the pool starts in place of a dead one --
-    scores from complete tables and never calls the optimizer.
-
-    ``deadline`` is an absolute ``time.monotonic`` instant stamped by the
-    coordinator; ``CLOCK_MONOTONIC`` is machine-wide, so workers can compare
-    against it directly.  ``fault_plan`` injects chaos-test faults (``None``
-    in production).  The initializer's own time is the worker's boot
-    (``attach_s``) and rides back on its first completed shard outcome.
+    Each message is a ``(shard_id, subtree_lo, subtree_hi, attempt)`` task;
+    the reply is its :class:`_ShardOutcome`, or the exception the shard
+    raised.  ``deadline`` is an absolute ``time.monotonic`` instant stamped
+    by the coordinator; ``CLOCK_MONOTONIC`` is machine-wide, so workers can
+    compare against it directly.  ``fault_plan`` injects chaos-test faults
+    (``None`` in production).  The worker's own set-up time is its boot
+    (``attach_s``) and rides back on its first outcome.  The worker serves
+    shards until the coordinator terminates it.
     """
-    global _WORKER_STATE
     started = time.perf_counter()
-    _WORKER_STATE = {
-        "evaluator": evaluator,
-        "bounds": bounds,
-        "incumbent": _SharedIncumbent(shared_value),
-        "chunk_size": chunk_size,
-        "prune": prune,
-        "injector": FaultInjector(fault_plan) if fault_plan is not None else None,
-        "deadline": deadline,
-        "trace_enabled": trace_enabled,
-    }
-    _WORKER_STATE["attach_s"] = time.perf_counter() - started
-
-
-def _worker_run_shard(task: Tuple[int, int, int, int]) -> _ShardOutcome:
-    shard_id, subtree_lo, subtree_hi, attempt = task
-    state = _WORKER_STATE
-    evaluator: BatchLayoutEvaluator = state["evaluator"]
-    # Worker caches are copies the coordinator's context never sees;
-    # measure this attempt's delta so the solve's stats count it once per
-    # (shard_id, attempt) -- SearchProgress.record drops duplicate and
-    # retried completions, so re-run shards cannot double-count.
-    hits_before = evaluator.cache.hits
-    misses_before = evaluator.cache.misses
-    outcome = _process_shard(
-        evaluator,
-        state["bounds"],
-        state["incumbent"],
-        shard_id,
-        subtree_lo,
-        subtree_hi,
-        state["chunk_size"],
-        state["prune"],
-        deadline=state["deadline"],
-        injector=state["injector"],
-        attempt=attempt,
-        trace_enabled=bool(state["trace_enabled"]),
-    )
-    outcome.stats.cache_hits = evaluator.cache.hits - hits_before
-    outcome.stats.cache_misses = evaluator.cache.misses - misses_before
-    outcome.stats.attach_s = state.pop("attach_s", 0.0)
-    return outcome
+    incumbent = _SharedIncumbent(shared_value)
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    attach_s = time.perf_counter() - started
+    while True:
+        shard_id, subtree_lo, subtree_hi, attempt = conn.recv()
+        # Worker caches are copies the coordinator's context never sees;
+        # measure this attempt's delta so the solve's stats count it once
+        # per (shard_id, attempt).
+        hits_before = evaluator.cache.hits
+        misses_before = evaluator.cache.misses
+        try:
+            outcome = _process_shard(
+                evaluator, bounds, incumbent, shard_id, subtree_lo, subtree_hi,
+                chunk_size, prune, deadline=deadline, injector=injector,
+                attempt=attempt, trace_enabled=trace_enabled,
+            )
+        except Exception as exc:  # the coordinator retries or aborts on it
+            conn.send(exc)
+            continue
+        outcome.stats.cache_hits = evaluator.cache.hits - hits_before
+        outcome.stats.cache_misses = evaluator.cache.misses - misses_before
+        outcome.stats.attach_s, attach_s = attach_s, 0.0
+        conn.send(outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -750,33 +740,29 @@ class ParallelEnumerationEngine:
     prune:
         Disable to enumerate every candidate (the bounds and the uniform
         seed are then skipped entirely); results are identical either way.
-    retry_backoff_s:
-        Base of the exponential backoff between attempts of the same shard
-        (``retry_backoff_s * 2**attempt``).
-    shard_timeout_s:
-        Dead-worker detection: a shard whose in-flight time exceeds this is
-        presumed lost (``multiprocessing.Pool`` replaces a crashed worker
-        but silently drops its task) and is re-queued.  ``None`` disables
-        the watchdog; set it when workers can die or straggle.
     deadline_s:
         Hard wall-clock budget counted from construction, so it covers the
         warm-up (which stops once it expires; the seed is still scored).
-        On expiry ``run`` starts no shard and no pool, or tears the pool
-        down, flushes the checkpoint and raises :class:`SolverTimeoutError`
-        carrying the partial :class:`SearchProgress`.
+        On expiry ``run`` starts no shard and no worker, or tears the
+        workers down, flushes the checkpoint and raises
+        :class:`SolverTimeoutError` carrying the partial
+        :class:`SearchProgress`.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` injected into shard
         processing for deterministic chaos tests.
 
-    The space is cut into ``workers * SHARDS_PER_WORKER`` contiguous shards
-    that the pool pulls on demand; dispatches beyond each worker's first
-    shard are counted as ``steals``.  Pool workers receive the warmed
-    evaluator itself through the pool initializer, so no worker rebuilds or
-    re-warms anything.  A failed shard is retried up to
-    :data:`SHARD_MAX_RETRIES` times.
+    The space is cut into ``workers * SHARDS_PER_WORKER`` contiguous shards.
+    The pool runs ``workers`` processes that the engine owns, each fed one
+    shard at a time over its own pipe as it frees up; dispatches beyond each
+    worker's first shard are counted as ``steals``.  Workers receive the
+    warmed evaluator itself as a process argument, so no worker rebuilds or
+    re-warms anything.  A failed shard, or one whose worker died, is retried
+    up to :data:`SHARD_MAX_RETRIES` times after a
+    :data:`SHARD_RETRY_BACKOFF_S` exponential backoff; a dead worker is
+    replaced.
 
     The engine is a context manager: ``with engine: engine.run()``
-    guarantees the pool is terminated and joined on success, error and
+    guarantees the workers are terminated and joined on success, error and
     ``KeyboardInterrupt`` alike (``run`` itself also tears down in a
     ``finally``; the context manager is belt and braces for callers that
     drive the engine across multiple calls).
@@ -789,8 +775,6 @@ class ParallelEnumerationEngine:
         chunk_size: int = 4096,
         prefix_depth: Optional[int] = None,
         prune: bool = True,
-        retry_backoff_s: float = 0.05,
-        shard_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
@@ -798,11 +782,10 @@ class ParallelEnumerationEngine:
         self.workers = max(1, int(workers))
         self.chunk_size = chunk_size
         self.prune = prune
-        self.retry_backoff_s = max(0.0, float(retry_backoff_s))
-        self.shard_timeout_s = shard_timeout_s
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
-        self._pool = None
+        #: ``(process, coordinator end of its pipe)`` of every live worker.
+        self._workers: List[tuple] = []
 
         self.num_objects = len(self.evaluator.var_names)
         self.num_classes = self.evaluator.num_classes
@@ -933,17 +916,19 @@ class ParallelEnumerationEngine:
         return False
 
     def close(self) -> None:
-        """Terminate and join the worker pool, if one is live.
+        """Terminate and join the worker processes, if any are live.
 
         Safe to call repeatedly; a no-op for in-process engines.  Runs from
         ``__exit__`` and from ``run``'s ``finally``, so no code path --
         success, exception or ``KeyboardInterrupt`` -- leaks orphaned
         workers.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        workers, self._workers = self._workers, []
+        for process, _ in workers:
+            process.terminate()
+        for process, conn in workers:
+            process.join()
+            conn.close()
 
     # -- recovery helpers ----------------------------------------------
     def _deadline_abort(self, progress: SearchProgress,
@@ -992,116 +977,110 @@ class ParallelEnumerationEngine:
         trace.current_span().event(
             "shard_retry", shard_id=shard_id, attempt=attempt, error=str(exc),
         )
-        if self.retry_backoff_s:
-            time.sleep(self.retry_backoff_s * (2 ** attempt))
+        time.sleep(SHARD_RETRY_BACKOFF_S * (2 ** attempt))
         queue.append((task, attempt + 1))
+
+    def _fold_reply(self, reply, task, attempt: int, queue, progress: SearchProgress,
+                    checkpoint: Optional[Path]) -> None:
+        """Fold one shard attempt's reply -- its outcome, or the exception it
+        raised -- into ``progress``: a crossed deadline aborts the run, a
+        failure goes to the bounded retry, and an outcome has its span
+        adopted and is recorded and checkpointed."""
+        if isinstance(reply, SolverTimeoutError):
+            self._deadline_abort(progress, checkpoint)
+        if isinstance(reply, Exception):
+            self._handle_shard_failure(reply, task, attempt, queue, progress, checkpoint)
+            return
+        trace.get_tracer().adopt(reply.span)
+        progress.record(reply)
+        if checkpoint is not None:
+            progress.save(checkpoint)
 
     # -- execution paths -----------------------------------------------
     def _run_serial(self, pending, progress: SearchProgress,
                     checkpoint: Optional[Path] = None) -> None:
         incumbent = _Incumbent(progress.best_toc)
         injector = FaultInjector(self.fault_plan) if self.fault_plan is not None else None
-        tracer = trace.get_tracer()
+        trace_enabled = trace.get_tracer().enabled
         queue = deque((task, 0) for task in pending)
         while queue:
             task, attempt = queue.popleft()
             shard_id, lo, hi = task
             try:
-                outcome = _process_shard(
+                reply = _process_shard(
                     self.evaluator, self._bounds, incumbent, shard_id, lo, hi,
                     self.chunk_size, self.prune, deadline=self._deadline,
                     injector=injector, attempt=attempt, allow_process_kill=False,
-                    trace_enabled=tracer.enabled,
+                    trace_enabled=trace_enabled,
                 )
-            except SolverTimeoutError:
-                self._deadline_abort(progress, checkpoint)
             except Exception as exc:
-                self._handle_shard_failure(exc, task, attempt, queue, progress, checkpoint)
-                continue
-            if shard_id not in progress.completed:
-                tracer.adopt(outcome.span)
-            progress.record(outcome)
-            if checkpoint is not None:
-                progress.save(checkpoint)
+                reply = exc
+            self._fold_reply(reply, task, attempt, queue, progress, checkpoint)
+
+    def _start_worker(self, context, worker_args):
+        """Start one pool worker; returns ``(process, coordinator end of its pipe)``."""
+        conn, worker_conn = context.Pipe()
+        process = context.Process(target=_worker_main, args=(worker_conn, *worker_args),
+                                  daemon=True)
+        process.start()
+        # Only the worker holds its end now, so its exit reads as EOF on ``conn``.
+        worker_conn.close()
+        self._workers.append((process, conn))
+        return process, conn
 
     def _run_pool(self, pending, progress: SearchProgress,
                   checkpoint: Optional[Path] = None) -> None:
-        tracer = trace.get_tracer()
+        from multiprocessing.connection import wait
+
         context = multiprocessing.get_context()
-        shared_value = context.Value("d", progress.best_toc)
-        # The warmed evaluator itself is the worker payload, and the pool
-        # hands the same initargs to every worker it ever starts.
-        pool = context.Pool(
-            processes=self.workers,
-            initializer=_worker_init,
-            initargs=(self.evaluator, self._bounds, shared_value, self.chunk_size,
-                      self.prune, self.fault_plan, self._deadline, tracer.enabled),
-        )
-        self._pool = pool
+        # The warmed evaluator itself is the worker payload, and every worker
+        # the run starts -- a replacement for a dead one too -- gets the same
+        # arguments.
+        worker_args = (self.evaluator, self._bounds, context.Value("d", progress.best_toc),
+                       self.chunk_size, self.prune, self.fault_plan, self._deadline,
+                       trace.get_tracer().enabled)
+        queue = deque((task, 0) for task in pending)
+        busy = {}  # coordinator end of a busy worker's pipe -> (process, task, attempt)
         dispatched = 0
         try:
-            queue = deque((task, 0) for task in pending)
-            in_flight: Dict[int, Tuple[object, Tuple[int, int, int], int, float]] = {}
-            while queue or in_flight:
-                # Keep the pool saturated with a bounded overhang so a
-                # straggler cannot starve dispatch.
-                while queue and len(in_flight) < 2 * self.workers:
+            idle = [self._start_worker(context, worker_args)
+                    for _ in range(min(self.workers, len(pending)))]
+            while queue or busy:
+                while queue and idle:
                     task, attempt = queue.popleft()
-                    if task[0] in progress.completed or task[0] in in_flight:
-                        continue
-                    handle = pool.apply_async(
-                        _worker_run_shard, ((task[0], task[1], task[2], attempt),)
-                    )
-                    in_flight[task[0]] = (handle, task, attempt, time.monotonic())
+                    process, conn = idle.pop()
+                    try:
+                        conn.send((*task, attempt))
+                    except OSError:
+                        pass  # the worker died idle; its pipe reads as EOF below
+                    busy[conn] = (process, task, attempt)
                     dispatched += 1
                     if dispatched > self.workers:
                         # Beyond every worker's first shard, dispatch is
                         # demand-driven: the next range goes to whichever
                         # worker frees up first.
                         progress.stats.steals += 1
-                if self._deadline is not None and time.monotonic() >= self._deadline:
+                ready = wait(list(busy), None if self._deadline is None
+                             else max(0.0, self._deadline - time.monotonic()))
+                if not ready:
                     self._deadline_abort(progress, checkpoint)
-                advanced = False
-                now = time.monotonic()
-                for shard_id in list(in_flight):
-                    handle, task, attempt, started = in_flight[shard_id]
-                    if handle.ready():
-                        del in_flight[shard_id]
-                        advanced = True
-                        try:
-                            outcome = handle.get()
-                        except SolverTimeoutError:
-                            self._deadline_abort(progress, checkpoint)
-                        except Exception as exc:
-                            self._handle_shard_failure(
-                                exc, task, attempt, queue, progress, checkpoint
-                            )
-                            continue
-                        if outcome.shard_id not in progress.completed:
-                            tracer.adopt(outcome.span)
-                        progress.record(outcome)
-                        if checkpoint is not None:
-                            progress.save(checkpoint)
-                    elif (self.shard_timeout_s is not None
-                          and now - started > self.shard_timeout_s):
-                        # Dead-worker detection: the pool replaces a crashed
-                        # process but its task never completes.  Abandon the
-                        # attempt and re-queue; a late "ghost" completion of
-                        # a straggler is harmless because record() is
-                        # idempotent per shard id.
-                        del in_flight[shard_id]
-                        advanced = True
-                        timeout_exc = ShardFailureError(
-                            f"shard {shard_id} attempt {attempt} exceeded "
-                            f"{self.shard_timeout_s}s (worker presumed dead)",
-                            shard_id=shard_id,
-                            attempts=attempt + 1,
+                for conn in ready:
+                    process, task, attempt = busy.pop(conn)
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError):
+                        # The worker exited mid-shard and closed its end of
+                        # the pipe: retry the shard on a replacement.
+                        process.join()
+                        reply = ShardFailureError(
+                            f"worker exited with code {process.exitcode}",
+                            shard_id=task[0], attempts=attempt + 1,
                         )
-                        self._handle_shard_failure(
-                            timeout_exc, task, attempt, queue, progress, checkpoint
-                        )
-                if not advanced:
-                    time.sleep(0.005)
+                        self._workers.remove((process, conn))
+                        conn.close()
+                        process, conn = self._start_worker(context, worker_args)
+                    idle.append((process, conn))
+                    self._fold_reply(reply, task, attempt, queue, progress, checkpoint)
             trace.current_span().set(
                 steals=max(dispatched - self.workers, 0), shards=len(pending),
             )

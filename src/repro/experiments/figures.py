@@ -172,9 +172,10 @@ def es_vs_dot_tpch(
     exponential; ``full_object_set=True`` enumerates *all* 16 TPC-H objects
     (the full ``3^16 ~ 4.3e7``-layout space per box) instead, which is
     practical through the sharded, pruned parallel engine -- pass
-    ``es_workers > 1`` (the layout-count guard then becomes soft).  With two
-    workers on a 2-CPU host each box takes about 3 s.  Results per
-    configuration are bitwise identical to the serial search.
+    ``es_workers > 1`` and ``es_max_layouts=3**16`` (the layout-count guard
+    is a hard limit at every worker count).  With two workers on a 2-CPU
+    host each box takes about 3 s.  Results per configuration are bitwise
+    identical to the serial search.
     """
     bundle = _tpch_bundle("es-subset", scale_factor, repetitions, sla_ratio)
     if full_object_set:
@@ -302,7 +303,8 @@ def figure9_arm(
     object set as the paper does.  ``hot_groups=None`` enumerates *every*
     TPC-C object (the paper's full ``3^19`` space); combine it with
     ``es_workers > 1`` so the sharded, pruned parallel engine carries the
-    enumeration (the layout-count guard then becomes soft).
+    enumeration, and with ``es_max_layouts=3**19`` (the layout-count guard
+    is a hard limit at every worker count).
 
     Builds its scenario bundle freshly so one arm is independently
     reproducible (the unit the experiment orchestrator records), and

@@ -324,7 +324,7 @@ def fire_shard_fault(spec: FaultSpec, shard_id: int, attempt: int,
     process kill is demoted to an exception -- killing the coordinator would
     test nothing).  ``worker_crash`` uses ``os._exit`` so not even cleanup
     handlers run: the pool loses the process mid-task exactly like an OOM
-    kill, and only the coordinator's dead-worker timeout can recover.
+    kill, and the coordinator sees only the worker's pipe close.
     """
     if spec.kind == "straggler_delay":
         time.sleep(spec.delay_s)

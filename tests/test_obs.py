@@ -192,11 +192,9 @@ class TestParallelSpanMerge:
         """A crashed shard must surface a retry event AND its attempt-1 span."""
         plan = FaultPlan().add_shard_fault(0, FaultSpec(kind="worker_crash"))
         with trace.tracing() as tracer:
-            # shard_timeout_s bounds the watchdog's kill detection, exactly
-            # like the chaos-identity tests in test_resilience.py.
-            result = ExhaustiveSolver(
-                workers=2, shard_timeout_s=1.0, fault_plan=plan
-            ).solve(make_context(sanity_bundle))
+            result = ExhaustiveSolver(workers=2, fault_plan=plan).solve(
+                make_context(sanity_bundle)
+            )
             (root,) = tracer.drain_roots()
         reference = ExhaustiveSolver().solve(make_context(sanity_bundle))
         assert result.layout == reference.layout

@@ -280,20 +280,17 @@ class TestParallelIdentity:
         assert parallel.toc_cents == float("inf")
         assert parallel.layout is None
 
-    def test_soft_max_layouts_guard(self, small_objects, box1_system, small_catalog,
-                                    small_workload):
-        """The parallel path may exceed max_layouts; the serial path may not."""
+    def test_max_layouts_is_a_hard_limit(self, small_objects, box1_system, small_catalog,
+                                         small_workload):
+        """A space above max_layouts raises at every worker count, so the
+        worker count never decides whether a solve runs."""
         from repro.exceptions import ConfigurationError
 
         space = len(box1_system) ** len(small_objects)
-        with pytest.raises(ConfigurationError):
-            solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
-                     small_workload, max_layouts=space - 1)
-        parallel = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
-                            small_workload, max_layouts=space - 1, workers=WORKERS)
-        serial = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
-                          small_workload)
-        assert_identical(serial, parallel)
+        for workers in (1, WORKERS):
+            with pytest.raises(ConfigurationError, match="raise max_layouts"):
+                solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                         small_workload, max_layouts=space - 1, workers=workers)
 
     def test_parallel_records_stats(self, small_objects, box1_system, small_catalog,
                                     small_workload):

@@ -4,8 +4,9 @@ Three families of tests mirror the three layers of the recovery machinery:
 
 * **Parallel search** -- a chaos run (worker kills, shard exceptions,
   stragglers, checkpoint corruption) must recover to the *bitwise identical*
-  fault-free optimum: retries are idempotent, dead workers are detected and
-  their shards re-queued, corrupt checkpoints are quarantined and redone.
+  fault-free optimum: retries are idempotent, a dead worker's closed pipe is
+  noticed and its shard retried on a replacement, corrupt checkpoints are
+  quarantined and redone.
 * **Solvers** -- ``budget`` is a hard wall-clock deadline; a blown budget
   yields a degraded result flagged in ``SolveStats`` (with incidents), and
   any degraded result that claims feasibility really is SLA/capacity
@@ -17,6 +18,9 @@ Three families of tests mirror the three layers of the recovery machinery:
   failures retry then hold -- all recorded per :class:`EpochRecord`.
 """
 
+import multiprocessing
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.core.batch_eval import BatchLayoutEvaluator
+import repro.core.parallel_search as ps
 from repro.core.context import EvaluationContext
 from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 from repro.core.solver import DOTSolver, ExhaustiveSolver, FallbackSolver
@@ -131,11 +136,11 @@ class TestChaosIdentity:
             self, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
         """Hard-killing workers on half the shards must not change one bit
-        of the answer: the watchdog re-queues the lost shards and the retry
-        (fault keyed to attempt 0) completes them.  The workers the pool
-        starts in place of the killed ones get the same initializer
-        arguments -- the coordinator's warmed evaluator -- so none of them
-        warms or estimates anything."""
+        of the answer: each kill closes the worker's pipe, and the retry
+        (fault keyed to attempt 0) completes the lost shard.  The workers
+        started in place of the killed ones get the same process arguments
+        -- the coordinator's warmed evaluator -- so none of them warms or
+        estimates anything."""
         probe = make_engine(
             small_objects, box1_system, small_catalog, small_workload, workers=WORKERS
         )
@@ -144,13 +149,14 @@ class TestChaosIdentity:
         assert plan.shard_faults  # the chaos run must actually inject something
         with trace.tracing() as tracer:
             result = solve_es(small_objects, box1_system, small_catalog, small_workload,
-                              workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan)
+                              workers=WORKERS, fault_plan=plan)
             (root,) = tracer.drain_roots()
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
         assert not result.stats.degraded
-        assert any("presumed dead" in incident for incident in result.stats.incidents)
+        assert any("worker exited with code 17" in incident
+                   for incident in result.stats.incidents)
         (warm_span,) = [child for child in root["children"] if child["name"] == "es.warm"]
         stats = result.stats.batch
         assert stats.warm_s == warm_span["attrs"]["warm_s"]  # no worker warm-up
@@ -191,7 +197,7 @@ class TestChaosIdentity:
         plan = FaultPlan.chaos_search(seed=31, shard_ids=shard_ids, crash_fraction=0.4)
         assert plan.shard_faults
         result = solve_es(small_objects, box1_system, small_catalog, small_workload,
-                          workers=WORKERS, shard_timeout_s=1.0, fault_plan=plan)
+                          workers=WORKERS, fault_plan=plan)
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
@@ -215,7 +221,8 @@ class TestChaosIdentity:
         assert any("retrying" in incident for incident in progress.incidents)
 
     def test_exhausted_retries_surface_shard_failure(
-            self, small_objects, box1_system, small_catalog, small_workload):
+            self, small_objects, box1_system, small_catalog, small_workload, monkeypatch):
+        monkeypatch.setattr(ps, "SHARD_RETRY_BACKOFF_S", 0.0)
         plan = FaultPlan()
         for attempt in range(3):  # default retries = 2, so 3 attempts all fail
             plan.add_shard_fault(
@@ -223,7 +230,7 @@ class TestChaosIdentity:
             )
         engine = make_engine(
             small_objects, box1_system, small_catalog, small_workload,
-            workers=1, fault_plan=plan, retry_backoff_s=0.0,
+            workers=1, fault_plan=plan,
         )
         with pytest.raises(ShardFailureError) as excinfo:
             engine.run()
@@ -309,12 +316,71 @@ class TestCheckpointCorruption:
 
 
 # ---------------------------------------------------------------------------
+# Dead workers
+# ---------------------------------------------------------------------------
+
+class TestDeadWorker:
+    @pytest.mark.timeout(60)
+    def test_killed_worker_is_replaced_without_a_budget(self, small_bundle):
+        """A worker killed mid-shard closes its end of the pipe.  With the
+        default knobs (no budget), the pool notices, retries the shard on a
+        replacement worker and returns the in-process optimum bit for bit,
+        instead of waiting forever for a reply that never comes."""
+        reference = ExhaustiveSolver().solve(make_context(small_bundle))
+        plan = FaultPlan().add_shard_fault(0, FaultSpec(kind="worker_crash"))
+        before = set(multiprocessing.active_children())
+        result = ExhaustiveSolver(workers=WORKERS, fault_plan=plan).solve(
+            make_context(small_bundle)
+        )
+        assert result.layout == reference.layout
+        assert result.toc_cents == reference.toc_cents
+        assert not result.stats.degraded
+        assert result.stats.incidents == [
+            "shard 0 attempt 0 failed (worker exited with code 17); retrying"
+        ]
+        assert not set(multiprocessing.active_children()) - before
+
+    @pytest.mark.timeout(60)
+    def test_worker_killed_while_idle_is_replaced(self, small_bundle, monkeypatch):
+        """A worker killed before its first shard makes the coordinator's
+        send fail; its closed pipe is read like any other dead worker's, and
+        the shard is retried on a replacement."""
+        start_worker = ParallelEnumerationEngine._start_worker
+        exit_codes = []
+
+        def start_then_kill_the_first(engine, context, worker_args):
+            process, conn = start_worker(engine, context, worker_args)
+            if not exit_codes:
+                process.kill()
+                process.join()
+                exit_codes.append(process.exitcode)
+            return process, conn
+
+        monkeypatch.setattr(ParallelEnumerationEngine, "_start_worker",
+                            start_then_kill_the_first)
+        reference = ExhaustiveSolver().solve(make_context(small_bundle))
+        result = ExhaustiveSolver(workers=WORKERS).solve(make_context(small_bundle))
+        assert exit_codes == [-signal.SIGKILL]
+        assert result.layout == reference.layout
+        assert result.toc_cents == reference.toc_cents
+        (incident,) = result.stats.incidents
+        assert incident.endswith(f"(worker exited with code {-signal.SIGKILL}); retrying")
+
+
+# ---------------------------------------------------------------------------
 # Pool teardown
 # ---------------------------------------------------------------------------
 
 class TestPoolTeardown:
+    """No worker process outlives ``run``, whether it returns or raises."""
+
+    @staticmethod
+    def started_workers(before):
+        return set(multiprocessing.active_children()) - before
+
     def test_engine_is_a_context_manager_and_tears_down_on_error(
-            self, small_objects, box1_system, small_catalog, small_workload):
+            self, small_objects, box1_system, small_catalog, small_workload, monkeypatch):
+        monkeypatch.setattr(ps, "SHARD_RETRY_BACKOFF_S", 0.0)
         plan = FaultPlan()
         for attempt in range(3):
             plan.add_shard_fault(
@@ -322,22 +388,24 @@ class TestPoolTeardown:
             )
         engine = make_engine(
             small_objects, box1_system, small_catalog, small_workload,
-            workers=WORKERS, fault_plan=plan, retry_backoff_s=0.0,
+            workers=WORKERS, fault_plan=plan,
         )
+        before = set(multiprocessing.active_children())
         with pytest.raises(ShardFailureError):
             with engine:
                 engine.run()
-        assert engine._pool is None  # terminated and joined, not leaked
+        assert not self.started_workers(before)  # terminated and joined, not leaked
 
     def test_run_tears_down_on_success_too(
             self, small_objects, box1_system, small_catalog, small_workload):
         engine = make_engine(
             small_objects, box1_system, small_catalog, small_workload, workers=WORKERS
         )
+        before = set(multiprocessing.active_children())
         with engine:
             progress = engine.run()
         assert progress.finished
-        assert engine._pool is None
+        assert not self.started_workers(before)
 
 
 # ---------------------------------------------------------------------------
