@@ -8,7 +8,9 @@ work to do) through the unpruned in-process engine (the reference row, which
 scores every layout), the pruned in-process engine
 (``ExhaustiveSolver(workers=1)``) and the pool at growing worker counts,
 asserts the results are bitwise identical, and records elapsed times,
-speedups against the reference row and pruning rates.
+speedups against the reference row and pruning rates.  The pool rows set
+``POOL_MIN_LAYOUTS`` to 0: the engine would otherwise score this space
+in-process, since fewer layouts survive its bounds than pay for a pool.
 
 Environment knobs (all optional):
 
@@ -27,11 +29,13 @@ from __future__ import annotations
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro import scenarios
 from repro.core.layout import Layout
+from repro.core import parallel_search
 from repro.core.parallel_search import ParallelEnumerationEngine
 from repro.core.solver import ExhaustiveSolver
 
@@ -106,7 +110,9 @@ def parallel_es_run(num_tables, worker_counts):
     ]
     for workers in [1] + list(worker_counts):
         context = bundle.context(estimator=bundle.fresh_estimator())
-        result = ExhaustiveSolver(max_layouts=space, workers=workers).solve(context)
+        with mock.patch.object(parallel_search, "POOL_MIN_LAYOUTS", 0):
+            result = ExhaustiveSolver(max_layouts=space, workers=workers).solve(context)
+        assert result.stats.workers == workers, f"no pool of {workers} workers ran"
         assert result.layout == reference_layout, f"layout mismatch at {workers} workers"
         assert result.toc_cents == reference.best_toc, f"TOC mismatch at {workers} workers"
         stats = result.stats.batch

@@ -8,7 +8,8 @@ when failures actually happen?*  Three arms, all seeded and deterministic:
 * **search chaos** -- the parallel exhaustive search with worker kills,
   shard exceptions and stragglers injected on disjoint shard subsets must
   return the bitwise-identical fault-free optimum; the headline number is
-  the wall-clock overhead of the retries and of replacing killed workers;
+  the wall-clock overhead of the retries and of replacing killed workers
+  (``POOL_MIN_LAYOUTS`` is set to 0, so this small space runs on the pool);
 * **degraded solve** -- the ES solver under a deliberately blown budget
   must come back degraded-but-flagged within the deadline (+ scheduling
   slack), quantifying how much of the space a budgeted solve still covers;
@@ -23,10 +24,12 @@ The summary lands in ``BENCH_resilience.json``.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from conftest import run_once, write_bench_json
 
 from repro import scenarios
+from repro.core import parallel_search
 from repro.core.batch_eval import BatchLayoutEvaluator
 from repro.core.parallel_search import ParallelEnumerationEngine
 from repro.core.solver import ExhaustiveSolver
@@ -65,8 +68,11 @@ def search_chaos_run():
     def solve(**kwargs):
         context = bundle.context(estimator=bundle.fresh_estimator())
         started = time.perf_counter()
-        result = ExhaustiveSolver(workers=WORKERS, **kwargs).solve(context)
-        return result, time.perf_counter() - started
+        with mock.patch.object(parallel_search, "POOL_MIN_LAYOUTS", 0):
+            result = ExhaustiveSolver(workers=WORKERS, **kwargs).solve(context)
+        elapsed = time.perf_counter() - started
+        assert result.stats.workers == WORKERS, "the search chaos ran without a pool"
+        return result, elapsed
 
     baseline, baseline_s = solve()
     plan = FaultPlan.chaos_search(

@@ -14,7 +14,9 @@ This module removes that overhead without changing a single result:
   class-index matrices and scores whole batches with array operations.  The
   only remaining per-candidate Python work is one optimizer estimate per
   *new* ``(query, touched-placement-signature)`` pair -- everything else
-  (space, capacity, layout cost, workload time, SLA filtering) is numpy.
+  (space, capacity, layout cost, DSS workload time, the OLTP mix's
+  response, I/O counts, busy time and closed-loop throughput, SLA
+  filtering) is numpy.
 * :meth:`QueryEstimateCache.run_result` is the scalar counterpart, and the
   one cached pricing path of DOT's move walk, the online loop, SLA
   resolution and estimate-mode profiling: per-query estimates are cached by
@@ -27,10 +29,13 @@ Exactness contract
 ------------------
 Every floating-point reduction below is performed in the *same operation
 order* as the scalar code path it replaces (sequential per-object adds for
-space and cost, per-stream-instance adds for workload time, the original
-dict-merge order for OLTP aggregation).  IEEE 754 addition is deterministic,
-so batch results are bitwise identical to the legacy path -- the exhaustive
-search returns the identical best layout and TOC, it just gets there faster.
+space and cost, per-stream-instance adds for workload time, mix-order adds
+for the OLTP mix's averages and I/O counts, and the merged counts'
+first-touch order for busy time -- candidates are grouped by that order,
+which can change with the plan variants).  IEEE 754 addition is
+deterministic, so batch results are bitwise identical to the legacy path --
+the exhaustive search returns the identical best layout and TOC, it just
+gets there faster.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.objects import DatabaseObject
 from repro.sla.constraints import PerformanceConstraint
 from repro.storage.io_profile import IOType
 from repro.storage.storage_class import StorageClass, StorageSystem
-from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR
+from repro.units import MINUTES_PER_HOUR, MS_PER_SECOND, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 
 
 #: Signatures :meth:`BatchLayoutEvaluator.warm_signatures` estimates between
@@ -394,18 +399,25 @@ class BatchEvalStats:
     capacity_feasible: int = 0
     feasible: int = 0
     estimator_calls: int = 0
+    #: OLTP rows priced: capacity-feasible candidates whose mix throughput
+    #: was computed (the name predates array scoring and stays for the
+    #: checkpoint format).
     oltp_aggregations: int = 0
     chunks: int = 0
     #: Coordinator evaluator construction time.
     build_s: float = 0.0
     #: Coordinator estimate-table warm-up time (``warm_signatures``).
     warm_s: float = 0.0
-    #: Summed per-worker pool initializer time.  Workers adopt the
-    #: coordinator's warmed evaluator, so this is their whole boot.
+    #: Summed per-worker boot, from just before the coordinator starts a
+    #: worker process to the end of the worker's set-up: process start
+    #: (under spawn/forkserver also the evaluator's unpickling) included.
+    #: Workers adopt the coordinator's warmed evaluator, so this is their
+    #: whole boot.
     attach_s: float = 0.0
     #: Cumulative wall time spent inside ``evaluate_chunk`` (the vectorized
     #: scoring itself, excluding enumeration and coordination overhead).
     eval_s: float = 0.0
+    #: Processes the enumeration scored on: the pool's size, 1 in-process.
     workers: int = 0
     shards: int = 0
     #: Shard units dispatched beyond each worker's initial share -- i.e.
@@ -476,12 +488,19 @@ class ChunkEvaluation:
 
 
 class _QueryTable:
-    """Per-query estimate table indexed by placement-signature slots."""
+    """Per-query estimate table indexed by placement-signature slots.
+
+    Every slot holds its estimate's response time.  An OLTP evaluator's
+    slots also hold the CPU time, the id of the key order of the estimate's
+    ``io_counts`` and its I/O counts -- one column per ``(object, I/O
+    type)`` key some slot of this query charges, 0.0 where a slot does
+    not -- which is all the array mix model reads.
+    """
 
     __slots__ = (
         "query", "var_columns", "weights", "code_to_slot",
-        "response_ms", "executions", "touched_classes",
-        "dense", "_response_array",
+        "response_ms", "cpu_ms", "order_ids", "count_rows", "key_columns",
+        "dense", "_response_array", "_oltp_arrays",
     )
 
     def __init__(self, query, var_columns: List[int], num_classes: int):
@@ -491,15 +510,18 @@ class _QueryTable:
             if var_columns else np.zeros(0, dtype=np.int64)
         self.code_to_slot: Dict[int, int] = {}
         self.response_ms: List[float] = []
-        self.executions: List[ExecutionResult] = []
-        #: Per slot: {object_name: class_name} for the signature's placeable
-        #: objects (used to type OLTP busy time by storage class).
-        self.touched_classes: List[Dict[str, str]] = []
+        self.cpu_ms: List[float] = []
+        self.order_ids: List[int] = []
+        #: Per slot: ``(count columns, counts)``.
+        self.count_rows: List[Tuple[List[int], List[float]]] = []
+        #: Evaluator-wide key id -> this table's count column.
+        self.key_columns: Dict[int, int] = {}
         #: Set by ``warm_signatures`` on a DSS table it filled from empty:
         #: every signature has a slot and slot == code, so the per-chunk
         #: ``np.unique``/dict translation is skipped.
         self.dense = False
         self._response_array: Optional[np.ndarray] = None
+        self._oltp_arrays: Optional[tuple] = None
 
     def response_array(self) -> np.ndarray:
         """Responses indexed by slot, as one cached contiguous array
@@ -508,6 +530,20 @@ class _QueryTable:
         if cached is None or cached.shape[0] != len(self.response_ms):
             cached = np.array(self.response_ms)
             self._response_array = cached
+        return cached
+
+    def oltp_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(cpu_ms, order_ids, counts, key_ids)`` indexed by slot:
+        ``counts`` is ``(slots, keys)`` with column ``c`` counting key
+        ``key_ids[c]``.  Cached like :meth:`response_array`."""
+        cached = self._oltp_arrays
+        if cached is None or cached[0].shape[0] != len(self.cpu_ms):
+            counts = np.zeros((len(self.count_rows), len(self.key_columns)))
+            for slot, (columns, values) in enumerate(self.count_rows):
+                counts[slot, columns] = values
+            cached = (np.array(self.cpu_ms), np.array(self.order_ids, dtype=np.intp), counts,
+                      np.array(list(self.key_columns), dtype=np.intp))
+            self._oltp_arrays = cached
         return cached
 
 
@@ -604,7 +640,24 @@ class BatchLayoutEvaluator:
         else:
             self._instances = list(workload.queries)
         self._service_times = ServiceTimeTable(self.concurrency)
-        self._oltp_aggregates: Dict[tuple, Tuple[float, float]] = {}
+        # OLTP I/O keys.  Column ``k`` of a candidate's full assignment
+        # (variable columns, then the pinned objects) holds object ``k``'s
+        # class; every ``(object, I/O type)`` an estimate charges gets a key
+        # id, and every distinct key order of an estimate's ``io_counts`` an
+        # order id.
+        self._assignment_column = {name: column for column, name in enumerate(
+            self.var_names + [name for name, _, _ in self.pinned])}
+        self._pinned_row = np.array([class_index for _, class_index, _ in self.pinned],
+                                    dtype=np.int64)
+        self._io_keys: Dict[Tuple[str, IOType], int] = {}
+        #: ``((object, (I/O type, ...)), ...)`` of an ``io_counts`` -> its
+        #: order id; ``_order_keys[id]`` holds the same with key ids.
+        self._key_orders: Dict[tuple, int] = {}
+        self._order_keys: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
+        #: Per key id, its latency on every class: ``(M, keys)``.
+        self._key_latency = np.zeros((self.num_classes, 0))
+        #: Compiled busy-time walks, keyed by a row's per-entry order ids.
+        self._busy_walks: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
         self._fully_warmed = False
         self._tables: Dict[str, _QueryTable] = {}
@@ -640,8 +693,7 @@ class BatchLayoutEvaluator:
         A DSS table this call fills from empty becomes dense: the subspace
         is enumerated in mixed-radix order, so slot ``s`` holds signature
         code ``s`` by construction, and chunk scoring indexes the response
-        array by code directly.  OLTP tables stay on the slot path, since
-        their aggregation reads full executions, not just response times.
+        array by code directly.  OLTP tables stay on the slot path.
 
         Queries whose subspace exceeds :data:`WARM_MAX_SIGNATURES` are left
         to lazy on-demand estimation (correct, just not pre-warmed).  Once
@@ -856,53 +908,136 @@ class BatchLayoutEvaluator:
         self.stats.estimator_calls += self.cache.misses - misses_before
         table.code_to_slot[code] = len(table.response_ms)
         table.response_ms.append(execution.response_time_ms)
-        table.executions.append(execution)
-        table.touched_classes.append(
-            {
-                name: placement[name].name
-                for name in self.cache.signature_objects(table.query)
-                if name in placement
-            }
-        )
+        if self.kind != "oltp":
+            return
+        order_id = self._order_id(execution.io_counts)
+        table.cpu_ms.append(execution.cpu_time_ms)
+        table.order_ids.append(order_id)
+        table.count_rows.append((
+            [table.key_columns.setdefault(key, len(table.key_columns))
+             for _, keys in self._order_keys[order_id] for key in keys],
+            [count for by_type in execution.io_counts.values() for count in by_type.values()],
+        ))
+
+    def _order_id(self, io_counts) -> int:
+        """The id of ``io_counts``' key order, registering the order (and
+        any new key, with its latency on every class) on first sight."""
+        order = tuple((object_name, tuple(by_type)) for object_name, by_type in io_counts.items())
+        order_id = self._key_orders.get(order)
+        if order_id is not None:
+            return order_id
+        order_keys = []
+        for object_name, io_types in order:
+            keys = []
+            for io_type in io_types:
+                key = self._io_keys.setdefault((object_name, io_type), len(self._io_keys))
+                if key == self._key_latency.shape[1]:
+                    self._key_latency = np.column_stack([self._key_latency, [
+                        self._service_times.latency_ms(storage_class, io_type)
+                        for storage_class in self.classes
+                    ]])
+                keys.append(key)
+            order_keys.append((object_name, tuple(keys)))
+        self._order_keys.append(tuple(order_keys))
+        order_id = self._key_orders[order] = len(self._order_keys) - 1
+        return order_id
 
     # ------------------------------------------------------------------
-    # OLTP aggregation (per unique per-query slot tuple)
+    # OLTP scoring (the mix model, column-wise)
     # ------------------------------------------------------------------
-    def _aggregate_oltp(self, slot_tuple: tuple) -> Tuple[float, float]:
-        """``(tasks_per_hour, transactions_per_minute)`` for one slot tuple.
+    def _score_oltp(self, sub_assign: np.ndarray,
+                    slots: Mapping[str, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tasks_per_hour, transactions_per_minute)`` of every row.
 
-        Replicates ``WorkloadEstimator._run_mix`` (same merge and iteration
-        order) from cached per-query executions; candidates sharing the slot
-        tuple share the result bit for bit.
+        Replays ``_OltpMixModel.replay`` and ``.throughput`` column-wise in
+        their float order: the mix's response, CPU and per-key I/O counts
+        add ``share * value`` entry by entry in mix order (a key an entry's
+        estimate does not charge adds ``0.0`` or nothing, which leaves the
+        sum exact).  Busy time walks the merged counts in the scalar
+        dict's first-touch order -- objects, then I/O types -- which
+        depends on the plan variant of every entry, so rows are grouped by
+        their per-entry key-order ids and each group's walk is compiled
+        once (:meth:`_busy_walk`).  A count ``<= 0`` adds ``0.0``.
         """
-        cached = self._oltp_aggregates.get(slot_tuple)
-        if cached is not None:
-            return cached
-        class_of: Dict[str, str] = {}
-        slots = iter(slot_tuple)
-
-        def execution_for(query):
-            slot = next(slots)
+        mix = self._oltp
+        batch = sub_assign.shape[0]
+        response_ms = np.zeros(batch)
+        cpu_ms = np.zeros(batch)
+        counts = np.zeros((batch, len(self._io_keys)))
+        orders = np.empty((batch, len(mix.mix)), dtype=np.intp)
+        for entry, (query, weight) in enumerate(mix.mix):
+            share = weight / mix.total_weight
             table = self._tables[query.name]
-            class_of.update(table.touched_classes[slot])
-            return table.executions[slot]
+            slot = slots[query.name]
+            table_cpu, table_orders, table_counts, key_ids = table.oltp_arrays()
+            counts[:, key_ids] += table_counts[slot] * share
+            response_ms += share * table.response_array()[slot]
+            cpu_ms += share * table_cpu[slot]
+            orders[:, entry] = table_orders[slot]
 
-        io_by_object, _, avg_response_ms, avg_cpu_ms = self._oltp.replay(execution_for)
-        _, throughput = self._oltp.throughput(
-            io_by_object,
-            lambda object_name: self.system[class_of[object_name]],
-            self._service_times,
-            avg_response_ms,
-            avg_cpu_ms,
+        assignment = np.concatenate(
+            [sub_assign, np.broadcast_to(self._pinned_row, (batch, self._pinned_row.size))],
+            axis=1,
         )
-        tasks_per_hour = throughput.transactions_per_hour * self._oltp.measured_fraction
-        transactions_per_minute = (
-            throughput.transactions_per_minute * self._oltp.measured_fraction
-        )
-        result = (tasks_per_hour, transactions_per_minute)
-        self._oltp_aggregates[slot_tuple] = result
-        self.stats.oltp_aggregations += 1
-        return result
+        bottleneck_ms = cpu_ms / 8.0
+        if (orders == orders[0]).all():
+            groups = [(orders[0], slice(None))]
+        else:
+            unique, inverse = np.unique(orders, axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            groups = [(row, inverse == group) for group, row in enumerate(unique)]
+        for order_row, rows in groups:
+            keys, columns = self._busy_walk(tuple(order_row.tolist()))
+            if not keys.size:
+                continue
+            walked = counts[rows][:, keys]
+            classes = assignment[rows][:, columns]
+            busy = np.where(walked <= 0, 0.0, walked * self._key_latency[classes, keys])
+            peak = bottleneck_ms[rows]
+            for class_index in range(self.num_classes):
+                # accumulate adds left to right: the dict walk's order.
+                class_busy = np.add.accumulate(
+                    np.where(classes == class_index, busy, 0.0), axis=1
+                )[:, -1]
+                peak = np.maximum(peak, class_busy)
+            bottleneck_ms[rows] = peak
+
+        # ClosedLoopModel.estimate, then the measured fraction.
+        response_ms = np.maximum(response_ms, 1e-9)
+        population_tps = mix.model.concurrency / (response_ms / 1000.0)
+        with np.errstate(divide="ignore"):
+            bottleneck_tps = np.where(bottleneck_ms <= 0, population_tps,
+                                      1000.0 / bottleneck_ms)
+        per_minute = (np.minimum(population_tps, bottleneck_tps) * mix.model.efficiency
+                      * SECONDS_PER_MINUTE)
+        return (per_minute * MINUTES_PER_HOUR * mix.measured_fraction,
+                per_minute * mix.measured_fraction)
+
+    def _busy_walk(self, order_ids: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, columns)`` of one key-order group: the key ids in the
+        merged dict's iteration order and the assignment column of each
+        key's object.
+
+        ``merge_io_counts`` keeps objects in first-touch order and each
+        object's I/O types in first-touch order across the mix, so the walk
+        merges the entries' key orders the same way.  Compiled once per
+        order-id tuple.
+        """
+        compiled = self._busy_walks.get(order_ids)
+        if compiled is None:
+            merged: Dict[str, List[int]] = {}
+            for order_id in order_ids:
+                for object_name, keys in self._order_keys[order_id]:
+                    bucket = merged.setdefault(object_name, [])
+                    bucket.extend(key for key in keys if key not in bucket)
+            keys = [key for bucket in merged.values() for key in bucket]
+            # A charged object outside the layout raises KeyError, as the
+            # scalar placement lookup does.
+            columns = [column for object_name, bucket in merged.items()
+                       for column in [self._assignment_column[object_name]] * len(bucket)]
+            compiled = (np.array(keys, dtype=np.intp), np.array(columns, dtype=np.intp))
+            self._busy_walks[order_ids] = compiled
+        return compiled
 
     # ------------------------------------------------------------------
     # Chunk evaluation
@@ -961,19 +1096,11 @@ class BatchLayoutEvaluator:
             toc_cents[rows] = cost * ((total_ms / MS_PER_SECOND) / SECONDS_PER_HOUR)
             feasible[rows] = performance_ok
         else:
-            slot_matrix = np.stack(
-                [slots[query.name] for query, _ in self._oltp.mix], axis=1
-            )
-            unique_rows, inverse = np.unique(slot_matrix, axis=0, return_inverse=True)
-            tasks = np.empty(unique_rows.shape[0])
-            tpm = np.empty(unique_rows.shape[0])
-            for position, slot_row in enumerate(unique_rows):
-                tasks[position], tpm[position] = self._aggregate_oltp(
-                    tuple(int(slot) for slot in slot_row)
-                )
-            toc_cents[rows] = cost / tasks[inverse]
+            tasks, tpm = self._score_oltp(sub_assign, slots)
+            self.stats.oltp_aggregations += int(rows.size)
+            toc_cents[rows] = cost / tasks
             if self._constraint_kind == "throughput":
-                feasible[rows] = tpm[inverse] >= self._constraint_data
+                feasible[rows] = tpm >= self._constraint_data
             else:
                 feasible[rows] = True
 

@@ -303,6 +303,7 @@ class SolveStats:
     moves: list = field(default_factory=list, repr=False)
     #: Parallel ES: layouts never evaluated thanks to branch-and-bound.
     pruned_layouts: int = 0
+    #: Batch ES: processes the enumeration scored on (1 in-process).
     workers: int = 0
     #: MILP: number of binary placement variables.
     variables: int = 0

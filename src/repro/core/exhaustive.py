@@ -32,10 +32,11 @@ class ExhaustiveSolver:
     Two execution paths return bitwise-identical results.  The batch path
     (default) runs the pruning
     :class:`~repro.core.parallel_search.ParallelEnumerationEngine`:
-    in-process at ``workers=1``, on a pool of ``workers`` processes
-    otherwise.  The per-layout scalar loop (``batch=False``) is the test
-    oracle and the automatic fallback for configurations the batch evaluator
-    cannot vectorize (cost overrides, exotic constraint types).
+    in-process at ``workers=1`` or when little work survives its bounds,
+    on a pool of up to ``workers`` processes otherwise.  The per-layout
+    scalar loop (``batch=False``) is the test oracle and the automatic
+    fallback for configurations the batch evaluator cannot vectorize (cost
+    overrides, exotic constraint types).
     ``stats.batch`` is ``None`` exactly when the scalar path ran.
 
     The solve-time ``budget`` is a hard wall-clock deadline in seconds,
@@ -70,10 +71,15 @@ class ExhaustiveSolver:
         Evaluate candidates through the vectorized
         :class:`~repro.core.batch_eval.BatchLayoutEvaluator` (default).
     workers:
-        Processes the engine shards the mixed-radix index range over;
-        ``1`` runs the same sharded, pruned enumeration in-process.  A
-        worker that dies mid-shard is replaced and its shard retried, with
-        an incident naming the exit code.
+        Most processes the engine scores the mixed-radix index range on; it
+        also sets the shard geometry.  ``1`` runs the same sharded, pruned
+        enumeration in-process, and so does a larger value when fewer than
+        :data:`~repro.core.parallel_search.POOL_MIN_LAYOUTS` layouts
+        survive the engine's bounds after its seed (the rule reads counts
+        only, so one solve always takes one path).  ``stats.workers``
+        reports the processes the enumeration used.  A worker that dies
+        mid-shard is replaced and its shard retried, with an incident
+        naming the exit code.
     fault_plan:
         Chaos-test :class:`~repro.resilience.FaultPlan` forwarded to the
         engine.
@@ -195,9 +201,10 @@ class ExhaustiveSolver:
 
         The coordinator builds the evaluator (timed as build cost), and the
         engine warms it fully and scores the uniform seed (timed as warm-up
-        cost), then enumerates in-process or hands the evaluator itself to
-        its worker pool.  Reducing the shards' ``(TOC, enumeration index)``
-        bests reproduces the scalar loop's result bit for bit.
+        cost), then enumerates in-process or, when enough layouts survive
+        its bounds, hands the evaluator itself to its worker pool.  Reducing
+        the shards' ``(TOC, enumeration index)`` bests reproduces the scalar
+        loop's result bit for bit.
         """
         from repro.core.parallel_search import ParallelEnumerationEngine, SearchProgress
 
@@ -215,7 +222,7 @@ class ExhaustiveSolver:
             evaluator.stats.build_s = time.perf_counter() - build_started
             span.set(build_s=evaluator.stats.build_s)
 
-        warm_span = tracer.start_span("es.warm", workers=self.workers)
+        warm_span = tracer.start_span("es.warm")
         warm_started = time.perf_counter()
         engine = ParallelEnumerationEngine(
             evaluator,
@@ -229,10 +236,9 @@ class ExhaustiveSolver:
         # stats object is snapshotted before shard deltas replace it.
         stats = evaluator.stats
         stats.warm_s += time.perf_counter() - warm_started
-        stats.workers = self.workers
         tracer.end_span(warm_span, build_s=stats.build_s, warm_s=stats.warm_s)
 
-        span = tracer.start_span("es.enumerate", path="engine", workers=self.workers)
+        span = tracer.start_span("es.enumerate", path="engine")
         started = time.perf_counter()
         timed_out = False
         resumed = (
@@ -252,6 +258,7 @@ class ExhaustiveSolver:
                 progress = exc.progress
                 timed_out = True
         stats.merge(progress.stats)
+        stats.workers = engine.workers_used
         incidents = list(progress.incidents)
         if timed_out:
             incidents.insert(0, self._deadline_incident(budget, progress.evaluated))
@@ -266,7 +273,8 @@ class ExhaustiveSolver:
         result = self._result(context, best_layout, best_report, progress.evaluated, elapsed,
                               budget, timed_out, incidents, stats)
         tracer.end_span(span, evaluated=progress.evaluated, timed_out=timed_out,
-                        shards=progress.total_shards, prefix_depth=engine.prefix_depth)
+                        shards=progress.total_shards, prefix_depth=engine.prefix_depth,
+                        workers=engine.workers_used)
         return result
 
     # ------------------------------------------------------------------

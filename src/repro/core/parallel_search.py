@@ -5,9 +5,10 @@ yardstick for DOT, but a literal ``M^N`` enumeration caps the object count:
 the TPC-C study restricts ES to three hot tables because the full 19-object
 x 3-class space has ``3^19 ~ 1.16e9`` layouts.  This module is the one batch
 enumerator of :class:`~repro.core.exhaustive.ExhaustiveSolver`: it runs
-in-process at ``workers=1`` and on a pool of ``multiprocessing`` worker
-processes otherwise, with the same shards, bounds, seed, checkpoints and
-deadline either way.
+on a pool of up to ``workers`` ``multiprocessing`` worker processes when
+enough layouts survive its bounds to pay for starting one
+(:data:`POOL_MIN_LAYOUTS`), and in-process otherwise, with the same shards,
+bounds, seed, checkpoints and deadline either way.
 
 * **Sharding** -- the mixed-radix assignment index range ``[0, M^N)`` is cut
   into contiguous shards of whole enumeration subtrees.  Pool workers adopt
@@ -129,6 +130,14 @@ FLOOR_TABLE_MAX_PREFIXES = 8192
 #: Subtrees whose prefix bounds :meth:`_PruningBounds.subtrees` computes and
 #: keeps at a time (the default geometry has at most ``24 * workers``).
 SUBTREE_WINDOW = 4096
+#: Fewest live layouts -- those of the pending shards that the capacity
+#: bound and the seeded TOC bound leave alive -- for which a run starts its
+#: worker pool; with fewer it scores in-process.  On a 2-CPU host two
+#: workers start to beat one process between 0.13 M and 1 M live layouts on
+#: TPC-H and not yet at 5.8 M on the chunk-pruned synthetic scaling spaces
+#: (EXPERIMENTS.md).  The rule reads counts only, so one solve always takes
+#: one path.
+POOL_MIN_LAYOUTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +672,8 @@ def _process_shard(
 # Pool worker (module-level so spawned workers can import it)
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn, evaluator: BatchLayoutEvaluator, bounds: _PruningBounds,
-                 shared_value, chunk_size: int, prune: bool,
+def _worker_main(conn, started: float, evaluator: BatchLayoutEvaluator,
+                 bounds: _PruningBounds, shared_value, chunk_size: int, prune: bool,
                  fault_plan: Optional[FaultPlan], deadline: Optional[float],
                  trace_enabled: bool) -> None:
     """Pool worker: score each shard the coordinator sends over ``conn``.
@@ -678,17 +687,20 @@ def _worker_main(conn, evaluator: BatchLayoutEvaluator, bounds: _PruningBounds,
 
     Each message is a ``(shard_id, subtree_lo, subtree_hi, attempt)`` task;
     the reply is its :class:`_ShardOutcome`, or the exception the shard
-    raised.  ``deadline`` is an absolute ``time.monotonic`` instant stamped
-    by the coordinator; ``CLOCK_MONOTONIC`` is machine-wide, so workers can
-    compare against it directly.  ``fault_plan`` injects chaos-test faults
-    (``None`` in production).  The worker's own set-up time is its boot
-    (``attach_s``) and rides back on its first outcome.  The worker serves
-    shards until the coordinator terminates it.
+    raised.  ``deadline`` and ``started`` are absolute ``time.monotonic``
+    instants stamped by the coordinator; ``CLOCK_MONOTONIC`` is
+    machine-wide, so workers can compare against them directly.
+    ``started`` is taken just before the coordinator starts the process,
+    so the worker's boot (``attach_s``) counts the process start -- under
+    spawn/forkserver the interpreter start, the imports and the unpickling
+    of the evaluator -- as well as its own set-up; it rides back on the
+    worker's first outcome.  ``fault_plan`` injects chaos-test faults
+    (``None`` in production).  The worker serves shards until the
+    coordinator terminates it.
     """
-    started = time.perf_counter()
     incumbent = _SharedIncumbent(shared_value)
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
-    attach_s = time.perf_counter() - started
+    attach_s = time.monotonic() - started
     while True:
         shard_id, subtree_lo, subtree_hi, attempt = conn.recv()
         # Worker caches are copies the coordinator's context never sees;
@@ -727,9 +739,12 @@ class ParallelEnumerationEngine:
         adopt as is; a pruning engine then scores the ``M`` uniform layouts
         to seed the incumbent.
     workers:
-        Process count.  ``workers <= 1`` runs the identical sharded/pruned
-        algorithm in-process (no pool), as ``ExhaustiveSolver`` does by
-        default.
+        Most processes to score on; it also sets the shard geometry.
+        ``workers <= 1`` runs the identical sharded/pruned algorithm
+        in-process (no pool), as ``ExhaustiveSolver`` does by default, and
+        so does a run whose live layouts (see :meth:`run`) number fewer
+        than :data:`POOL_MIN_LAYOUTS`.  :attr:`workers_used` reports what
+        the last run used.
     chunk_size:
         Most candidate rows scored per ``evaluate_chunk`` call.
     prefix_depth:
@@ -784,6 +799,9 @@ class ParallelEnumerationEngine:
         self.prune = prune
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
+        #: Processes the last :meth:`run` scored on: its pool's size, or 1
+        #: in-process.
+        self.workers_used = 1
         #: ``(process, coordinator end of its pipe)`` of every live worker.
         self._workers: List[tuple] = []
 
@@ -861,6 +879,13 @@ class ParallelEnumerationEngine:
     ) -> SearchProgress:
         """Enumerate every shard not already completed in ``progress``.
 
+        The pending shards run on a pool of up to ``workers`` processes
+        only when their live layouts -- the layouts of the subtrees that
+        neither the capacity bound nor the TOC bound against the seeded
+        incumbent cuts -- number at least :data:`POOL_MIN_LAYOUTS`;
+        otherwise they run in-process at the same shard geometry, so a
+        checkpoint resumes on either path.
+
         ``checkpoint_path`` persists the progress to disk (atomically, as
         JSON) after *every* completed shard, so an interrupted multi-hour
         run resumes from the last finished shard instead of from zero:
@@ -894,18 +919,34 @@ class ParallelEnumerationEngine:
             # from progress.best_toc, so the seed prunes from the first chunk.
             progress.offer(*self._seed)
         pending = [task for task in shards if task[0] not in progress.completed]
+        self.workers_used = 1
         if not pending:
             return progress
         checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
         if self._deadline is not None and time.monotonic() >= self._deadline:
             self._deadline_abort(progress, checkpoint)
-        if self.workers <= 1:
-            self._run_serial(pending, progress, checkpoint)
-        else:
+        if (self.workers > 1
+                and self._live_layouts(pending, progress.best_toc) >= POOL_MIN_LAYOUTS):
             self._run_pool(pending, progress, checkpoint)
+        else:
+            self._run_serial(pending, progress, checkpoint)
         if checkpoint is not None:
             progress.save(checkpoint)
         return progress
+
+    def _live_layouts(self, pending, incumbent: float) -> int:
+        """Layouts of the ``pending`` shards' subtrees that the subtree
+        bounds leave alive against ``incumbent`` (every layout when the
+        engine does not prune)."""
+        subtree_size = self.num_classes ** (self.num_objects - self.prefix_depth)
+        live = 0
+        for _, lo, hi in pending:
+            if self.prune:
+                fits, toc_lb = self._bounds.subtrees(lo, hi - 1)
+                live += int((fits & ~(toc_lb > incumbent)).sum())
+            else:
+                live += hi - lo
+        return live * subtree_size
 
     # -- context manager / teardown ------------------------------------
     def __enter__(self) -> "ParallelEnumerationEngine":
@@ -1020,7 +1061,8 @@ class ParallelEnumerationEngine:
     def _start_worker(self, context, worker_args):
         """Start one pool worker; returns ``(process, coordinator end of its pipe)``."""
         conn, worker_conn = context.Pipe()
-        process = context.Process(target=_worker_main, args=(worker_conn, *worker_args),
+        process = context.Process(target=_worker_main,
+                                  args=(worker_conn, time.monotonic(), *worker_args),
                                   daemon=True)
         process.start()
         # Only the worker holds its end now, so its exit reads as EOF on ``conn``.
@@ -1042,9 +1084,10 @@ class ParallelEnumerationEngine:
         queue = deque((task, 0) for task in pending)
         busy = {}  # coordinator end of a busy worker's pipe -> (process, task, attempt)
         dispatched = 0
+        self.workers_used = min(self.workers, len(pending))
         try:
             idle = [self._start_worker(context, worker_args)
-                    for _ in range(min(self.workers, len(pending)))]
+                    for _ in range(self.workers_used)]
             while queue or busy:
                 while queue and idle:
                     task, attempt = queue.popleft()

@@ -173,9 +173,11 @@ def es_vs_dot_tpch(
     (the full ``3^16 ~ 4.3e7``-layout space per box) instead, which is
     practical through the sharded, pruned parallel engine -- pass
     ``es_workers > 1`` and ``es_max_layouts=3**16`` (the layout-count guard
-    is a hard limit at every worker count).  With two workers on a 2-CPU
-    host each box takes about 3 s.  Results per configuration are bitwise
-    identical to the serial search.
+    is a hard limit at every worker count).  Each box leaves 9-11 M live
+    layouts after the seed, above
+    :data:`~repro.core.parallel_search.POOL_MIN_LAYOUTS`, so the search runs
+    on the pool.  Results per configuration are bitwise identical to the
+    serial search.
     """
     bundle = _tpch_bundle("es-subset", scale_factor, repetitions, sla_ratio)
     if full_object_set:
@@ -303,8 +305,12 @@ def figure9_arm(
     object set as the paper does.  ``hot_groups=None`` enumerates *every*
     TPC-C object (the paper's full ``3^19`` space); combine it with
     ``es_workers > 1`` so the sharded, pruned parallel engine carries the
-    enumeration, and with ``es_max_layouts=3**19`` (the layout-count guard
-    is a hard limit at every worker count).
+    enumeration on a worker pool, and with ``es_max_layouts=3**19`` (the
+    layout-count guard is a hard limit at every worker count).
+    ``es_workers`` is a ceiling: the default hot set's ``3^7`` layouts are
+    far fewer than
+    :data:`~repro.core.parallel_search.POOL_MIN_LAYOUTS`, so its search
+    scores in-process at any worker count.
 
     Builds its scenario bundle freshly so one arm is independently
     reproducible (the unit the experiment orchestrator records), and

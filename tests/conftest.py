@@ -123,6 +123,25 @@ from repro.workloads.workload import Workload
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive-search worker pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Start the exhaustive search's worker pool whenever ``workers > 1``.
+
+    The engine starts its pool only for at least ``POOL_MIN_LAYOUTS`` live
+    layouts, far more than the small spaces tests enumerate; a test of the
+    pool itself (worker boot, kills, teardown, span merging, pool identity)
+    sets the threshold to 0 through this fixture and asserts that the pool
+    ran.
+    """
+    import repro.core.parallel_search as parallel_search
+
+    monkeypatch.setattr(parallel_search, "POOL_MIN_LAYOUTS", 0)
+
+
+# ---------------------------------------------------------------------------
 # Storage fixtures
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import scenarios
@@ -409,11 +409,11 @@ class DrawnScenario:
 
 
 @st.composite
-def drawn_scenarios(draw):
+def drawn_scenarios(draw, kinds=("dss", "oltp"), max_tables=4):
     scenario = draw(st.sampled_from(["synthetic_small", "synthetic_scaling"]))
-    num_tables = draw(st.integers(2, 4))
+    num_tables = draw(st.integers(2, max_tables))
     shape = scenarios.build(scenario, num_tables=num_tables, sla_ratio=None)
-    kind = draw(st.sampled_from(["dss", "oltp"]))
+    kind = draw(st.sampled_from(kinds))
     concurrency, mix_weights = 1, ()
     if kind == "oltp":
         concurrency = draw(st.sampled_from([1, 50, 300]))
@@ -471,6 +471,88 @@ class TestCachedPathOnGeneratedScenarios:
         assert cached.layout == oracle.layout
         assert cached.toc_cents == oracle.toc_cents
         assert cached.feasible == oracle.feasible
+
+
+# ---------------------------------------------------------------------------
+# OLTP scoring: the array mix model against the scalar oracles
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TpchTransactionMix:
+    """The 22 ``tpch_original`` SF2 query templates as one OLTP mix at
+    concurrency 300 on Box 2.  Their plan variants charge I/O in different
+    key orders, so with a few objects enumerated and the rest pinned the
+    rows of one chunk fall into many busy-time groups."""
+
+    def build(self):
+        """``(bundle, objects, system, workload, sla)``, as
+        :meth:`DrawnScenario.build`."""
+        bundle = scenarios.build("tpch_original", scale_factor=2.0)
+        templates = {query.name: query for query in bundle.workload.queries}.values()
+        workload = Workload(
+            name="tpch-mix", kind="oltp",
+            transaction_mix=tuple((query, 1.0 + position % 5)
+                                  for position, query in enumerate(templates)),
+            concurrency=300, measured_transaction_fraction=0.45,
+        )
+        return bundle, bundle.objects, storage_catalog.box2(), workload, None
+
+
+class TestOltpArrayScoring:
+    """``evaluate_chunk`` prices OLTP rows column-wise; every row's TOC and
+    feasibility must equal the scalar mix model's
+    (:meth:`QueryEstimateCache.run_result` through the TOC model), and the
+    batch search must return the scalar search's layout, bit for bit."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=drawn_scenarios(kinds=("oltp",), max_tables=3), enumerated=st.none())
+    @example(case=TpchTransactionMix(), enumerated=6)
+    def test_array_scores_equal_the_scalar_oracles(self, case, enumerated):
+        """``enumerated`` leading objects are enumerated (all when
+        ``None``) and the rest pinned on the most expensive class."""
+        bundle, objects, system, workload, sla = case.build()
+        variable = objects[:enumerated]
+        pinned = objects[len(variable):]
+        pinned_class = system.most_expensive().name
+        context = EvaluationContext.build(objects, system, bundle.fresh_estimator(),
+                                          workload, sla=sla)
+        evaluator = BatchLayoutEvaluator(
+            variable, system, context.estimator, workload,
+            pinned=[(obj, pinned_class) for obj in pinned], constraint=context.constraint,
+        )
+        rows = np.array(list(itertools.product(range(len(system)), repeat=len(variable))))
+        # Two chunks: the second reuses the slots and walks the first built.
+        half = rows.shape[0] // 2
+        scored = [evaluator.evaluate_chunk(rows[:half]), evaluator.evaluate_chunk(rows[half:])]
+        toc = np.concatenate([chunk.toc_cents for chunk in scored])
+        feasible = np.concatenate([chunk.feasible for chunk in scored])
+        assert evaluator.stats.oltp_aggregations == int(np.isfinite(toc).sum())
+        if isinstance(case, TpchTransactionMix):
+            assert len(evaluator._busy_walks) > 1  # rows in several key-order groups
+
+        oracle = QueryEstimateCache(bundle.fresh_estimator(), workload.concurrency)
+        toc_model = TOCModel(oracle.estimator)
+        checker = context.checker()
+        for row, row_toc, row_feasible in zip(rows, toc, feasible):
+            layout = Layout(objects, system, evaluator.assignment_for_row(row))
+            if not layout.satisfies_capacity():
+                assert row_toc == float("inf") and not row_feasible
+                continue
+            result = oracle.run_result(workload, layout.placement())
+            assert row_toc == toc_model.report_from_result(layout, workload, result).toc_cents
+            assert row_feasible == checker.check(layout, result).feasible
+
+        def search(batch):
+            return ExhaustiveSolver(objects=variable, pinned_objects=pinned,
+                                    pinned_class=pinned_class, batch=batch).solve(
+                EvaluationContext(objects, system, bundle.fresh_estimator(), workload,
+                                  constraint=context.constraint))
+
+        scalar, batch = search(False), search(True)
+        assert batch.feasible == scalar.feasible
+        assert batch.layout == scalar.layout
+        assert batch.toc_cents == scalar.toc_cents
 
 
 # ---------------------------------------------------------------------------

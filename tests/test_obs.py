@@ -146,7 +146,7 @@ class TestDisabledOverhead:
 # ---------------------------------------------------------------------------
 
 class TestBitwiseIdentityUnderTracing:
-    def test_three_es_paths_agree_with_tracing_on(self, sanity_bundle):
+    def test_three_es_paths_agree_with_tracing_on(self, pool_always, sanity_bundle):
         with trace.tracing():
             batch = ExhaustiveSolver(max_layouts=1_000_000).solve(
                 make_context(sanity_bundle))
@@ -154,6 +154,7 @@ class TestBitwiseIdentityUnderTracing:
                 make_context(sanity_bundle))
             parallel = ExhaustiveSolver(max_layouts=1_000_000, workers=2).solve(
                 make_context(sanity_bundle))
+        assert parallel.stats.workers == 2  # the pool ran
         assert batch.layout == scalar.layout == parallel.layout
         assert batch.toc_cents == scalar.toc_cents == parallel.toc_cents
 
@@ -172,6 +173,7 @@ class TestBitwiseIdentityUnderTracing:
 # Parallel worker span merge
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("pool_always")
 class TestParallelSpanMerge:
     @pytest.mark.timeout(180)
     def test_worker_spans_merge_into_the_coordinator_tree(self, sanity_bundle):
@@ -180,6 +182,7 @@ class TestParallelSpanMerge:
             (root,) = tracer.drain_roots()
         (enumerate_span,) = [c for c in root["children"]
                              if c["name"] == "es.enumerate"]
+        assert enumerate_span["attrs"]["workers"] == 2  # the pool ran
         shards = [c for c in enumerate_span["children"]
                   if c["name"].startswith("shard[")]
         assert shards, "no worker shard spans were merged"
@@ -197,6 +200,7 @@ class TestParallelSpanMerge:
             )
             (root,) = tracer.drain_roots()
         reference = ExhaustiveSolver().solve(make_context(sanity_bundle))
+        assert result.stats.workers == 2  # the pool ran
         assert result.layout == reference.layout
         assert result.toc_cents == reference.toc_cents
 

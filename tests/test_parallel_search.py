@@ -187,14 +187,16 @@ class TestRangeEnumeration:
 # ---------------------------------------------------------------------------
 
 def run_three_paths(objects, system, catalog, workload, **kwargs):
-    """The scalar loop and the engine in-process and on a pool; the unpruned
-    engine, over the solver's own columns, must match the in-process one."""
+    """The scalar loop and the engine in-process and on a pool (callers use
+    ``pool_always``); the unpruned engine, over the solver's own columns,
+    must match the in-process one."""
     scalar = solve_es(objects, system, fresh_estimator(catalog), workload, batch=False,
                       **kwargs)
     batch = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
                      **kwargs)
     parallel = solve_es(objects, system, fresh_estimator(catalog), workload, batch=True,
                         workers=WORKERS, **kwargs)
+    assert parallel.stats.workers == WORKERS  # the pool ran
     knobs = dict(kwargs)
     context = EvaluationContext(objects, system, fresh_estimator(catalog), workload,
                                 constraint=knobs.pop("constraint", None))
@@ -218,6 +220,7 @@ def assert_identical(reference, candidate):
     assert candidate.layout == reference.layout
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestParallelIdentity:
     @pytest.mark.parametrize("per_group", [False, True])
     def test_unconstrained(self, small_objects, box1_system, small_catalog, small_workload,
@@ -398,13 +401,15 @@ def random_constraint(catalog, workload, objects, system, ratio):
 
 def engine_run(objects, system, catalog, workload, prune, workers=1, constraint=None,
                chunk_size=64):
-    """Run the enumeration engine directly (in-process unless workers > 1)."""
+    """Run the enumeration engine directly: in-process at ``workers=1``,
+    on a pool otherwise (callers use ``pool_always``)."""
     evaluator = BatchLayoutEvaluator(objects, system, fresh_estimator(catalog), workload,
                                      constraint=constraint)
     engine = ParallelEnumerationEngine(
         evaluator, workers=workers, chunk_size=chunk_size, prune=prune
     )
     progress = engine.run()
+    assert engine.workers_used == workers
     layout = None
     if progress.best_row is not None:
         row = np.array(progress.best_row, dtype=np.int64)
@@ -461,8 +466,10 @@ class TestPruningSoundness:
     def test_pruned_engine_matches_unpruned_optimum(self, seed):
         assert_identity_under_pruning(seed, "dss", None, workers=1)
 
+    # The pool_always patch holds for every example alike.
     @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["dss", "oltp"]),
            ratio=st.one_of(st.none(), st.floats(0.01, 0.5)),
            workers=st.sampled_from([1, 1, 1, WORKERS]), chunk_size=st.sampled_from([2, 64]))
@@ -470,7 +477,8 @@ class TestPruningSoundness:
     @example(**NO_UNIFORM_FEASIBLE, workers=1, chunk_size=2)
     @example(**OLTP_MIX, workers=1, chunk_size=64)
     @example(**CHEAPEST_BREAKS_CAP, workers=WORKERS, chunk_size=2)
-    def test_identity_holds_on_generated_spaces(self, seed, kind, ratio, workers, chunk_size):
+    def test_identity_holds_on_generated_spaces(self, pool_always, seed, kind, ratio,
+                                                workers, chunk_size):
         assert_identity_under_pruning(seed, kind, ratio, workers, chunk_size)
 
     def test_hard_cases_are_what_they_claim(self):
@@ -498,7 +506,7 @@ class TestPruningSoundness:
         assert scored.feasible.any()
 
     @pytest.mark.parametrize("seed", [7, 91])
-    def test_pruned_pool_matches_unpruned_optimum(self, seed):
+    def test_pruned_pool_matches_unpruned_optimum(self, pool_always, seed):
         catalog, workload, objects, system = random_scenario(seed)
         unpruned, unpruned_layout, _ = engine_run(objects, system, catalog, workload,
                                                   prune=False)
@@ -511,7 +519,7 @@ class TestPruningSoundness:
 
 class TestUnprunedEngine:
     @pytest.mark.parametrize("workers", [1, WORKERS])
-    def test_builds_no_time_floors(self, workers, monkeypatch):
+    def test_builds_no_time_floors(self, pool_always, workers, monkeypatch):
         """Only pruning reads the workload-time floors, so an unpruned solve
         never computes them and still matches the scalar loop."""
         def refuse(*args):
@@ -705,7 +713,7 @@ class TestWorkerReconstruction:
 # ---------------------------------------------------------------------------
 
 class TestFigure9Parallel:
-    def test_parallel_matches_batch_on_fig9_config(self):
+    def test_parallel_matches_batch_on_fig9_config(self, pool_always):
         from repro.dbms.buffer_pool import BufferPool
         from repro.experiments import boxes
         from repro.workloads import tpcc
@@ -1051,6 +1059,71 @@ class TestDenseTables:
 
 
 # ---------------------------------------------------------------------------
+# The pool rule: a pool only for enough live layouts
+# ---------------------------------------------------------------------------
+
+class TestPoolRule:
+    """``workers`` is a ceiling: a run starts its pool only when the pending
+    shards hold at least ``POOL_MIN_LAYOUTS`` layouts that the subtree
+    bounds leave alive after the seed -- counts, never timings -- and
+    otherwise scores the same shards in-process."""
+
+    def test_small_solve_starts_no_process(self, small_objects, box1_system, small_catalog,
+                                          small_workload, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(ParallelEnumerationEngine, "_start_worker", refuse)
+        reference = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                             small_workload)
+        with trace.tracing() as tracer:
+            result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                              small_workload, workers=WORKERS)
+            (root,) = tracer.drain_roots()
+        (span,) = [c for c in root["children"] if c["name"] == "es.enumerate"]
+        assert result.stats.workers == result.stats.batch.workers == 1
+        assert span["attrs"]["workers"] == 1
+        # The in-process run keeps the pool's shard geometry.
+        assert result.stats.batch.shards == WORKERS * ps.SHARDS_PER_WORKER
+        assert result.layout == reference.layout
+        assert result.toc_cents == reference.toc_cents
+
+    def test_pool_runs_at_a_zero_threshold(self, pool_always, small_objects, box1_system,
+                                           small_catalog, small_workload):
+        reference = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                             small_workload)
+        result = solve_es(small_objects, box1_system, fresh_estimator(small_catalog),
+                          small_workload, workers=WORKERS)
+        assert result.stats.workers == result.stats.batch.workers == WORKERS
+        assert result.layout == reference.layout
+        assert result.toc_cents == reference.toc_cents
+
+    def test_the_threshold_reads_live_layouts(self, small_objects, box1_system,
+                                              small_catalog, small_workload, monkeypatch):
+        """On a capacity-limited space the bounds cut subtrees before any
+        shard runs; the pool starts at exactly the live count, not one
+        layout above it."""
+        total = sum(obj.size_gb for obj in small_objects)
+        limited = box1_system.with_capacity_limits({"H-SSD": total * 0.3})
+
+        def engine():
+            evaluator = make_evaluator(small_objects, limited, small_catalog, small_workload)
+            return ParallelEnumerationEngine(evaluator, workers=WORKERS)
+
+        probe = engine()
+        live = probe._live_layouts(probe.shard_ranges(), probe._seed[0])
+        assert 0 < live < probe.space
+        reference = engine().run()
+        for threshold, used in ((live + 1, 1), (live, WORKERS)):
+            monkeypatch.setattr(ps, "POOL_MIN_LAYOUTS", threshold)
+            run = engine()
+            progress = run.run()
+            assert run.workers_used == used
+            assert progress.best_toc == reference.best_toc
+            assert progress.best_index == reference.best_index
+
+
+# ---------------------------------------------------------------------------
 # Worker boot: the coordinator's warmed evaluator, inherited or unpickled
 # ---------------------------------------------------------------------------
 
@@ -1097,6 +1170,7 @@ def worker_boot_summaries():
         )
         batch = parallel.stats.batch
         summaries.append({
+            "workers": batch.workers,
             "identical": bool(parallel.feasible and parallel.layout == serial.layout
                               and parallel.toc_cents == serial.toc_cents),
             "worker_warm_s": worker_warm_s,
@@ -1106,13 +1180,14 @@ def worker_boot_summaries():
     return summaries
 
 
-def assert_workers_adopted_the_evaluator(summaries):
+def assert_workers_adopted_the_evaluator(summaries, min_attach_s=0.0):
     assert len(summaries) == 2
     for summary in summaries:
+        assert summary["workers"] == WORKERS  # the pool ran
         assert summary["identical"]
         assert summary["worker_warm_s"] == 0.0
         assert summary["worker_estimate_lookups"] == 0
-        assert summary["attach_s"] > 0.0
+        assert summary["attach_s"] > min_attach_s
 
 
 class TestWorkerBoot:
@@ -1120,17 +1195,22 @@ class TestWorkerBoot:
     rebuilds, re-warms or estimates anything, on DSS and OLTP alike, and the
     results stay bitwise equal to the serial search."""
 
-    def test_default_pool_adopts_the_warmed_evaluator(self):
+    def test_default_pool_adopts_the_warmed_evaluator(self, pool_always):
         # The default start method on Linux is fork: workers inherit the
         # evaluator copy-on-write.
         assert_workers_adopted_the_evaluator(worker_boot_summaries())
 
     @pytest.mark.timeout(300)
     def test_spawn_pool_unpickles_the_warmed_evaluator(self):
+        # The child sets POOL_MIN_LAYOUTS to 0 as the pool_always fixture
+        # does.  A spawned worker starts an interpreter and imports numpy
+        # before it can serve, and its boot (attach_s) counts that.
         script = (
             "import json, multiprocessing, sys\n"
             "multiprocessing.set_start_method('spawn', force=True)\n"
             "sys.path[:0] = sys.argv[1:3]\n"
+            "import repro.core.parallel_search as parallel_search\n"
+            "parallel_search.POOL_MIN_LAYOUTS = 0\n"
             "from test_parallel_search import worker_boot_summaries\n"
             "print(json.dumps(worker_boot_summaries()))\n"
         )
@@ -1140,7 +1220,7 @@ class TestWorkerBoot:
             capture_output=True, text=True, check=True, timeout=300,
         )
         assert_workers_adopted_the_evaluator(
-            json.loads(completed.stdout.strip().splitlines()[-1])
+            json.loads(completed.stdout.strip().splitlines()[-1]), min_attach_s=0.05
         )
 
 

@@ -133,7 +133,7 @@ class TestFaultPlans:
 class TestChaosIdentity:
     @pytest.mark.timeout(120)
     def test_worker_kills_recover_to_the_fault_free_optimum(
-            self, small_objects, box1_system, small_catalog, small_workload,
+            self, pool_always, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
         """Hard-killing workers on half the shards must not change one bit
         of the answer: each kill closes the worker's pipe, and the retry
@@ -151,6 +151,7 @@ class TestChaosIdentity:
             result = solve_es(small_objects, box1_system, small_catalog, small_workload,
                               workers=WORKERS, fault_plan=plan)
             (root,) = tracer.drain_roots()
+        assert result.stats.workers == WORKERS  # the pool ran
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
@@ -164,7 +165,7 @@ class TestChaosIdentity:
 
     @pytest.mark.timeout(120)
     def test_exceptions_and_stragglers_recover_identically(
-            self, small_objects, box1_system, small_catalog, small_workload,
+            self, pool_always, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
         probe = make_engine(
             small_objects, box1_system, small_catalog, small_workload, workers=WORKERS
@@ -176,13 +177,14 @@ class TestChaosIdentity:
         )
         result = solve_es(small_objects, box1_system, small_catalog, small_workload,
                           workers=WORKERS, fault_plan=plan)
+        assert result.stats.workers == WORKERS  # the pool ran
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
         assert result.stats.incidents  # every recovery left a trace
 
     @pytest.mark.timeout(120)
     def test_kills_during_demand_dispatch_recover_identically(
-            self, small_objects, box1_system, small_catalog, small_workload,
+            self, pool_always, small_objects, box1_system, small_catalog, small_workload,
             serial_reference):
         """Shards beyond each worker's first, and re-queued shards, dispatch
         on demand as steals; hard-killing workers on a chunk of those shards
@@ -198,6 +200,7 @@ class TestChaosIdentity:
         assert plan.shard_faults
         result = solve_es(small_objects, box1_system, small_catalog, small_workload,
                           workers=WORKERS, fault_plan=plan)
+        assert result.stats.workers == WORKERS  # the pool ran
         assert result.feasible == serial_reference.feasible
         assert result.toc_cents == serial_reference.toc_cents
         assert result.layout == serial_reference.layout
@@ -319,6 +322,7 @@ class TestCheckpointCorruption:
 # Dead workers
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("pool_always")
 class TestDeadWorker:
     @pytest.mark.timeout(60)
     def test_killed_worker_is_replaced_without_a_budget(self, small_bundle):
@@ -332,6 +336,7 @@ class TestDeadWorker:
         result = ExhaustiveSolver(workers=WORKERS, fault_plan=plan).solve(
             make_context(small_bundle)
         )
+        assert result.stats.workers == WORKERS  # the pool ran
         assert result.layout == reference.layout
         assert result.toc_cents == reference.toc_cents
         assert not result.stats.degraded
@@ -360,6 +365,7 @@ class TestDeadWorker:
                             start_then_kill_the_first)
         reference = ExhaustiveSolver().solve(make_context(small_bundle))
         result = ExhaustiveSolver(workers=WORKERS).solve(make_context(small_bundle))
+        assert result.stats.workers == WORKERS  # the pool ran
         assert exit_codes == [-signal.SIGKILL]
         assert result.layout == reference.layout
         assert result.toc_cents == reference.toc_cents
@@ -371,6 +377,7 @@ class TestDeadWorker:
 # Pool teardown
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("pool_always")
 class TestPoolTeardown:
     """No worker process outlives ``run``, whether it returns or raises."""
 
@@ -394,6 +401,7 @@ class TestPoolTeardown:
         with pytest.raises(ShardFailureError):
             with engine:
                 engine.run()
+        assert engine.workers_used == WORKERS  # the pool ran
         assert not self.started_workers(before)  # terminated and joined, not leaked
 
     def test_run_tears_down_on_success_too(
@@ -405,6 +413,7 @@ class TestPoolTeardown:
         with engine:
             progress = engine.run()
         assert progress.finished
+        assert engine.workers_used == WORKERS  # the pool ran
         assert not self.started_workers(before)
 
 
